@@ -19,6 +19,7 @@ from .qcore import (
     bloch_polarization,
     envariance_unitary,
     purify,
+    purify_batch,
     random_state,
     reduced_density,
     schmidt_decompose,
@@ -31,6 +32,7 @@ from .detectors import (
     Detector,
     EffectDetector,
     PovmEffect,
+    click_probabilities,
     click_probability,
     extract_affine,
     linear_extension,

@@ -28,6 +28,17 @@ from .reporting import VerificationReport
 
 SG_OUTCOMES = ("u", "d")
 DETECTOR_OUTCOMES = ("click", "noclick")
+# The seven bracket identities; ``check_identity_*`` reports each one as
+# "identity:<name>".
+IDENTITY_NAMES = (
+    "a1-extension",
+    "normalization",
+    "multiplication",
+    "causality",
+    "nosignal-unitary",
+    "nosignal-measure",
+    "a5-decomposition",
+)
 
 _ZERO_BRANCH = 1e-24
 
@@ -137,7 +148,9 @@ class EvalResult:
 
 
 def apply_unitary(psi: StateVector, wires: Sequence[int], matrix: np.ndarray) -> StateVector:
-    """Apply a unitary acting on the listed wires (in the given order)."""
+    """Apply a unitary acting on the listed wires (in the given order).
+
+    A matrix that does not preserve the state's norm is rejected."""
     wires = tuple(wires)
     dims = psi.factor_dims
     tens = np.moveaxis(psi.as_tensor(), wires, range(len(wires)))
@@ -146,7 +159,11 @@ def apply_unitary(psi: StateVector, wires: Sequence[int], matrix: np.ndarray) ->
     flat = np.asarray(matrix, dtype=complex) @ flat
     tens = flat.reshape([dims[w] for w in wires] + [-1]).reshape(tens.shape)
     tens = np.moveaxis(tens, range(len(wires)), wires)
-    return StateVector(dims, tens.reshape(-1))
+    out = tens.reshape(-1)
+    norm = np.linalg.norm(out)
+    if not abs(norm - 1.0) <= qcore.NORM_TOL:
+        raise ValueError(f"matrix is not unitary: it maps the state to norm {norm!r}")
+    return StateVector._trusted(dims, out)
 
 
 def sg_measure(psi: StateVector, wire: int) -> list[MeasurementRecord]:
@@ -165,7 +182,7 @@ def sg_measure(psi: StateVector, wire: int) -> list[MeasurementRecord]:
             continue
         post = np.moveaxis(branch / math.sqrt(prob), 0, wire).reshape(-1)
         records.append(
-            MeasurementRecord(outcome, min(prob, 1.0), StateVector(psi.factor_dims, post))
+            MeasurementRecord(outcome, min(prob, 1.0), StateVector._trusted(psi.factor_dims, post))
         )
     return records
 
@@ -179,34 +196,26 @@ def detector_measure(psi: StateVector, wire: int, det: Detector) -> list[Measure
     choice, it only keeps mid-circuit evaluation well defined.
     """
     p_click = _det.click_probability(det, psi, wire)
-    effect = _det.equivalent_effect(det)
+    rest = _rest_shape(psi, wire)
+    tens = np.moveaxis(psi.as_tensor(), wire, 0).reshape(2, -1)
     records = []
-    for outcome, prob, m in (
-        ("click", p_click, effect),
-        ("noclick", 1.0 - p_click, qcore.IDENTITY_2 - effect),
+    for outcome, prob, kraus in zip(
+        DETECTOR_OUTCOMES, (p_click, 1.0 - p_click), det.kraus_pair
     ):
         if prob <= _ZERO_BRANCH:
             records.append(MeasurementRecord(outcome, 0.0, None))
             continue
-        kraus = _hermitian_sqrt(m)
-        tens = np.moveaxis(psi.as_tensor(), wire, 0).reshape(2, -1)
-        post = np.moveaxis(
-            (kraus @ tens).reshape((2,) + _rest_shape(psi, wire)), 0, wire
-        ).reshape(-1)
+        branch = kraus @ tens
+        post = np.moveaxis(branch.reshape((2,) + rest), 0, wire).reshape(-1)
         post = post / np.linalg.norm(post)
         records.append(
-            MeasurementRecord(outcome, min(prob, 1.0), StateVector(psi.factor_dims, post))
+            MeasurementRecord(outcome, min(prob, 1.0), StateVector._trusted(psi.factor_dims, post))
         )
     return records
 
 
 def _rest_shape(psi: StateVector, wire: int) -> tuple[int, ...]:
     return tuple(d for i, d in enumerate(psi.factor_dims) if i != wire)
-
-
-def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(m)
-    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
 
 
 def measure_records(psi: StateVector, step: Measure) -> list[MeasurementRecord]:

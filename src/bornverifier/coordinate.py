@@ -3,9 +3,10 @@ mapping that reduces it to the spin machinery.
 
 Grids are uniform left-edge points x_i = x_min + i * dx with
 dx = (x_max - x_min) / n, and all quadrature is the left-point Riemann
-sum.  A grid point belongs to a detector interval by closed-interval
-membership of its coordinate; endpoints falling between grid points are
-not interpolated.
+sum, whose cell for x_i is [x_i, x_i + dx).  A grid point belongs to a
+detector interval [x1, x2] when x1 <= x_i < x2, so the point at x2,
+whose cell lies outside the interval, is left out; endpoints falling
+between grid points are not interpolated.
 """
 
 from __future__ import annotations
@@ -155,12 +156,14 @@ def load_wavefunction(path, normalize: bool = False) -> Wavefunction1D:
 
 
 def interval_mask(psi: Wavefunction1D, det: IntervalDetector) -> np.ndarray:
-    return (psi.xs >= det.x1) & (psi.xs <= det.x2)
+    """Grid points x1 <= x_i < x2: those whose left-point cells the
+    interval covers."""
+    return (psi.xs >= det.x1) & (psi.xs < det.x2)
 
 
 def born_integral(psi: Wavefunction1D, det: IntervalDetector) -> float:
     """Probability mass of the interval: the left-point Riemann sum of
-    |psi|^2 over grid points inside [x1, x2]."""
+    |psi|^2 over the grid points x1 <= x_i < x2."""
     mask = interval_mask(psi, det)
     return float(np.sum(np.abs(psi.values[mask]) ** 2) * psi.dx)
 

@@ -16,18 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits, detectors as _det, qcore
-from .circuits import ConditionalExperiment
+from .circuits import IDENTITY_NAMES, ConditionalExperiment
 from .qcore import StateVector
-
-IDENTITY_NAMES = (
-    "a1-extension",
-    "normalization",
-    "multiplication",
-    "causality",
-    "nosignal-unitary",
-    "nosignal-measure",
-    "a5-decomposition",
-)
 
 
 def p1_rule(p0: float, x: float) -> float:
@@ -390,11 +380,12 @@ def run_battery(
 
 def _a1_violation_note(rule: RandomThresholdRule) -> str:
     """Demonstrate the state-function failure: one bracket, two stream
-    events, different values."""
+    events, different values.  Scans the stream from its start with
+    explicit values, so the rule's own cursor is left untouched."""
     p = 0.6
-    first = rule.transform(p)
-    for _ in range(len(rule.stream) - rule._cursor):
-        second = rule.transform(p)
+    events = (rule.transform(p, x) for x in rule.stream)
+    first = next(events, None)
+    for second in events:
         if second != first:
             return (
                 "state-function violation: identical state and measurement gave "

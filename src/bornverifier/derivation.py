@@ -48,6 +48,7 @@ def verify_envariance(
     seed: int = DEFAULT_SEED,
     env_dim: int = 4,
     tolerance: float = DEFAULT_TOLERANCE,
+    name: str = "envariance",
 ) -> VerificationReport:
     """Environment-assisted invariance: two states sharing Schmidt data
     have equal click probability, and the constructed environment
@@ -94,7 +95,7 @@ def verify_envariance(
             float(np.linalg.norm(mapped.amplitudes - psi_pp.amplitudes)),
         )
     return VerificationReport.from_deviation(
-        "envariance",
+        name,
         f"trials={trials} env_dim={env_dim}",
         max(worst_prob, worst_map),
         tolerance,
@@ -152,9 +153,7 @@ def verify_lemma1(
     a_lam = next(
         r for r in circuits.sg_measure(pair, 1) if r.outcome == "u"
     ).probability
-    f0 = _det.probe_fclick(det, p0)
-    f1 = _det.probe_fclick(det, p1)
-    f_mid = _det.probe_fclick(det, p_mid)
+    f0, f1, f_mid = _det.probe_fclick(det, _stacked(p0, p1, p_mid)).tolist()
     dev_c = abs(f_mid - (a_lam * f0 + (1.0 - a_lam) * f1))
     dev_big = abs(_det.click_probability(det, big, 0) - f_mid)
 
@@ -178,6 +177,10 @@ def verify_lemma1(
     )
 
 
+def _stacked(*points: BlochVector) -> np.ndarray:
+    return np.array([p.as_array() for p in points])
+
+
 def _basis8_16(index: int) -> np.ndarray:
     v = np.zeros(16, dtype=complex)
     v[index] = 1.0
@@ -192,9 +195,7 @@ def verify_lemma2(
 ) -> VerificationReport:
     """Midpoint identity, plus the balanced-pair branch weight 1/2."""
     mid = BlochVector.from_array(0.5 * (p0.as_array() + p1.as_array()))
-    f_mid = _det.probe_fclick(det, mid)
-    f0 = _det.probe_fclick(det, p0)
-    f1 = _det.probe_fclick(det, p1)
+    f_mid, f0, f1 = _det.probe_fclick(det, _stacked(mid, p0, p1)).tolist()
     dev_mid = abs(f_mid - 0.5 * (f0 + f1))
     a_half = next(
         r for r in circuits.sg_measure(qcore.bell_state(), 1) if r.outcome == "u"
@@ -230,55 +231,47 @@ def verify_lemma3_dyadic(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rng = qcore.as_rng(seed)
-    f0 = _det.probe_fclick(det, p0)
-    f1 = _det.probe_fclick(det, p1)
+    f0, f1 = _det.probe_fclick(det, _stacked(p0, p1)).tolist()
     delta = f1 - f0
-    segment = lambda x: BlochVector.from_array(
-        (1.0 - x) * p0.as_array() + x * p1.as_array()
-    )
+    a, b = p0.as_array(), p1.as_array()
+
+    def probe_segment(xs: np.ndarray) -> np.ndarray:
+        """Oracle at the segment points (1 - x) p0 + x p1, one batch."""
+        return _det.probe_fclick(det, (1.0 - xs)[:, None] * a + xs[:, None] * b)
 
     if abs(delta) <= _FLAT_SEGMENT_THRESHOLD:
-        worst = 0.0
-        for x in np.linspace(0.0, 1.0, 65):
-            drift = abs(_det.probe_fclick(det, segment(float(x))) - f0)
-            worst = max(worst, drift - abs(delta))
+        drift = np.abs(probe_segment(np.linspace(0.0, 1.0, 65)) - f0)
         report = VerificationReport.from_deviation(
             "lemma3-flat",
             f"|dF|={abs(delta):.3g}",
-            max(worst, 0.0),
+            max(float(np.max(drift - abs(delta))), 0.0),
             tolerance,
             (("endpoint_gap", abs(delta)),),
         )
         return DyadicProfile(depth, ()), report
 
-    def f(x: float) -> float:
-        return (_det.probe_fclick(det, segment(x)) - f0) / delta
+    def f(xs: np.ndarray) -> np.ndarray:
+        return (probe_segment(xs) - f0) / delta
 
     sweep_depth = min(depth, _EXHAUSTIVE_DYADIC_DEPTH)
-    grid = [k / 2.0**sweep_depth for k in range(2**sweep_depth + 1)]
-    values = [f(x) for x in grid]
-    dev_dyadic = max(abs(v - x) for x, v in zip(grid, values))
-    dev_monotone = max(
-        max(values[i] - values[i + 1], 0.0) for i in range(len(values) - 1)
-    )
+    grid = np.arange(2**sweep_depth + 1) / 2.0**sweep_depth
+    values = f(grid)
+    dev_dyadic = float(np.max(np.abs(values - grid)))
+    dev_monotone = float(np.max(np.maximum(values[:-1] - values[1:], 0.0)))
 
     bound = 2.0**-depth
-    samples = []
-    dev_sandwich = 0.0
-    for _ in range(n_random):
-        x = float(rng.uniform())
-        lower = math.floor(x * 2**depth) / 2**depth
-        upper = lower + bound
-        fx = f(x)
-        samples.append((x, fx, bound))
-        dev_sandwich = max(
-            dev_sandwich,
-            abs(fx - x) - bound,
-            f(lower) - fx,
-            fx - f(min(upper, 1.0)),
-        )
+    xs = rng.uniform(size=n_random)
+    lower = np.floor(xs * 2.0**depth) / 2.0**depth
+    upper = np.minimum(lower + bound, 1.0)
+    fx, f_lower, f_upper = np.split(f(np.concatenate([xs, lower, upper])), 3)
+    dev_sandwich = max(
+        float(np.max(np.abs(fx - xs) - bound, initial=0.0)),
+        float(np.max(f_lower - fx, initial=0.0)),
+        float(np.max(fx - f_upper, initial=0.0)),
+    )
+    samples = [(x, v, bound) for x, v in zip(xs.tolist(), fx.tolist())]
     profile = DyadicProfile(depth, tuple(samples))
-    worst = max(dev_dyadic, dev_monotone, max(dev_sandwich, 0.0))
+    worst = max(dev_dyadic, dev_monotone, dev_sandwich)
     report = VerificationReport.from_deviation(
         "lemma3-dyadic",
         f"depth={depth} sweep_depth={sweep_depth}",
@@ -287,7 +280,7 @@ def verify_lemma3_dyadic(
         (
             ("dyadic_deviation", dev_dyadic),
             ("monotonicity_violation", dev_monotone),
-            ("sandwich_excess", max(dev_sandwich, 0.0)),
+            ("sandwich_excess", dev_sandwich),
             ("endpoint_gap", abs(delta)),
         ),
     )
@@ -311,10 +304,11 @@ def verify_theorem1(
             (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
         ]
     ]
-    points = poles + [qcore.random_bloch(rng) for _ in range(n_points)]
-    dev_points = max(
-        abs(_det.probe_fclick(det, p) - resp.predict(p)) for p in points
-    )
+    points = _stacked(*poles, *(qcore.random_bloch(rng) for _ in range(n_points)))
+    # The affine prediction alpha . p + beta, evaluated for all points at
+    # once; the probes themselves go through the oracle.
+    predicted = points @ resp.alpha + resp.beta
+    dev_points = float(np.max(np.abs(_det.probe_fclick(det, points) - predicted)))
     dev_mixed = 0.0
     for _ in range(5):
         k = int(rng.integers(2, 5))
@@ -327,7 +321,10 @@ def verify_theorem1(
         )
         dev_mixed = max(
             dev_mixed,
-            abs(_det.mixed_click_probability(ensemble, det) - resp.predict(mean_p)),
+            abs(
+                _det.mixed_click_probability(ensemble, det)
+                - (mean_p.as_array() @ resp.alpha + resp.beta)
+            ),
         )
     return VerificationReport.from_deviation(
         name,
@@ -373,37 +370,25 @@ def verify_theorem2(
     phi_down = eigvecs[:, 1]
     dev_orth = abs(np.vdot(phi_up, phi_down))
 
-    up_state = StateVector((2,), phi_up)
-    down_state = StateVector((2,), phi_down)
-    dev_extremes = max(
-        abs(_det.click_probability(det, up_state, 0) - p_max),
-        abs(_det.click_probability(det, down_state, 0) - p_min),
-    )
+    extremes = _det.click_probabilities(det, np.stack([phi_up, phi_down])[:, :, None])
+    dev_extremes = float(np.max(np.abs(extremes - [p_max, p_min])))
 
     ideal = abs(p_max - 1.0) <= tolerance and abs(p_min) <= tolerance
     span = p_max - p_min
-    dev_pure = 0.0
-    for _ in range(n_states):
-        psi = qcore.random_state((2,), rng)
-        overlap = abs(np.vdot(phi_up, psi.amplitudes)) ** 2
-        predicted = span * overlap + p_min
-        dev_pure = max(
-            dev_pure, abs(_det.click_probability(det, psi, 0) - predicted)
-        )
+    states = qcore.random_amplitudes((2,), n_states, rng)
+    predicted = span * np.abs(states @ np.conj(phi_up)) ** 2 + p_min
+    oracle = _det.click_probabilities(det, states[:, :, None])
+    dev_pure = float(np.max(np.abs(oracle - predicted), initial=0.0))
     dev_mixed = 0.0
     for _ in range(20):
         k = int(rng.integers(2, 5))
         weights = rng.uniform(size=k)
         weights /= weights.sum()
-        members = [qcore.random_state((2,), rng) for _ in range(k)]
-        rho = sum(
-            w * np.outer(s.amplitudes, np.conj(s.amplitudes))
-            for w, s in zip(weights, members)
-        )
+        members = qcore.random_amplitudes((2,), k, rng)
+        rho = np.einsum("k,ki,kj->ij", weights, members, members.conj())
         predicted = span * float((np.conj(phi_up) @ rho @ phi_up).real) + p_min
-        oracle = _det.mixed_click_probability(
-            list(zip(weights.tolist(), members)), det
-        )
+        ensemble = [(w, StateVector((2,), m)) for w, m in zip(weights.tolist(), members)]
+        oracle = _det.mixed_click_probability(ensemble, det)
         dev_mixed = max(dev_mixed, abs(oracle - predicted))
 
     resp_down = _det.extract_affine(_det.complement_detector(det))
@@ -506,67 +491,80 @@ def run_full_suite(
     wavefunctions: list[tuple[str, coordinate.Wavefunction1D]] | None = None,
 ) -> list[VerificationReport]:
     """Run every verifier over the standard battery; deterministic given
-    the seed.  ``subset`` keeps only reports whose name contains it."""
+    the seed.  ``subset`` keeps only reports whose name contains it.
+
+    Each check family declares the names of the reports it makes, and
+    runs only when ``subset`` matches one of them.  Every family draws
+    from its own seed sequence, so skipping one leaves the others'
+    reports unchanged."""
     children = np.random.SeedSequence(seed).spawn(8)
-    reports: list[VerificationReport] = []
+
+    def identities(*names: str) -> list[VerificationReport]:
+        return _identity_reports(seed, tolerance, instances=200)
+
+    def envariance(name: str) -> list[VerificationReport]:
+        det = _det.random_detector(qcore.as_rng(children[0]))
+        return [
+            verify_envariance(
+                det, trials=200, seed=children[1], tolerance=tolerance, name=name
+            )
+        ]
+
+    def lemmas12(name1: str, name2: str) -> list[VerificationReport]:
+        rng = qcore.as_rng(children[2])
+        lemma1_runs = []
+        lemma2_runs = []
+        for _ in range(30):
+            det = _det.random_detector(rng)
+            p0 = qcore.random_bloch(rng)
+            p1 = qcore.random_bloch(rng)
+            lemma1_runs.append(verify_lemma1(det, p0, p1, float(rng.uniform()), tolerance))
+            lemma2_runs.append(verify_lemma2(det, p0, p1, tolerance))
+        return [
+            merge_reports(name1, "instances=30", tolerance, lemma1_runs),
+            merge_reports(name2, "instances=30", tolerance, lemma2_runs),
+        ]
+
+    def lemma3(name: str) -> list[VerificationReport]:
+        rng = qcore.as_rng(children[3])
+        runs = []
+        for _ in range(3):
+            det = _det.random_detector(rng)
+            _, rep = verify_lemma3_dyadic(
+                det,
+                qcore.random_bloch(rng),
+                qcore.random_bloch(rng),
+                depth=depth,
+                seed=rng.integers(2**31),
+                n_random=50,
+                tolerance=tolerance,
+            )
+            runs.append(rep)
+        return [merge_reports(name, "segments=3", tolerance, runs)]
+
+    families = [
+        (tuple(f"identity:{name}" for name in circuits.IDENTITY_NAMES), identities),
+        (("envariance",), envariance),
+        (("lemma1", "lemma2"), lemmas12),
+        ((f"lemma3[depth={depth}]",), lemma3),
+    ]
+
     battery = standard_battery(seed)
-
-    reports.extend(_identity_reports(seed, tolerance, instances=200))
-
-    env_rng = qcore.as_rng(children[0])
-    reports.append(
-        verify_envariance(
-            _det.random_detector(env_rng), trials=200, seed=children[1], tolerance=tolerance
-        )
-    )
-
-    lemma_rng = qcore.as_rng(children[2])
-    lemma1_runs = []
-    lemma2_runs = []
-    for _ in range(30):
-        det = _det.random_detector(lemma_rng)
-        p0 = qcore.random_bloch(lemma_rng)
-        p1 = qcore.random_bloch(lemma_rng)
-        lemma1_runs.append(
-            verify_lemma1(det, p0, p1, float(lemma_rng.uniform()), tolerance)
-        )
-        lemma2_runs.append(verify_lemma2(det, p0, p1, tolerance))
-    reports.append(merge_reports("lemma1", "instances=30", tolerance, lemma1_runs))
-    reports.append(merge_reports("lemma2", "instances=30", tolerance, lemma2_runs))
-
-    lemma3_rng = qcore.as_rng(children[3])
-    lemma3_runs = []
-    for _ in range(3):
-        det = _det.random_detector(lemma3_rng)
-        _, rep = verify_lemma3_dyadic(
-            det,
-            qcore.random_bloch(lemma3_rng),
-            qcore.random_bloch(lemma3_rng),
-            depth=depth,
-            seed=lemma3_rng.integers(2**31),
-            n_random=50,
-            tolerance=tolerance,
-        )
-        lemma3_runs.append(rep)
-    reports.append(
-        merge_reports(f"lemma3[depth={depth}]", "segments=3", tolerance, lemma3_runs)
-    )
-
     th1_seeds = np.random.SeedSequence((seed, 0x71)).spawn(len(battery))
     th2_seeds = np.random.SeedSequence((seed, 0x72)).spawn(len(battery))
-    for (name, det), s1, s2 in zip(battery, th1_seeds, th2_seeds):
-        reports.append(
-            verify_theorem1(
-                det, n_points=40, seed=s1, tolerance=tolerance,
-                name=f"theorem1[{name}]",
-            )
-        )
-        reports.append(
-            verify_theorem2(
-                det, n_states=200, seed=s2, tolerance=tolerance,
-                name=f"theorem2[{name}]",
-            )
-        )
+    for (label, det), s1, s2 in zip(battery, th1_seeds, th2_seeds):
+        families.append((
+            (f"theorem1[{label}]",),
+            lambda name, det=det, s=s1: [
+                verify_theorem1(det, n_points=40, seed=s, tolerance=tolerance, name=name)
+            ],
+        ))
+        families.append((
+            (f"theorem2[{label}]",),
+            lambda name, det=det, s=s2: [
+                verify_theorem2(det, n_states=200, seed=s, tolerance=tolerance, name=name)
+            ],
+        ))
 
     coord_cases = [
         ("gaussian", coordinate.gaussian_wavefunction(-8.0, 8.0, 20000, sigma=1.0), (-1.0, 1.0)),
@@ -577,15 +575,28 @@ def run_full_suite(
         hi = wf.x_min + 0.7 * (wf.x_max - wf.x_min)
         coord_cases.append((label, wf, (lo, hi)))
     for label, wf, (lo, hi) in coord_cases:
-        reports.append(
-            coordinate.verify_isospin_born(
-                _det.sg_up_detector(),
-                wf,
-                coordinate.IntervalDetector(lo, hi),
-                tolerance=tolerance,
-                name=f"isospin-born[{label}]",
-            )
-        )
+        families.append((
+            (f"isospin-born[{label}]",),
+            lambda name, wf=wf, lo=lo, hi=hi: [
+                coordinate.verify_isospin_born(
+                    _det.sg_up_detector(),
+                    wf,
+                    coordinate.IntervalDetector(lo, hi),
+                    tolerance=tolerance,
+                    name=name,
+                )
+            ],
+        ))
+
+    reports: list[VerificationReport] = []
+    for names, run in families:
+        if subset and not any(subset in name for name in names):
+            continue
+        made = run(*names)
+        undeclared = sorted({r.name for r in made} - set(names))
+        if undeclared:
+            raise RuntimeError(f"check family {names} made undeclared reports {undeclared}")
+        reports.extend(made)
 
     reports.sort(key=lambda r: r.name)
     if subset:

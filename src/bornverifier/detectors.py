@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,28 @@ from .qcore import (
 )
 
 _CENTROID = np.array([0.25, 0.25, 0.25])
+# Tomography probes: the ball center and the three positive axis poles.
+_REFERENCE_POINTS = np.array(
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+)
+
+
+class _DerivedData:
+    """Data derived from a detector's hidden model, computed on first use
+    and stored on the instance itself, so it lives and dies with the
+    detector and is never shared between two detectors."""
+
+    @cached_property
+    def kraus_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """Principal square roots of the ground-truth effect E and of
+        1 - E: the measurement operators of the circuit evaluator's
+        post-measurement states."""
+        effect = equivalent_effect(self)
+        return _hermitian_sqrt(effect), _hermitian_sqrt(IDENTITY_2 - effect)
 
 
 @dataclass(frozen=True)
-class EffectDetector:
+class EffectDetector(_DerivedData):
     """Detector whose hidden model is an effect operator 0 <= M <= 1."""
 
     effect: np.ndarray
@@ -48,7 +67,7 @@ class EffectDetector:
 
 
 @dataclass(frozen=True)
-class AncillaDetector:
+class AncillaDetector(_DerivedData):
     """Detector whose hidden model couples the spin to an ancilla and
     projects the ancilla; the click probability is simulated exactly."""
 
@@ -75,6 +94,12 @@ class AncillaDetector:
         object.__setattr__(self, "ancilla_dim", m)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "projector", projector)
+
+    @cached_property
+    def click_map(self) -> np.ndarray:
+        """(2m, 2) map (1 (x) P) U restricted to ancilla input |0>: it
+        takes the spin amplitudes to the projected spin+ancilla ones."""
+        return np.kron(IDENTITY_2, self.projector) @ self.coupling[:, :: self.ancilla_dim]
 
 
 Detector = EffectDetector | AncillaDetector
@@ -126,29 +151,37 @@ class PovmEffect:
 
 
 def click_probability(det: Detector, psi: StateVector, spin_factor: int = 0) -> float:
-    """Probability that the detector clicks on the given spin factor."""
+    """Probability that the detector clicks on the given spin factor (a
+    batch of one of ``click_probabilities``)."""
+    return float(click_probabilities(det, _spin_amplitudes(psi, spin_factor)[None])[0])
+
+
+def _spin_amplitudes(psi: StateVector, spin_factor: int) -> np.ndarray:
+    """(2, rest) amplitudes: the measured spin first, every other factor
+    flattened."""
+    qcore._check_spin_factor(psi, spin_factor)
+    tens = psi.as_tensor()
+    if spin_factor:
+        tens = np.moveaxis(tens, spin_factor, 0)
+    return tens.reshape(2, -1)
+
+
+def click_probabilities(det: Detector, amps: np.ndarray) -> np.ndarray:
+    """Click probabilities of N stacked states.
+
+    ``amps`` has shape (N, 2, rest): axis 1 is the measured spin and
+    axis 2 runs over every other factor.  An effect detector gives
+    sum_r <a_r|E|a_r>; an ancilla detector is simulated exactly, as the
+    squared norm of its projected spin+ancilla amplitudes.
+    """
     if isinstance(det, EffectDetector):
-        rho = qcore.reduced_density(psi, spin_factor)
-        p = np.trace(det.effect @ rho).real
+        p = np.einsum("nir,ij,njr->n", amps.conj(), det.effect, amps).real
     elif isinstance(det, AncillaDetector):
-        p = _simulate_ancilla_click(det, psi, spin_factor)
+        projected = np.einsum("ki,nir->nkr", det.click_map, amps)
+        p = np.einsum("nkr,nkr->n", projected.conj(), projected).real
     else:
         raise TypeError(f"not a detector: {type(det).__name__}")
-    return float(min(max(p, 0.0), 1.0))
-
-
-def _simulate_ancilla_click(det: AncillaDetector, psi: StateVector, spin_factor: int) -> float:
-    m = det.ancilla_dim
-    ancilla = StateVector((m,), _basis_vec(m, 0))
-    joint = qcore.tensor_product(psi, ancilla)
-    tens = joint.as_tensor()
-    ancilla_axis = joint.num_factors - 1
-    # Apply the coupling on the (spin, ancilla) axis pair.
-    tens = np.moveaxis(tens, (spin_factor, ancilla_axis), (0, 1))
-    head = tens.reshape(2 * m, -1)
-    head = det.coupling @ head
-    projected = (np.kron(IDENTITY_2, det.projector) @ head).reshape(-1)
-    return float(np.vdot(projected, projected).real)
+    return np.clip(p, 0.0, 1.0)
 
 
 def equivalent_effect(det: Detector) -> np.ndarray:
@@ -159,12 +192,9 @@ def equivalent_effect(det: Detector) -> np.ndarray:
     """
     if isinstance(det, EffectDetector):
         return np.array(det.effect)
-    m = det.ancilla_dim
-    block = det.coupling.conj().T @ np.kron(IDENTITY_2, det.projector) @ det.coupling
-    # <i, anc0| block |j, anc0> over the spin indices i, j.
-    return np.array(
-        [[block[i * m, j * m] for j in range(2)] for i in range(2)], dtype=complex
-    )
+    # <i, anc0| U^dagger (1 (x) P) U |j, anc0> = (M^dagger M)_ij for the
+    # click map M, since 1 (x) P is a projector.
+    return det.click_map.conj().T @ det.click_map
 
 
 def complement_detector(det: Detector) -> Detector:
@@ -176,24 +206,25 @@ def complement_detector(det: Detector) -> Detector:
     )
 
 
-def probe_fclick(det: Detector, p: BlochVector) -> float:
+def probe_fclick(det: Detector, p):
     """Click probability at a Bloch point, probed through the canonical
-    purification (purification independence is tested, not assumed)."""
-    return click_probability(det, qcore.purify(p), 0)
+    purification (purification independence is tested, not assumed).
+
+    ``p`` is a BlochVector, giving a float, or an (N, 3) array of
+    points, giving an array of N probabilities.
+    """
+    if isinstance(p, BlochVector):
+        return float(probe_fclick(det, p.as_array()[None])[0])
+    amps = qcore.purify_batch(p)
+    return click_probabilities(det, amps.reshape(-1, 2, 2))
 
 
 def extract_affine(det: Detector) -> AffineResponse:
     """Tomography from four reference probes: the ball center and the
     three positive axis poles."""
-    beta = probe_fclick(det, BlochVector(0.0, 0.0, 0.0))
-    alpha = np.array(
-        [
-            probe_fclick(det, BlochVector(1.0, 0.0, 0.0)) - beta,
-            probe_fclick(det, BlochVector(0.0, 1.0, 0.0)) - beta,
-            probe_fclick(det, BlochVector(0.0, 0.0, 1.0)) - beta,
-        ]
-    )
-    return AffineResponse(alpha=alpha, beta=beta)
+    values = probe_fclick(det, _REFERENCE_POINTS)
+    beta = float(values[0])
+    return AffineResponse(alpha=values[1:] - beta, beta=beta)
 
 
 def linear_extension(resp: AffineResponse, p: BlochVector, tol: float = DEFAULT_TOL) -> float:
@@ -298,13 +329,16 @@ def to_povm(resp: AffineResponse, tol: float = DEFAULT_TOL) -> PovmEffect:
 def mixed_click_probability(
     ensemble: list[tuple[float, StateVector]], det: Detector, spin_factor: int = 0
 ) -> float:
-    """Law-of-total-probability click chance for a statistical mixture."""
-    weights = [w for w, _ in ensemble]
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+    """Law-of-total-probability click chance for a statistical mixture:
+    the weighted click probabilities of its members, probed in one batch.
+    The members must share their factor dimensions."""
+    weights = np.array([w for w, _ in ensemble], dtype=float)
+    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("ensemble weights must be non-negative and sum to 1")
-    return float(
-        sum(w * click_probability(det, psi, spin_factor) for w, psi in ensemble)
-    )
+    if len({psi.factor_dims for _, psi in ensemble}) > 1:
+        raise ValueError("ensemble members must share their factor dimensions")
+    amps = np.stack([_spin_amplitudes(psi, spin_factor) for _, psi in ensemble])
+    return float(weights @ click_probabilities(det, amps))
 
 
 def sg_up_detector() -> EffectDetector:
@@ -349,7 +383,6 @@ def random_detector(rng) -> Detector:
     return random_ancilla_detector(rng)
 
 
-def _basis_vec(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
+def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
+    eigvals, eigvecs = np.linalg.eigh(m)
+    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T

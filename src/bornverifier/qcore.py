@@ -18,6 +18,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 MAX_TOTAL_DIM = 1024
+# Largest accepted distance of a state's norm from 1; amplitudes read
+# from text carry rounding.
+NORM_TOL = 1e-6
 _DEGENERACY_TOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -67,7 +70,7 @@ class StateVector:
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized (norm={norm!r})")
         object.__setattr__(self, "factor_dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -83,6 +86,22 @@ class StateVector:
     def as_tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per factor."""
         return self.amplitudes.reshape(self.factor_dims)
+
+    @classmethod
+    def _trusted(cls, factor_dims: tuple[int, ...], amplitudes: np.ndarray) -> "StateVector":
+        """Build without revalidating.
+
+        Only for amplitudes that an operation derived from an already
+        valid state and that are valid by construction: finite, of
+        matching length, and normalized (a norm-checked unitary image, or
+        a branch divided by its own norm).  Every public construction goes
+        through the checked initializer.
+        """
+        state = object.__new__(cls)
+        amplitudes.setflags(write=False)
+        object.__setattr__(state, "factor_dims", factor_dims)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     @staticmethod
     def from_amplitudes(factor_dims: Sequence[int], amplitudes) -> "StateVector":
@@ -317,27 +336,81 @@ def envariance_unitary(
 
 
 def purify(p: BlochVector, tol: float = DEFAULT_TOL) -> StateVector:
-    """Canonical two-spin purification with the given spin polarization.
+    """Canonical two-spin purification with the given spin polarization
+    (a batch of one of ``purify_batch``)."""
+    return StateVector((2, 2), purify_batch(p.as_array()[None], tol)[0])
 
-    Eigendecomposes (1 + sigma.p)/2 and weights each eigenvector by the
-    square root of its eigenvalue against a standard environment basis.
+
+def purify_batch(points, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Canonical two-spin purifications of an (N, 3) array of Bloch
+    points, returned as (N, 4) amplitude rows over (spin, environment).
+
+    Row k is c1 |a1>|up> + c2 |a2>|down>, with c1^2, c2^2 = (1 +- |p|)/2
+    and the eigenvectors of (1 + sigma.p)/2 in closed form,
+    a1 = (cos t, e^{i phi} sin t) and a2 = (sin t, -e^{i phi} cos t),
+    where 2t and phi are the polar and azimuthal angles of p, phase-fixed
+    as ``eig2x2_hermitian`` fixes them.  cos t and sin t come
+    from |p| + |pz|, free of cancellation in either hemisphere.  Points
+    within the degeneracy threshold of the z axis take the standard basis
+    (swapped in the southern hemisphere), and points as close to the
+    center take it unswapped.
     """
-    if p.norm > 1.0 + tol:
-        raise ValueError(f"|p| = {p.norm} lies outside the Bloch ball")
-    eigvals, eigvecs = eig2x2_hermitian(density_from_bloch(p))
-    c1 = math.sqrt(max(eigvals[0], 0.0))
-    c2 = math.sqrt(max(min(eigvals[1], 1.0), 0.0))
-    amps = c1 * np.kron(eigvecs[:, 0], UP) + c2 * np.kron(eigvecs[:, 1], DOWN)
-    return StateVector.from_amplitudes((2, 2), amps)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array of Bloch points, got shape {pts.shape}")
+    px, py, pz = pts.T
+    transverse = np.hypot(px, py)
+    radius = np.hypot(pz, transverse)
+    inside = radius <= 1.0 + tol  # also false for non-finite components
+    if not np.all(inside):
+        raise ValueError(f"|p| = {radius[~inside][0]} lies outside the Bloch ball")
+    north = pz >= 0.0
+    big = radius + np.abs(pz)
+    # (cos t, sin t) is (big, transverse) / scale in the north and
+    # (transverse, big) / scale in the south.
+    scale = np.sqrt(2.0 * radius * big)
+    on_axis = transverse <= 2.0 * _DEGENERACY_TOL
+    cos_t = np.where(north, big, transverse)
+    sin_t = np.where(north, transverse, big)
+    phase = (px + 1j * py) / np.where(on_axis, 1.0, transverse)
+    if np.any(on_axis):
+        upper = north[on_axis] | (radius[on_axis] <= 2.0 * _DEGENERACY_TOL)
+        cos_t[on_axis] = upper
+        sin_t[on_axis] = ~upper
+        scale[on_axis] = 1.0
+        phase[on_axis] = np.where(upper, -1.0, 1.0)
+    cos_t /= scale
+    sin_t /= scale
+    # Clipping c1 to 1 on the boundary slack |p| <= 1 + tol plays the
+    # part of normalizing the amplitudes.
+    c1 = np.sqrt(np.clip(0.5 + 0.5 * radius, 0.0, 1.0))
+    c2 = np.sqrt(np.clip(0.5 - 0.5 * radius, 0.0, 1.0))
+    # kron(a1, UP) + kron(a2, DOWN) in big-endian order.
+    return np.stack(
+        [c1 * cos_t, c2 * sin_t, (c1 * sin_t) * phase, -(c2 * cos_t) * phase], axis=1
+    )
 
 
 def random_state(factor_dims: Sequence[int], rng) -> StateVector:
-    """Haar-random pure state (normalized independent complex Gaussians)."""
-    rng = as_rng(rng)
+    """Haar-random pure state (normalized independent complex Gaussians);
+    a batch of one of ``random_amplitudes``."""
     dims = tuple(int(d) for d in factor_dims)
-    n = math.prod(dims)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return StateVector.from_amplitudes(dims, z)
+    return StateVector(dims, random_amplitudes(dims, 1, rng)[0])
+
+
+def random_amplitudes(factor_dims: Sequence[int], count: int, rng) -> np.ndarray:
+    """``count`` Haar-random pure states as rows of normalized amplitudes.
+
+    Draws the same stream as ``count`` successive ``random_state`` calls,
+    so row k is the state the k-th call would return.
+    """
+    rng = as_rng(rng)
+    n = math.prod(int(d) for d in factor_dims)
+    parts = rng.standard_normal((count, 2, n))
+    norms = np.sqrt(np.einsum("kjn,kjn->k", parts, parts))[:, None]
+    if not norms.all():
+        raise ValueError("cannot normalize the zero vector")
+    return (parts[:, 0] + 1j * parts[:, 1]) / norms
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

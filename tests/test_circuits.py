@@ -169,6 +169,12 @@ class TestEvaluate:
         oracle = (u @ oracle).reshape(2, 2, 2).transpose(1, 2, 0)
         np.testing.assert_allclose(out.as_tensor(), oracle, atol=1e-14)
 
+    def test_apply_unitary_rejects_norm_change(self):
+        psi = qcore.random_state((2, 2), 15)
+        for matrix in (0.5 * qcore.IDENTITY_2, np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="not unitary"):
+                circuits.apply_unitary(psi, (1,), matrix)
+
     def test_gate_after_measure_allowed(self):
         psi = qcore.random_state((2, 2), 13)
         circuit = Circuit(

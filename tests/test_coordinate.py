@@ -22,7 +22,7 @@ from bornverifier.coordinate import (
 class TestBornIntegral:
     def test_uniform_half_mass(self):
         # Endpoint 0.4995 sits between grid points 0.499 and 0.5, so the
-        # closed-membership sum captures exactly half the 1000 points.
+        # membership x1 <= x < x2 captures exactly half the 1000 points.
         wf = uniform_wavefunction(0.0, 1.0, 1000)
         assert born_integral(wf, IntervalDetector(0.0, 0.4995)) == pytest.approx(
             0.5, abs=1e-12
@@ -42,6 +42,19 @@ class TestBornIntegral:
         wf = gaussian_wavefunction(-8, 8, 100000, sigma=1.0)
         mass = born_integral(wf, IntervalDetector(-1.0, 1.0))
         assert abs(mass - math.erf(1 / math.sqrt(2))) < 1e-4
+
+    def test_gaussian_mass_on_the_suite_grid(self):
+        # The grid point at x2 = 1 owns the cell [1, 1 + dx), outside the
+        # interval; counting it would put the mass 1.9e-4 too high.
+        wf = gaussian_wavefunction(-8, 8, 20000, sigma=1.0)
+        mass = born_integral(wf, IntervalDetector(-1.0, 1.0))
+        assert abs(mass - math.erf(1 / math.sqrt(2))) < 1e-6
+
+    def test_right_endpoint_on_a_grid_point_is_excluded(self):
+        wf = uniform_wavefunction(0.0, 1.0, 4)  # grid 0, 0.25, 0.5, 0.75
+        mask = co.interval_mask(wf, IntervalDetector(0.25, 0.75))
+        assert mask.tolist() == [False, True, True, False]
+        assert born_integral(wf, IntervalDetector(0.25, 0.75)) == pytest.approx(0.5, abs=1e-12)
 
     def test_grid_refinement_converges(self):
         target = math.erf(1 / math.sqrt(2))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornverifier import counterexamples as cx
-from bornverifier import qcore
+from bornverifier import qcore, reporting
 
 probabilities = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -147,6 +147,16 @@ class TestBattery:
         assert result.status["a5-decomposition"] == "pass"
         assert result.born_deviation > 0.01
         assert any("state-function violation" in note for note in result.notes)
+
+    def test_reused_threshold_rule_gives_identical_batteries(self):
+        def document(rule):
+            return reporting.canonical_json(cx.run_battery(rule, seed=42).to_dict())
+
+        fresh = document(cx.rule_by_name("random1"))
+        rule = cx.rule_by_name("random1")
+        documents = [document(rule) for _ in range(30)]
+        assert documents == [fresh] * 30
+        assert rule._cursor == 0
 
     def test_threshold_stream_is_deterministic_and_finite(self):
         rule = cx.RandomThresholdRule((0.5, 0.5))

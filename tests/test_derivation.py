@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bornverifier import circuits, detectors, qcore
+from bornverifier import circuits, derivation, detectors, qcore, reporting
 from bornverifier.derivation import (
     run_full_suite,
     standard_battery,
@@ -13,6 +13,11 @@ from bornverifier.derivation import (
     verify_theorem2,
 )
 from bornverifier.qcore import BlochVector
+
+
+@pytest.fixture(scope="module")
+def full_suite_42():
+    return run_full_suite(seed=42)
 
 
 class TestEnvariance:
@@ -204,6 +209,38 @@ class TestFullSuite:
         reports = run_full_suite(seed=42, subset="lemma3", depth=12)
         assert reports
         assert all("lemma3" in r.name for r in reports)
+
+    @pytest.mark.parametrize(
+        "subset",
+        ["envariance", "isospin", "identity:", "lemma", "theorem1[effect:sg-up]",
+         "theorem2[effect:noisy]"],
+    )
+    def test_subset_run_equals_filtered_full_run(self, subset, full_suite_42):
+        def documents(reports):
+            return [reporting.canonical_json(r.to_dict()) for r in reports]
+
+        expected = [r for r in full_suite_42 if subset in r.name]
+        assert expected
+        assert documents(run_full_suite(seed=42, subset=subset)) == documents(expected)
+
+    def test_subset_skips_other_families(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a skipped family ran")
+
+        for name in ("verify_envariance", "verify_lemma1", "verify_lemma3_dyadic",
+                     "verify_theorem1", "verify_theorem2", "_identity_reports"):
+            monkeypatch.setattr(derivation, name, boom)
+        reports = run_full_suite(seed=42, subset="isospin")
+        assert [r.name for r in reports] == ["isospin-born[gaussian]", "isospin-born[uniform]"]
+
+    def test_undeclared_report_name_raises(self, monkeypatch):
+        real = derivation.verify_envariance
+        monkeypatch.setattr(
+            derivation, "verify_envariance",
+            lambda *args, **kwargs: real(*args, **{**kwargs, "name": "renamed"}),
+        )
+        with pytest.raises(RuntimeError, match="undeclared"):
+            run_full_suite(seed=42, subset="envariance")
 
     def test_battery_composition(self):
         battery = standard_battery(seed=42)

@@ -1,12 +1,15 @@
 
+import weakref
+
 import numpy as np
 import pytest
 
-from bornverifier import circuits, qcore
+from bornverifier import circuits, derivation, detectors, qcore
 from bornverifier.detectors import (
     AffineResponse,
     AncillaDetector,
     EffectDetector,
+    click_probabilities,
     click_probability,
     cnot_click_detector,
     complement_detector,
@@ -238,6 +241,31 @@ class TestMixedClick:
         with pytest.raises(ValueError):
             mixed_click_probability([(-0.5, UP), (1.5, DOWN)], sg_up_detector())
 
+    def test_one_oracle_batch_matches_member_sum(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for det in (random_effect_detector(rng), random_ancilla_detector(rng)):
+            weights = rng.uniform(size=4)
+            weights /= weights.sum()
+            members = [qcore.random_state((3, 2), rng) for _ in range(4)]
+            expected = sum(
+                w * click_probability(det, psi, 1) for w, psi in zip(weights, members)
+            )
+            batches = []
+            core = detectors.click_probabilities
+            monkeypatch.setattr(
+                detectors, "click_probabilities",
+                lambda d, amps: batches.append(len(amps)) or core(d, amps),
+            )
+            mix = list(zip(weights.tolist(), members))
+            assert mixed_click_probability(mix, det, 1) == pytest.approx(expected, abs=1e-12)
+            assert batches == [4]
+            monkeypatch.undo()
+
+    def test_members_must_share_dimensions(self):
+        psi = qcore.random_state((2, 2), 14)
+        with pytest.raises(ValueError, match="factor dimensions"):
+            mixed_click_probability([(0.5, UP), (0.5, psi)], sg_up_detector())
+
 
 class TestComplement:
     def test_probabilities_complement(self):
@@ -270,3 +298,140 @@ class TestDetectorValidation:
             det = random_effect_detector(rng)
             eigvals = np.linalg.eigvalsh(det.effect)
             assert eigvals[0] >= -1e-12 and eigvals[-1] <= 1 + 1e-12
+
+
+def _model_effect(det):
+    """2x2 click effect read from the model in plain numpy:
+    E_ij = <i,0| U^dagger (1 (x) P) U |j,0> for an ancilla model."""
+    if isinstance(det, EffectDetector):
+        return np.asarray(det.effect)
+    m = det.ancilla_dim
+    block = det.coupling.conj().T @ np.kron(np.eye(2), det.projector) @ det.coupling
+    return block[::m, ::m]
+
+
+def _probe_points(rng):
+    def on_sphere(n):
+        v = rng.standard_normal((n, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    surface = on_sphere(40)
+    near_origin = 1e-13 * on_sphere(6)
+    poles = np.vstack([np.eye(3), -np.eye(3)])
+    inside = on_sphere(40) * rng.uniform(size=(40, 1)) ** (1 / 3)
+    points = np.vstack([inside, np.zeros((1, 3)), near_origin, poles, surface])
+    assert np.any(surface[:, 2] >= 0) and np.any(surface[:, 2] < 0)
+    return points
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("make", [random_effect_detector, random_ancilla_detector])
+    def test_batch_scalar_and_plain_trace_agree(self, make):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            det = make(rng)
+            effect = _model_effect(det)
+            points = _probe_points(rng)
+            rho = 0.5 * (
+                np.eye(2)
+                + np.einsum("nk,kij->nij", points, [qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z])
+            )
+            plain = np.einsum("ij,nji->n", effect, rho).real
+            batched = probe_fclick(det, points)
+            scalar = np.array([probe_fclick(det, BlochVector.from_array(p)) for p in points])
+            assert batched.shape == (len(points),)
+            assert np.max(np.abs(batched - plain)) < 1e-12
+            assert np.max(np.abs(scalar - plain)) < 1e-12
+
+    @pytest.mark.parametrize("det", [sg_up_detector(), cnot_click_detector()])
+    def test_batches_of_zero_and_one(self, det):
+        assert probe_fclick(det, np.empty((0, 3))).shape == (0,)
+        one = probe_fclick(det, np.array([[0.0, 0.0, 1.0]]))
+        assert one.shape == (1,) and one[0] == pytest.approx(1.0, abs=1e-12)
+        assert click_probabilities(det, np.empty((0, 2, 3), dtype=complex)).shape == (0,)
+
+    def test_click_batch_matches_scalar_states(self):
+        rng = np.random.default_rng(31)
+        for det in (random_effect_detector(rng), random_ancilla_detector(rng)):
+            states = [qcore.random_state((2, 3), rng) for _ in range(10)]
+            batched = click_probabilities(det, np.stack([s.amplitudes.reshape(2, 3) for s in states]))
+            scalar = [click_probability(det, s, 0) for s in states]
+            np.testing.assert_allclose(batched, scalar, atol=1e-12)
+
+    def test_bad_point_arrays_rejected(self):
+        det = sg_up_detector()
+        with pytest.raises(ValueError):
+            probe_fclick(det, np.zeros(3))
+        with pytest.raises(ValueError):
+            probe_fclick(det, np.array([[0.0, 0.0, 1.5]]))
+        with pytest.raises(ValueError):
+            probe_fclick(det, np.array([[np.nan, 0.0, 0.0]]))
+
+
+class TestBlackBoxContract:
+    def test_tomography_and_verifiers_use_only_the_oracle(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        dets = [random_effect_detector(rng), random_ancilla_detector(rng)]
+        expected = [to_povm(extract_affine(det)).matrix for det in dets]
+
+        def hidden(*args, **kwargs):
+            raise AssertionError("the hidden model was read")
+
+        monkeypatch.setattr(detectors, "equivalent_effect", hidden)
+        monkeypatch.setattr(AffineResponse, "predict", hidden)
+        for det, matrix in zip(dets, expected):
+            resp = extract_affine(det)
+            np.testing.assert_allclose(to_povm(resp).matrix, matrix, atol=1e-12)
+            assert 0.0 <= linear_extension(resp, qcore.random_bloch(rng)) <= 1.0
+            assert derivation.verify_theorem1(det, n_points=30, seed=33).passed
+            _, report = derivation.verify_lemma3_dyadic(
+                det, qcore.random_bloch(rng), qcore.random_bloch(rng), depth=12, seed=34
+            )
+            assert report.passed, dict(report.details)
+
+
+class TestDetectorCaches:
+    def test_caches_live_on_the_instance(self):
+        det = random_ancilla_detector(np.random.default_rng(35))
+        probe_fclick(det, BlochVector(0.1, 0.2, 0.3))
+        psi = qcore.random_state((2, 2), 36)
+        circuits.detector_measure(psi, 0, det)
+        assert {"click_map", "kraus_pair"} <= set(vars(det))
+
+    def test_equivalent_effect_read_once_per_detector(self, monkeypatch):
+        calls = []
+        original = detectors.equivalent_effect
+        monkeypatch.setattr(
+            detectors, "equivalent_effect", lambda det: calls.append(det) or original(det)
+        )
+        rng = np.random.default_rng(37)
+        det = random_detector(rng)
+        circuit = circuits.Circuit(
+            qcore.random_state((2, 2), rng),
+            (circuits.Measure(1, "s"), circuits.Measure(0, "m", det)),
+        )
+        for _ in range(5):
+            circuits.evaluate(circuit, {"m": "click"})
+        assert calls == [det]
+
+    @pytest.mark.parametrize("make", [sg_up_detector, cnot_click_detector])
+    def test_deleted_detector_is_freed(self, make):
+        det = make()
+        extract_affine(det)
+        circuits.detector_measure(qcore.random_state((2, 2), 39), 0, det)
+        ref = weakref.ref(det)
+        del det
+        assert ref() is None
+
+    def test_detectors_never_share_derived_data(self):
+        a = cnot_click_detector()
+        b = cnot_click_detector()
+        c = complement_detector(a)
+        for det in (a, b, c):
+            probe_fclick(det, BlochVector(0.0, 0.0, 1.0))
+            circuits.detector_measure(qcore.random_state((2,), 40), 0, det)
+        assert a.click_map is not b.click_map
+        assert a.kraus_pair is not b.kraus_pair
+        np.testing.assert_allclose(a.kraus_pair[0], b.kraus_pair[0])
+        np.testing.assert_allclose(c.kraus_pair[0], a.kraus_pair[1], atol=1e-12)
+        assert not np.allclose(c.click_map, a.click_map)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornverifier import qcore
+from bornverifier import circuits, qcore
 from bornverifier.qcore import (
     BlochVector,
     DimensionError,
@@ -270,6 +270,33 @@ class TestPurify:
         with pytest.raises(ValueError):
             purify(BlochVector(1.0, 1.0, 0.0))
 
+    def test_batch_matches_eigendecomposition(self):
+        # Reference: weight eig2x2_hermitian's eigenvectors by the square
+        # roots of their eigenvalues, as a loop over points.
+        rng = np.random.default_rng(20)
+        points = np.array(
+            [qcore.random_bloch(rng).as_array() for _ in range(50)]
+            + [qcore.random_bloch(rng, surface=True).as_array() for _ in range(50)]
+            + [[0, 0, 0], [1e-13, 0, 0], [0, 0, -1e-13], [0, 0, 1], [0, 0, -1]]
+            + [[1e-13, 0, -1], [0, 1e-13, 1], [1e-13, 0, -0.5], [0.6, 0, -0.8]]
+        )
+        for p, row in zip(points, qcore.purify_batch(points)):
+            eigvals, eigvecs = qcore.eig2x2_hermitian(
+                qcore.density_from_bloch(BlochVector.from_array(p))
+            )
+            c = np.sqrt(np.clip(eigvals, 0.0, 1.0))
+            want = c[0] * np.kron(eigvecs[:, 0], qcore.UP) + c[1] * np.kron(eigvecs[:, 1], qcore.DOWN)
+            tens = row.reshape(2, 2)
+            # On the sphere c2 is the square root of rounding noise, so
+            # only the c1 column is compared there.
+            columns = 1 if np.linalg.norm(p) > 1.0 - 1e-9 else 2
+            np.testing.assert_allclose(
+                tens[:, :columns], want.reshape(2, 2)[:, :columns], atol=1e-12
+            )
+            np.testing.assert_allclose(
+                tens @ tens.conj().T, qcore.density_from_bloch(BlochVector.from_array(p)), atol=1e-12
+            )
+
 
 class TestRandomState:
     def test_deterministic_given_seed(self):
@@ -291,6 +318,26 @@ class TestRandomState:
         for _ in range(n):
             total += bloch_polarization(random_state((2,), rng), 0).as_array()
         assert np.max(np.abs(total / n)) < 3.0 / math.sqrt(n)
+
+
+class TestRandomAmplitudes:
+    def test_rows_match_successive_random_states(self):
+        rows = qcore.random_amplitudes((2, 3), 5, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        for row in rows:
+            np.testing.assert_array_equal(row, random_state((2, 3), rng).amplitudes)
+
+
+class TestTrustedStates:
+    def test_operations_return_frozen_valid_states(self):
+        psi = random_state((2, 3), 22)
+        u = qcore.random_unitary(3, 23)
+        for out in [circuits.apply_unitary(psi, (1,), u)] + [
+            r.post_state for r in circuits.sg_measure(psi, 0)
+        ]:
+            assert out.factor_dims == (2, 3)
+            assert not out.amplitudes.flags.writeable
+            assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEig2x2:
