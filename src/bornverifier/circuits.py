@@ -8,15 +8,21 @@ running probability (multiplication rule), and an unqueried measurement
 sums over branches (additive rule).  Measured spins stay in the state,
 collapsed onto the outcome eigenstate.
 
-The ``check_identity_*`` family replays, against exact ground truth, the
-bracket identities that encode the five assumptions behind the harness.
+The seven bracket identities that encode the five assumptions behind
+the harness are defined here once, each as the ground-truth brackets it
+evaluates plus the comparison it makes.  The comparison reads the
+brackets through a rule: the derivation suite uses the default,
+``BornRule`` (the squared-amplitude rule), and the counterexample battery
+the alternative rules.  ``check_identity_states`` checks six identities
+on one random instance and ``check_identity_a5_decomposition`` the
+seventh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -277,232 +283,157 @@ def evaluate(circuit: Circuit, query: OutcomeQuery | Mapping[str, str] | None) -
     return evaluate_full(circuit, query).probability
 
 
-def sample_outcomes(circuit: Circuit, rng, shots: int = 1) -> list[dict[str, str]]:
-    """Monte-Carlo outcome sampling, for demonstration only (verification
-    always uses exact evaluation)."""
-    rng = qcore.as_rng(rng)
-    results = []
-    for _ in range(shots):
-        state = circuit.initial
-        shot: dict[str, str] = {}
-        for step in circuit.steps:
-            if isinstance(step, Gate):
-                state = apply_unitary(state, step.wires, step.matrix)
-                continue
-            records = measure_records(state, step)
-            probs = [r.probability for r in records]
-            pick = records[int(rng.choice(len(records), p=np.array(probs) / sum(probs)))]
-            shot[step.label] = pick.outcome
-            state = pick.post_state
-        results.append(shot)
-    return results
-
-
 # ---------------------------------------------------------------------------
-# Identity checks (exact ground truth).
+# Bracket identities: exact ground-truth brackets, read through a rule.
 
 
-def _measured_circuit(
-    psi: StateVector, wire: int, det: Detector | None, label: str = "m"
-) -> Circuit:
-    return Circuit(psi, (Measure(wire, label, det),))
+class Reading(Protocol):
+    """How an identity reads a ground-truth bracket ``p``: ``compared``
+    when the bracket is compared with a single other bracket, ``combined``
+    when it enters a sum or a product."""
+
+    def compared(self, p: float) -> float: ...
+
+    def combined(self, p: float) -> float: ...
 
 
-def check_identity_a1(
+@dataclass(frozen=True)
+class BornRule:
+    """The squared-amplitude rule: both readings are the exact bracket."""
+
+    name: str = "born"
+
+    def compared(self, p: float) -> float:
+        return p
+
+    combined = compared
+
+    def for_instance(self, rng) -> "BornRule":
+        """The reading of one random instance; this rule draws nothing."""
+        return self
+
+
+BORN = BornRule()
+
+
+def check_identity_states(
+    det: Detector | None,
+    single: StateVector,
+    ancilla: StateVector,
     psi: StateVector,
-    ancilla_phi: StateVector,
-    det: Detector | None = None,
-    outcome: str | None = None,
+    env_unitary: np.ndarray,
+    pair: StateVector,
+    sg_outcome: str,
     tolerance: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """Adding an untouched ancilla system leaves the probability unchanged."""
-    if outcome is None:
-        outcome = "u" if det is None else "click"
-    lhs = evaluate(_measured_circuit(psi, 0, det), {"m": outcome})
-    joint = qcore.tensor_product(ancilla_phi, psi)
-    rhs = evaluate(
-        _measured_circuit(joint, ancilla_phi.num_factors, det), {"m": outcome}
-    )
-    return VerificationReport.from_deviation(
-        "identity:a1-extension",
-        f"dims={psi.factor_dims}+{ancilla_phi.factor_dims} outcome={outcome}",
-        abs(lhs - rhs),
-        tolerance,
-        (("lhs", lhs), ("rhs", rhs)),
-    )
+    rule: Reading = BORN,
+) -> list[VerificationReport]:
+    """The six state identities on one instance, in ``IDENTITY_NAMES``
+    order, evaluating each distinct bracket once.
 
+    ``det`` (None: the reference apparatus) measures spin 0, and every
+    bracket asks for its first outcome, the click.
+      - a1-extension: ``single`` alone, and with ``ancilla`` prepended;
+      - normalization: the click and no-click brackets of ``psi`` sum to 1;
+      - causality, nosignal-unitary: ``env_unitary`` on wire 1 of ``psi``,
+        after or before the measurement, leaves the click unchanged;
+      - multiplication (the classical product and sum rules): on ``pair``,
+        the joint bracket of ``sg_outcome`` on wire 1 and a click is the
+        marginal times the click on the recorded post state, and the
+        bracket with wire 1 measured but unread is the sum of both joints;
+      - nosignal-measure: that unread measurement leaves the click
+        unchanged.
+    """
+    probe = Measure(0, "m", det)
+    click, no_click = probe.outcomes
+    gate = Gate((1,), env_unitary)
+    two_step = (Measure(1, "s"), probe)
 
-def check_identity_normalization(
-    psi: StateVector,
-    det: Detector | None = None,
-    wire: int = 0,
-    tolerance: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """Probabilities of the exhaustive outcome pair sum to one."""
-    circuit = _measured_circuit(psi, wire, det)
-    outcomes = circuit.steps[0].outcomes
-    total = sum(evaluate(circuit, {"m": o}) for o in outcomes)
-    return VerificationReport.from_deviation(
-        "identity:normalization",
-        f"dims={psi.factor_dims} wire={wire}",
-        abs(total - 1.0),
-        tolerance,
-        (("sum", total),),
-    )
+    def bracket(state: StateVector, steps: tuple[Step, ...] = (probe,), **query: str) -> float:
+        return evaluate(Circuit(state, steps), {"m": click, **query})
 
+    lhs = bracket(single)
+    extended = qcore.tensor_product(ancilla, single)
+    rhs = bracket(extended, (Measure(ancilla.num_factors, "m", det),))
+    hit = bracket(psi)
+    miss = bracket(psi, m=no_click)
+    later = bracket(psi, (probe, gate))
+    before = bracket(psi, (gate, probe))
+    alone = bracket(pair)
+    unread = bracket(pair, two_step)
+    joint = {o: bracket(pair, two_step, s=o) for o in SG_OUTCOMES}
+    record = next(r for r in sg_measure(pair, 1) if r.outcome == sg_outcome)
+    conditional = 0.0 if record.post_state is None else bracket(record.post_state)
 
-def check_identity_multiplication(
-    psi: StateVector,
-    det: Detector,
-    sg_wire: int = 1,
-    det_wire: int = 0,
-    sg_outcome: str = "u",
-    tolerance: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """Joint probability factors into marginal times conditional, where
-    the conditional runs on the recorded post-measurement state."""
-    joint_circuit = Circuit(
-        psi, (Measure(sg_wire, "a"), Measure(det_wire, "b", det))
-    )
-    joint = evaluate(joint_circuit, {"a": sg_outcome, "b": "click"})
-    marginal = evaluate(_measured_circuit(psi, sg_wire, None, "a"), {"a": sg_outcome})
-    record = next(
-        r for r in sg_measure(psi, sg_wire) if r.outcome == sg_outcome
-    )
-    if record.post_state is None:
-        deviation = abs(joint)
-        conditional = 0.0
-    else:
-        conditional = evaluate(
-            _measured_circuit(record.post_state, det_wire, det, "b"), {"b": "click"}
+    def report(name: str, inputs: str, deviation: float, **details: float) -> VerificationReport:
+        return VerificationReport.from_deviation(
+            f"identity:{name}", inputs, deviation, tolerance, tuple(details.items())
         )
-        deviation = abs(joint - marginal * conditional)
-    return VerificationReport.from_deviation(
-        "identity:multiplication",
-        f"dims={psi.factor_dims} a={sg_outcome}",
-        deviation,
-        tolerance,
-        (("joint", joint), ("marginal", marginal), ("conditional", conditional)),
-    )
 
-
-def check_identity_causality(
-    psi: StateVector,
-    det: Detector,
-    post_unitary: np.ndarray,
-    det_wire: int = 0,
-    unitary_wires: Sequence[int] = (1,),
-    tolerance: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """A unitary applied after the measurement cannot change its
-    probability."""
-    base = evaluate(_measured_circuit(psi, det_wire, det), {"m": "click"})
-    with_later = evaluate(
-        Circuit(
-            psi,
-            (Measure(det_wire, "m", det), Gate(tuple(unitary_wires), post_unitary)),
+    c, s = rule.compared, rule.combined
+    product = abs(s(joint[sg_outcome]) - s(record.probability) * s(conditional))
+    additivity = abs(s(unread) - (s(joint["u"]) + s(joint["d"])))
+    dims = f"dims={psi.factor_dims}"
+    pair_dims = f"dims={pair.factor_dims}"
+    return [
+        report(
+            "a1-extension",
+            f"dims={single.factor_dims}+{ancilla.factor_dims}",
+            abs(c(lhs) - c(rhs)),
+            lhs=lhs,
+            rhs=rhs,
         ),
-        {"m": "click"},
-    )
-    return VerificationReport.from_deviation(
-        "identity:causality",
-        f"dims={psi.factor_dims}",
-        abs(base - with_later),
-        tolerance,
-        (("without", base), ("with_later_unitary", with_later)),
-    )
-
-
-def check_identity_nosignal_unitary(
-    psi: StateVector,
-    det: Detector,
-    pre_unitary: np.ndarray,
-    det_wire: int = 0,
-    unitary_wires: Sequence[int] = (1,),
-    tolerance: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """A unitary on the non-measured subsystem, applied before the
-    measurement, cannot change its probability."""
-    base = evaluate(_measured_circuit(psi, det_wire, det), {"m": "click"})
-    with_unitary = evaluate(
-        Circuit(
-            psi,
-            (Gate(tuple(unitary_wires), pre_unitary), Measure(det_wire, "m", det)),
+        report("normalization", dims, abs(s(hit) + s(miss) - 1.0), click=hit, no_click=miss),
+        report(
+            "multiplication",
+            f"{pair_dims} a={sg_outcome}",
+            max(product, additivity),
+            joint_up=joint["u"],
+            joint_down=joint["d"],
+            unread=unread,
+            marginal=record.probability,
+            conditional=conditional,
         ),
-        {"m": "click"},
-    )
-    return VerificationReport.from_deviation(
-        "identity:nosignal-unitary",
-        f"dims={psi.factor_dims}",
-        abs(base - with_unitary),
-        tolerance,
-        (("without", base), ("with_prior_unitary", with_unitary)),
-    )
-
-
-def check_identity_nosignal_measure(
-    psi: StateVector,
-    det: Detector,
-    det_wire: int = 0,
-    sg_wire: int = 1,
-    tolerance: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """An unread measurement elsewhere cannot change the probability, and
-    the unread case equals the sum over its outcomes."""
-    alone = evaluate(_measured_circuit(psi, det_wire, det), {"m": "click"})
-    two_step = Circuit(psi, (Measure(sg_wire, "s"), Measure(det_wire, "m", det)))
-    marginal = evaluate(two_step, {"m": "click"})
-    joint_u = evaluate(two_step, {"s": "u", "m": "click"})
-    joint_d = evaluate(two_step, {"s": "d", "m": "click"})
-    deviation = max(abs(marginal - (joint_u + joint_d)), abs(alone - marginal))
-    return VerificationReport.from_deviation(
-        "identity:nosignal-measure",
-        f"dims={psi.factor_dims}",
-        deviation,
-        tolerance,
-        (
-            ("alone", alone),
-            ("marginalized", marginal),
-            ("joint_up", joint_u),
-            ("joint_down", joint_d),
+        report("causality", dims, abs(c(hit) - c(later)), without=hit, with_later=later),
+        report("nosignal-unitary", dims, abs(c(hit) - c(before)), without=hit, with_prior=before),
+        report(
+            "nosignal-measure", pair_dims, abs(c(alone) - c(unread)), alone=alone, unread=unread
         ),
-    )
+    ]
 
 
 @dataclass(frozen=True)
 class ConditionalExperiment:
-    """Single-spin experiment: optional 2x2 gates, then one detector
-    measurement with a required outcome."""
+    """Single-spin experiment: optional 2x2 gates on spin 0, then a
+    detector measurement of it that asks for a click."""
 
     detector: Detector
     unitaries: tuple[np.ndarray, ...] = ()
-    outcome: str = "click"
 
-    def steps(self, wire: int) -> tuple[Step, ...]:
-        gates = tuple(Gate((wire,), u) for u in self.unitaries)
-        return gates + (Measure(wire, "exp", self.detector),)
-
-    def run(self, psi: StateVector, wire: int = 0) -> float:
-        return evaluate(Circuit(psi, self.steps(wire)), {"exp": self.outcome})
+    def run(self, psi: StateVector) -> float:
+        gates = tuple(Gate((0,), u) for u in self.unitaries)
+        circuit = Circuit(psi, gates + (Measure(0, "exp", self.detector),))
+        return evaluate(circuit, {"exp": "click"})
 
 
 def check_identity_a5_decomposition(
     lam: float,
     experiment: ConditionalExperiment,
     tolerance: float = DEFAULT_TOL,
+    rule: Reading = BORN,
 ) -> VerificationReport:
     """The correlated-pair bracket splits into reference-branch-weighted
     conditionals on the collapsed single-spin states."""
     pair = qcore.spin_pair_state(lam)
-    lhs = experiment.run(pair, wire=0)
+    lhs = experiment.run(pair)
     a_lam = next(r for r in sg_measure(pair, 1) if r.outcome == "u").probability
-    up = StateVector((2,), qcore.UP)
-    down = StateVector((2,), qcore.DOWN)
-    rhs = a_lam * experiment.run(up) + (1.0 - a_lam) * experiment.run(down)
+    up = experiment.run(StateVector((2,), qcore.UP))
+    down = experiment.run(StateVector((2,), qcore.DOWN))
+    s = rule.combined
+    rhs = s(a_lam) * s(up) + s(1.0 - a_lam) * s(down)
     return VerificationReport.from_deviation(
         "identity:a5-decomposition",
         f"lambda={lam}",
-        abs(lhs - rhs),
+        abs(s(lhs) - rhs),
         tolerance,
-        (("lhs", lhs), ("rhs", rhs), ("a_lambda", a_lam)),
+        (("lhs", lhs), ("a_lambda", a_lam), ("up", up), ("down", down)),
     )

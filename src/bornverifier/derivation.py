@@ -443,40 +443,23 @@ def _identity_reports(seed: int, tolerance: float, instances: int) -> list[Verif
     """Random-instance sweeps of the seven bracket identities."""
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0x1D)))
     buckets: dict[str, list[VerificationReport]] = {}
-
-    def add(report: VerificationReport) -> None:
-        buckets.setdefault(report.name, []).append(report)
-
     for _ in range(instances):
         det = _det.random_detector(rng)
         env = int(rng.choice([2, 3, 4]))
         psi = qcore.random_state((2, env), rng)
         pair = qcore.random_state((2, 2), rng)
         single = qcore.random_state((2,), rng)
-        phi = qcore.random_state((2,), rng)
-        add(circuits.check_identity_a1(single, phi, det, "click", tolerance))
-        add(circuits.check_identity_normalization(psi, det, 0, tolerance))
-        add(
-            circuits.check_identity_multiplication(
-                pair, det, 1, 0, str(rng.choice(["u", "d"])), tolerance
-            )
-        )
+        ancilla = qcore.random_state((2,), rng)
+        sg_outcome = str(rng.choice(["u", "d"]))
         u_env = qcore.random_unitary(env, rng)
-        add(circuits.check_identity_causality(psi, det, u_env, 0, (1,), tolerance))
-        add(
-            circuits.check_identity_nosignal_unitary(
-                psi, det, u_env, 0, (1,), tolerance
-            )
+        reports = circuits.check_identity_states(
+            det, single, ancilla, psi, u_env, pair, sg_outcome, tolerance
         )
-        add(circuits.check_identity_nosignal_measure(pair, det, 0, 1, tolerance))
-        experiment = circuits.ConditionalExperiment(
-            detector=det, unitaries=(qcore.random_unitary(2, rng),)
-        )
-        add(
-            circuits.check_identity_a5_decomposition(
-                float(rng.uniform()), experiment, tolerance
-            )
-        )
+        experiment = circuits.ConditionalExperiment(det, (qcore.random_unitary(2, rng),))
+        lam = float(rng.uniform())
+        reports.append(circuits.check_identity_a5_decomposition(lam, experiment, tolerance))
+        for report in reports:
+            buckets.setdefault(report.name, []).append(report)
     return [
         merge_reports(name, f"instances={instances}", tolerance, reports)
         for name, reports in sorted(buckets.items())

@@ -73,29 +73,19 @@ class ReportDocument:
     seed: int
     tolerance: float
     reports: tuple = ()
-    extra: tuple[tuple[str, object], ...] = ()
 
     @property
     def overall_pass(self) -> bool:
-        return all(_entry_passed(r) for r in self.reports)
+        return all(r.passed for r in self.reports)
 
     def to_dict(self) -> dict:
-        body = {
+        return {
             "version": self.version,
             "seed": self.seed,
             "tolerance": self.tolerance,
             "overall_pass": self.overall_pass,
             "reports": [r.to_dict() for r in self.reports],
         }
-        body.update({k: v for k, v in self.extra})
-        return body
-
-
-def _entry_passed(report) -> bool:
-    if hasattr(report, "passed"):
-        passed = report.passed
-        return passed() if callable(passed) else bool(passed)
-    return bool(report.to_dict().get("passed", False))
 
 
 def canonical_json(obj) -> str:

@@ -8,17 +8,13 @@ from bornverifier.circuits import (
     Gate,
     Measure,
     OutcomeQuery,
-    check_identity_a1,
     check_identity_a5_decomposition,
-    check_identity_causality,
-    check_identity_multiplication,
-    check_identity_normalization,
-    check_identity_nosignal_measure,
-    check_identity_nosignal_unitary,
+    check_identity_states,
     evaluate,
     evaluate_full,
     sg_measure,
 )
+from bornverifier.counterexamples import CubicRule, p3_rule
 from bornverifier.qcore import StateVector, spin_pair_state
 
 UP = StateVector((2,), [1, 0])
@@ -218,12 +214,13 @@ class TestOutcomeQuery:
         assert q.as_dict() == {"a": "d", "b": "u"}
 
 
-class TestSampling:
-    def test_frequencies_roughly_match(self):
-        circuit = Circuit(qcore.bell_state(), (Measure(0, "m"),))
-        shots = circuits.sample_outcomes(circuit, 123, shots=2000)
-        ups = sum(1 for s in shots if s["m"] == "u")
-        assert abs(ups / 2000 - 0.5) < 0.05
+def _states(det, psi=None, env_unitary=None, pair=None, sg_outcome="u", **kw):
+    """The six state identities by name, on fixed states where not given."""
+    psi = psi if psi is not None else spin_pair_state(0.3)
+    env_unitary = env_unitary if env_unitary is not None else np.eye(psi.factor_dims[1])
+    pair = pair if pair is not None else spin_pair_state(0.6)
+    reports = check_identity_states(det, UP, UP, psi, env_unitary, pair, sg_outcome, **kw)
+    return {r.name.removeprefix("identity:"): r for r in reports}
 
 
 class TestIdentityFamilies:
@@ -242,17 +239,11 @@ class TestIdentityFamilies:
             single = qcore.random_state((2,), rng)
             phi = qcore.random_state((2,), rng)
             u_env = qcore.random_unitary(env, rng)
+            sg_outcome = str(rng.choice(["u", "d"]))
+            # ``None`` measures with the reference apparatus instead.
             reports = [
-                check_identity_a1(single, phi, det, "click"),
-                check_identity_a1(single, phi, None, "u"),
-                check_identity_normalization(psi, det),
-                check_identity_normalization(psi, None),
-                check_identity_multiplication(
-                    pair, det, 1, 0, str(rng.choice(["u", "d"]))
-                ),
-                check_identity_causality(psi, det, u_env),
-                check_identity_nosignal_unitary(psi, det, u_env),
-                check_identity_nosignal_measure(pair, det),
+                *check_identity_states(det, single, phi, psi, u_env, pair, sg_outcome),
+                *check_identity_states(None, single, phi, psi, u_env, pair, sg_outcome),
                 check_identity_a5_decomposition(
                     float(rng.uniform()),
                     ConditionalExperiment(detector=det),
@@ -265,6 +256,14 @@ class TestIdentityFamilies:
                 )
         assert len(worst) == 7
         assert all(v <= 1e-9 for v in worst.values())
+
+    def test_states_in_identity_order(self):
+        det = detectors.random_detector(np.random.default_rng(52))
+        reports = check_identity_states(
+            det, UP, UP, spin_pair_state(0.3), np.eye(2), spin_pair_state(0.6), "d"
+        )
+        names = [r.name for r in reports]
+        assert names == [f"identity:{n}" for n in circuits.IDENTITY_NAMES[:-1]]
 
     def test_a5_decomposition_edge_weights(self):
         det = detectors.random_detector(np.random.default_rng(50))
@@ -290,14 +289,52 @@ class TestIdentityFamilies:
         counter = qcore.envariance_unitary(
             basis_b[:, 0], basis_b[:, 1], basis_b[:, 1], basis_b[:, 0]
         )
-        report = check_identity_nosignal_unitary(psi, det, counter)
+        report = _states(det, psi=psi, env_unitary=counter)["nosignal-unitary"]
         assert report.passed
 
     def test_multiplication_on_reference_pair(self):
         # Assumption-5 post-states make the chain rule exact on the pair.
         det = detectors.sg_up_detector()
         for lam in (0.0, 0.3, 0.75, 1.0):
-            report = check_identity_multiplication(
-                spin_pair_state(lam), det, 1, 0, "u"
-            )
+            report = _states(det, pair=spin_pair_state(lam))["multiplication"]
             assert report.passed
+
+
+class TestRuleReadings:
+    """The comparisons read brackets through a rule; the Born rule is the
+    default."""
+
+    @staticmethod
+    def cubic_instance():
+        rng = np.random.default_rng(77)
+        det = detectors.random_detector(rng)
+        psi = qcore.random_state((2, 3), rng)
+        pair = qcore.random_state((2, 2), rng)
+        return det, psi, qcore.random_unitary(3, rng), pair
+
+    def test_born_brackets_pass(self):
+        det, psi, u_env, pair = self.cubic_instance()
+        reports = _states(det, psi=psi, env_unitary=u_env, pair=pair)
+        assert all(r.passed for r in reports.values())
+        assert reports == _states(
+            det, psi=psi, env_unitary=u_env, pair=pair, rule=circuits.BornRule()
+        )
+
+    def test_cubic_brackets_break_additivity_under_multiplication(self):
+        # p3 is not additive: the unread bracket read through p3 is not the
+        # sum of the two joint brackets read through p3.  That is the
+        # classical sum rule, so multiplication fails; an unread
+        # measurement still leaves the click bracket unchanged.
+        det, psi, u_env, pair = self.cubic_instance()
+        reports = _states(det, psi=psi, env_unitary=u_env, pair=pair, rule=CubicRule())
+        two_step = Circuit(pair, (Measure(1, "s"), Measure(0, "m", det)))
+        unread = evaluate(two_step, {"m": "click"})
+        up = evaluate(two_step, {"s": "u", "m": "click"})
+        down = evaluate(two_step, {"s": "d", "m": "click"})
+        gap = abs(p3_rule(unread) - p3_rule(up) - p3_rule(down))
+        assert gap > 1e-3
+        multiplication = reports["multiplication"]
+        assert multiplication.max_deviation >= gap - 1e-15
+        assert multiplication.max_deviation > multiplication.tolerance
+        assert not multiplication.passed
+        assert reports["nosignal-measure"].max_deviation <= reports["nosignal-measure"].tolerance

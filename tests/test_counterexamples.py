@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornverifier import counterexamples as cx
-from bornverifier import qcore, reporting
+from bornverifier import circuits, qcore, reporting
 
 probabilities = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -156,14 +156,7 @@ class TestBattery:
         rule = cx.rule_by_name("random1")
         documents = [document(rule) for _ in range(30)]
         assert documents == [fresh] * 30
-        assert rule._cursor == 0
-
-    def test_threshold_stream_is_deterministic_and_finite(self):
-        rule = cx.RandomThresholdRule((0.5, 0.5))
-        assert rule.transform(0.6) == 1.0
-        assert rule.transform(0.4) == 0.0
-        with pytest.raises(ValueError):
-            rule.next_x()
+        assert rule == cx.rule_by_name("random1")
 
     def test_modified_rule_state_level_only(self):
         result = cx.run_battery(cx.rule_by_name("modified2"), seed=42)
@@ -181,6 +174,16 @@ class TestBattery:
         for name in ("born", "cubic3", "random1", "modified2"):
             result = cx.run_battery(cx.rule_by_name(name), seed=7)
             assert set(result.status) == set(cx.IDENTITY_NAMES)
+
+    @pytest.mark.parametrize("name", ["born", "random1", "cubic3"])
+    def test_bracket_evaluation_budget(self, name, monkeypatch):
+        # Each of the 20 instances evaluates its 11 distinct state brackets
+        # once, and each of the 5 a5 experiments its 3 brackets.
+        calls = []
+        real = circuits.evaluate_full
+        monkeypatch.setattr(circuits, "evaluate_full", lambda *a: calls.append(a) or real(*a))
+        cx.run_battery(cx.rule_by_name(name, seed=3), seed=3)
+        assert len(calls) == 20 * 11 + 5 * 3
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
