@@ -1,11 +1,21 @@
 """Structural regression pins: the report names, inputs strings and pass
-flags of the seed-42 suite, and each counterexample rule's identity
-statuses and notes.  Refactors of the checks must keep these fixed."""
+flags of the seed-42 suite, each counterexample rule's identity
+statuses and notes, the canonical print and query values of every
+golden experiment file, and the position and message of each parse
+error case.  Refactors of the checks and the parser must keep these
+fixed."""
+
+import json
+from pathlib import Path
 
 import pytest
 
+from bornverifier import circuits, dsl
 from bornverifier import counterexamples as cx
 from bornverifier.derivation import run_full_suite
+
+TESTS = Path(__file__).parent
+GOLDEN_PINS = json.loads((TESTS / "golden_pins.json").read_text())
 
 SUITE_42 = [
     ("envariance", "trials=200 env_dim=4", True),
@@ -106,3 +116,47 @@ def test_battery_statuses_and_notes(rule, seed):
     result = cx.run_battery(cx.rule_by_name(rule, seed=seed), seed=seed)
     assert result.status == status
     assert result.notes == notes[seed]
+
+
+# (source, line, column, message, token) of each TestParseErrors case.
+PARSE_ERRORS = [
+    ('wire w0 : 1', 1, 11, 'wire dimension must be an integer >= 2', '1'),
+    ('wire w0 : 2\nwire w0 : 2', 2, 6, "name 'w0' already declared", 'w0'),
+    ('state s = |u>', 1, 7, 'state declared before any wire', 's'),
+    ('wire w0 : 2\nstate s = |uu>', 2, 11, 'ket must have one character per wire (1 expected)', '|uu>'),
+    ('wire w0 : 2\nstate s = |x>', 2, 11, "invalid ket character 'x'", '|x>'),
+    ('wire e : 3\nstate s = |5>', 2, 11, 'ket level 5 out of range for wire dimension 3', '|5>'),
+    ('wire w0 : 2\nstate s = 0.5*|u>', 2, 7, "state 's' is not normalized (norm=0.5)", 's'),
+    ('wire w0 : 2\nunitary U = [[1, 1], [0, 1]]', 2, 9, "matrix 'U' is not unitary", 'U'),
+    ('wire w0 : 2\ndetector D = effect [[2, 0], [0, 0]]', 2, 10, "invalid detector 'D': effect eigenvalues [0. 2.] outside [0, 1]", 'D'),
+    ('wire w0 : 2\nstate u = |u>\nprepare nope', 3, 9, "undefined state 'nope'", 'nope'),
+    ('wire w0 : 2\nmeasure w0 XX -> m', 2, 12, "expected 'SG' or 'det'", 'XX'),
+    ('wire w0 : 2\nmeasure w0 SG -> m\nmeasure w0 SG -> m', 3, 18, "measurement label 'm' already used", 'm'),
+    ('wire w0 : 2\nmeasure w0 SG -> m\nquery q : zz = u', 3, 11, "unknown measurement label 'zz'", 'zz'),
+    ('wire w0 : 2\nmeasure w0 SG -> m\nquery q : m = click', 3, 15, "outcome must be one of ('u', 'd')", 'click'),
+    ('wire w0 : 2\nstate s = |u> @', 2, 15, 'unexpected character', '@'),
+    ('wire w0 : 2\nmeasure w0 SG', 2, 14, 'expected ARROW', ''),
+    ('wire e : 3\nmeasure e SG -> m', 2, 9, 'only spin wires (dimension 2) are measurable', 'e'),
+    ('wire w0 : 2\nunitary U = [[1, 0], [0, 1]]\ngate U on w0 w0', 3, 6, 'gate wires must be distinct', 'U'),
+    ('wire w0 : 2\nwire w1 : 3\nunitary U = [[1, 0], [0, 1]]\ngate U on w1', 4, 6, 'unitary is 2x2 but wires span dimension 3', 'U'),
+]
+
+
+def test_golden_pins_cover_the_corpus():
+    assert sorted(GOLDEN_PINS) == sorted(p.name for p in (TESTS / "golden").glob("*.qexp"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PINS))
+def test_golden_print_and_query_values(name):
+    spec = dsl.parse((TESTS / "golden" / name).read_text())
+    assert dsl.print_spec(spec) == GOLDEN_PINS[name]["printed"]
+    values = {q: circuits.evaluate(spec.to_circuit(), spec.query(q)) for q in spec.queries}
+    assert values == GOLDEN_PINS[name]["queries"]
+
+
+@pytest.mark.parametrize("source,line,column,message,token", PARSE_ERRORS)
+def test_parse_error_positions_and_messages(source, line, column, message, token):
+    with pytest.raises(dsl.DslParseError) as excinfo:
+        dsl.parse(source)
+    err = excinfo.value
+    assert (err.line, err.column, err.message, err.token) == (line, column, message, token)
