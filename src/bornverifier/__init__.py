@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .qcore import (
     BlochVector,
     DimensionError,
-    SchmidtForm,
     StateVector,
     bell_state,
     bloch_polarization,
@@ -22,7 +21,6 @@ from .qcore import (
     purify_batch,
     random_state,
     reduced_density,
-    schmidt_decompose,
     spin_pair_state,
     tensor_product,
 )
@@ -46,7 +44,6 @@ from .circuits import (
     Gate,
     Measure,
     MeasurementRecord,
-    OutcomeQuery,
     evaluate,
     evaluate_full,
     sg_measure,

@@ -130,23 +130,6 @@ class Circuit:
 
 
 @dataclass(frozen=True)
-class OutcomeQuery:
-    """Required outcome per measurement label; unmentioned labels are
-    marginalized."""
-
-    assignments: tuple[tuple[str, str], ...]
-
-    @staticmethod
-    def of(mapping: Mapping[str, str] | None) -> "OutcomeQuery":
-        if mapping is None:
-            return OutcomeQuery(())
-        return OutcomeQuery(tuple(sorted(mapping.items())))
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.assignments)
-
-
-@dataclass(frozen=True)
 class EvalResult:
     probability: float
     conditional_undefined: bool
@@ -230,11 +213,10 @@ def measure_records(psi: StateVector, step: Measure) -> list[MeasurementRecord]:
     return detector_measure(psi, step.wire, step.detector)
 
 
-def evaluate_full(circuit: Circuit, query: OutcomeQuery | Mapping[str, str] | None) -> EvalResult:
-    """Exact bracket probability of the queried outcome assignment."""
-    if not isinstance(query, OutcomeQuery):
-        query = OutcomeQuery.of(query)
-    wanted = query.as_dict()
+def evaluate_full(circuit: Circuit, query: Mapping[str, str] | None) -> EvalResult:
+    """Exact bracket probability of the queried outcome assignment;
+    measurements the query does not mention are summed over."""
+    wanted = dict(query or {})
     labels = set(circuit.measure_labels)
     for label, outcome in wanted.items():
         if label not in labels:
@@ -279,7 +261,7 @@ def evaluate_full(circuit: Circuit, query: OutcomeQuery | Mapping[str, str] | No
     )
 
 
-def evaluate(circuit: Circuit, query: OutcomeQuery | Mapping[str, str] | None) -> float:
+def evaluate(circuit: Circuit, query: Mapping[str, str] | None) -> float:
     return evaluate_full(circuit, query).probability
 
 

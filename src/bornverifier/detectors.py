@@ -57,6 +57,8 @@ class EffectDetector(_DerivedData):
         m = np.array(self.effect, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("effect must be a 2x2 matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("effect entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-9:
             raise ValueError("effect must be Hermitian")
         eigvals = np.linalg.eigvalsh(m)
@@ -79,6 +81,8 @@ class AncillaDetector(_DerivedData):
         m = int(self.ancilla_dim)
         coupling = np.array(self.coupling, dtype=complex)
         projector = np.array(self.projector, dtype=complex)
+        if not (np.isfinite(coupling).all() and np.isfinite(projector).all()):
+            raise ValueError("coupling and projector entries must be finite")
         if coupling.shape != (2 * m, 2 * m):
             raise ValueError("coupling must act on the spin+ancilla space")
         if not qcore.is_unitary(coupling, 1e-9):

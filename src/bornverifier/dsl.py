@@ -5,13 +5,18 @@ The format is line-oriented UTF-8 with ``#`` comments.  Kets use one
 character per wire ('u'/'d' for spins, digits for larger factors),
 scalars are complex literals like ``0.5-0.25i`` or ``sqrt(0.75)``, and
 matrices are bracketed rows of complex literals on a single line.
-Names must be declared before use; normalization and unitarity are
-validated when parsing finishes.  ``print_spec`` emits the canonical
-normalized form, which re-parses to a structurally equal spec.
+Names must be declared before use, and wires before states.  Each
+declaration is checked where it is parsed, against the lines above it:
+normalization, unitarity, detector models, finite literals and the
+total dimension.  Every error carries the line and column of the token
+at fault, and a file with several errors reports the first.
+``print_spec`` emits the canonical normalized form, which re-parses to
+a structurally equal spec.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -94,10 +99,8 @@ class ExperimentSpec:
                 )
         return circuits.Circuit(initial, tuple(steps))
 
-    def query(self, name: str) -> circuits.OutcomeQuery:
-        if name not in self.queries:
-            raise KeyError(name)
-        return circuits.OutcomeQuery(self.queries[name])
+    def query(self, name: str) -> dict[str, str]:
+        return dict(self.queries[name])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExperimentSpec):
@@ -162,6 +165,10 @@ _COMPLEX_RE = re.compile(
     rf"^(?:(?P<re>{_NUMBER})(?=[+-]))?(?P<im>{_NUMBER})i$"
 )
 
+# Wire and ancilla dimensions: a plain decimal integer >= 2, without
+# leading zeros and of at most 18 digits, which int() always converts.
+_DIM_RE = re.compile(r"[2-9]|[1-9][0-9]{1,17}")
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -170,17 +177,20 @@ class _Token:
     line: int
     column: int
 
+    def error(self, message: str) -> DslParseError:
+        return DslParseError(self.line, self.column, message, self.text)
+
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
         if kind == "WS":
             continue
+        token = _Token(kind, match.group(), line_no, match.start() + 1)
         if kind == "BAD":
-            raise DslParseError(line_no, match.start() + 1, "unexpected character", value)
-        tokens.append(_Token(kind, value, line_no, match.start() + 1))
+            raise token.error("unexpected character")
+        tokens.append(token)
     return tokens
 
 
@@ -196,18 +206,12 @@ class _LineParser:
 
     def next(self, expect: str | None = None, text: str | None = None) -> _Token:
         token = self.peek()
-        if token is None:
-            raise DslParseError(
-                self.line_no, self.line_len + 1, self._expected(expect, text)
-            )
-        if expect is not None and token.kind != expect:
-            raise DslParseError(
-                token.line, token.column, self._expected(expect, text), token.text
-            )
-        if text is not None and token.text != text:
-            raise DslParseError(
-                token.line, token.column, self._expected(expect, text), token.text
-            )
+        if (
+            token is None
+            or (expect is not None and token.kind != expect)
+            or (text is not None and token.text != text)
+        ):
+            raise self.error(self._expected(expect, text))
         self.pos += 1
         return token
 
@@ -218,28 +222,29 @@ class _LineParser:
         return f"expected {expect}" if expect else "unexpected end of line"
 
     def expect_end(self) -> None:
-        token = self.peek()
-        if token is not None:
-            raise DslParseError(
-                token.line, token.column, "unexpected trailing input", token.text
-            )
+        if self.peek() is not None:
+            raise self.error("unexpected trailing input")
 
-    def error(self, message: str, token: _Token | None = None) -> DslParseError:
-        if token is None:
-            token = self.peek()
+    def error(self, message: str) -> DslParseError:
+        """Error at the next token, or just past the end of the line."""
+        token = self.peek()
         if token is None:
             return DslParseError(self.line_no, self.line_len + 1, message)
-        return DslParseError(token.line, token.column, message, token.text)
+        return token.error(message)
 
 
 def parse_complex(token: _Token) -> complex:
     if token.kind == "NUMBER":
-        return complex(float(token.text), 0.0)
-    match = _COMPLEX_RE.match(token.text)
-    if not match:
-        raise DslParseError(token.line, token.column, "malformed complex literal", token.text)
-    re_part = float(match.group("re")) if match.group("re") else 0.0
-    return complex(re_part, float(match.group("im")))
+        value = complex(float(token.text), 0.0)
+    else:
+        match = _COMPLEX_RE.match(token.text)
+        if not match:
+            raise token.error("malformed complex literal")
+        re_part = float(match.group("re")) if match.group("re") else 0.0
+        value = complex(re_part, float(match.group("im")))
+    if not cmath.isfinite(value):
+        raise token.error("literal is not finite")
+    return value
 
 
 def format_complex(value: complex) -> str:
@@ -256,12 +261,13 @@ def format_complex(value: complex) -> str:
 
 
 class _Parser:
+    """Fills one ExperimentSpec line by line.  Each declaration is
+    checked as it is parsed, against the declarations above it, so the
+    first error in file order is the one reported."""
+
     def __init__(self):
         self.spec = ExperimentSpec()
-        self.wires: list[tuple[str, int]] = []
-        self.steps: list[GateRef | MeasureRef] = []
         self.measure_kinds: dict[str, str] = {}
-        self.decl_positions: dict[tuple[str, str], _Token] = {}
         self.names: set[str] = set()
 
     def parse(self, source: str) -> ExperimentSpec:
@@ -271,11 +277,7 @@ class _Parser:
             if not tokens:
                 continue
             self._parse_line(_LineParser(tokens, line_no, len(text)))
-        self._finalize()
-        spec = self.spec
-        spec.wires = tuple(self.wires)
-        spec.steps = tuple(self.steps)
-        return spec
+        return self.spec
 
     def _parse_line(self, lp: _LineParser) -> None:
         head = lp.next("IDENT")
@@ -290,46 +292,48 @@ class _Parser:
             "query": self._parse_query,
         }.get(head.text)
         if handler is None:
-            raise lp.error(f"unknown declaration {head.text!r}", head)
+            raise head.error(f"unknown declaration {head.text!r}")
         handler(lp)
         lp.expect_end()
 
-    def _declare(self, token: _Token, kind: str) -> str:
+    def _declare(self, token: _Token) -> str:
         if token.text in self.names:
-            raise DslParseError(
-                token.line, token.column, f"name {token.text!r} already declared", token.text
-            )
+            raise token.error(f"name {token.text!r} already declared")
         self.names.add(token.text)
-        self.decl_positions[(kind, token.text)] = token
         return token.text
 
+    def _parse_dim(self, lp: _LineParser, what: str) -> tuple[int, _Token]:
+        token = lp.next("NUMBER")
+        if not _DIM_RE.fullmatch(token.text):
+            raise token.error(f"{what} dimension must be an integer >= 2")
+        return int(token.text), token
+
     def _parse_wire(self, lp: _LineParser) -> None:
-        name = self._declare(lp.next("IDENT"), "wire")
+        if self.spec.states:
+            raise lp.error("wire declared after a state")
+        name = self._declare(lp.next("IDENT"))
         lp.next("SYM", ":")
-        dim_token = lp.next("NUMBER")
-        try:
-            dim = int(dim_token.text)
-        except ValueError:
-            dim = -1
-        if dim < 2 or str(dim) != dim_token.text:
-            raise lp.error("wire dimension must be an integer >= 2", dim_token)
-        self.wires.append((name, dim))
+        dim, dim_token = self._parse_dim(lp, "wire")
+        total = math.prod(self.spec.factor_dims) * dim
+        if total > qcore.MAX_TOTAL_DIM:
+            raise dim_token.error(
+                f"total dimension {total} exceeds the maximum {qcore.MAX_TOTAL_DIM}"
+            )
+        self.spec.wires += ((name, dim),)
 
-    def _wire_dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.wires)
-
-    def _lookup_wire(self, token: _Token) -> str:
-        for wire, _ in self.wires:
+    def _wire_dim(self, token: _Token) -> int:
+        for wire, dim in self.spec.wires:
             if wire == token.text:
-                return wire
-        raise DslParseError(token.line, token.column, f"undefined wire {token.text!r}", token.text)
+                return dim
+        raise token.error(f"undefined wire {token.text!r}")
 
     def _parse_state(self, lp: _LineParser) -> None:
-        if not self.wires:
+        if not self.spec.wires:
             raise lp.error("state declared before any wire")
-        name = self._declare(lp.next("IDENT"), "state")
+        name_token = lp.next("IDENT")
+        name = self._declare(name_token)
         lp.next("SYM", "=")
-        dims = self._wire_dims()
+        dims = self.spec.factor_dims
         amps = np.zeros(math.prod(dims), dtype=complex)
         sign = 1.0
         while True:
@@ -343,6 +347,9 @@ class _Parser:
                 lp.next()
                 continue
             raise lp.error("expected '+', '-', or end of state expression")
+        norm = np.linalg.norm(amps)
+        if not abs(norm - 1.0) <= _VALIDATION_TOL:
+            raise name_token.error(f"state {name!r} is not normalized (norm={norm:.12g})")
         self.spec.states[name] = amps
 
     def _parse_term(self, lp: _LineParser) -> tuple[complex, _Token]:
@@ -365,9 +372,9 @@ class _Parser:
             lp.next()
             lp.next("SYM", "(")
             arg_token = lp.next("NUMBER")
-            value = float(arg_token.text)
+            value = parse_complex(arg_token).real
             if value < 0:
-                raise lp.error("sqrt argument must be non-negative", arg_token)
+                raise arg_token.error("sqrt argument must be non-negative")
             lp.next("SYM", ")")
             return complex(math.sqrt(value), 0.0)
         raise lp.error("expected a number, complex literal, or sqrt(...)")
@@ -375,12 +382,7 @@ class _Parser:
     def _ket_index(self, token: _Token, dims: tuple[int, ...]) -> int:
         chars = token.text[1:-1]
         if len(chars) != len(dims):
-            raise DslParseError(
-                token.line,
-                token.column,
-                f"ket must have one character per wire ({len(dims)} expected)",
-                token.text,
-            )
+            raise token.error(f"ket must have one character per wire ({len(dims)} expected)")
         index = 0
         for ch, dim in zip(chars, dims):
             if ch == "u":
@@ -390,16 +392,9 @@ class _Parser:
             elif ch.isdigit():
                 level = int(ch)
             else:
-                raise DslParseError(
-                    token.line, token.column, f"invalid ket character {ch!r}", token.text
-                )
+                raise token.error(f"invalid ket character {ch!r}")
             if level >= dim:
-                raise DslParseError(
-                    token.line,
-                    token.column,
-                    f"ket level {level} out of range for wire dimension {dim}",
-                    token.text,
-                )
+                raise token.error(f"ket level {level} out of range for wire dimension {dim}")
             index = index * dim + level
         return index
 
@@ -413,12 +408,10 @@ class _Parser:
                 continue
             if token.text == "]":
                 break
-            raise lp.error("expected ',' or ']' in matrix", token)
+            raise token.error("expected ',' or ']' in matrix")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
-            raise DslParseError(
-                open_token.line, open_token.column, "matrix rows have unequal lengths", "["
-            )
+            raise open_token.error("matrix rows have unequal lengths")
         return np.array(rows, dtype=complex)
 
     def _parse_row(self, lp: _LineParser) -> list[complex]:
@@ -435,140 +428,104 @@ class _Parser:
                 continue
             if token.text == "]":
                 return entries
-            raise lp.error("expected ',' or ']' in matrix row", token)
+            raise token.error("expected ',' or ']' in matrix row")
 
     def _parse_unitary(self, lp: _LineParser) -> None:
-        name = self._declare(lp.next("IDENT"), "unitary")
+        name_token = lp.next("IDENT")
+        name = self._declare(name_token)
         lp.next("SYM", "=")
-        self.spec.unitaries[name] = self._parse_matrix(lp)
+        matrix = self._parse_matrix(lp)
+        if not qcore.is_unitary(matrix, _VALIDATION_TOL):
+            raise name_token.error(f"matrix {name!r} is not unitary")
+        self.spec.unitaries[name] = matrix
 
     def _parse_detector(self, lp: _LineParser) -> None:
         name_token = lp.next("IDENT")
         lp.next("SYM", "=")
         kind = lp.next("IDENT")
         if kind.text == "effect":
-            matrix = self._parse_matrix(lp)
-            name = self._declare(name_token, "detector")
-            self.spec.detectors[name] = ("effect", matrix)  # validated at finalize
+            model = (self._parse_matrix(lp),)
+            build = EffectDetector
         elif kind.text == "ancilla":
-            dim_token = lp.next("NUMBER")
-            dim = int(dim_token.text) if dim_token.text.isdigit() else -1
-            if dim < 2:
-                raise lp.error("ancilla dimension must be an integer >= 2", dim_token)
+            dim, _ = self._parse_dim(lp, "ancilla")
             lp.next("IDENT", "coupling")
             coupling = self._parse_matrix(lp)
             lp.next("IDENT", "projector")
-            projector = self._parse_matrix(lp)
-            name = self._declare(name_token, "detector")
-            self.spec.detectors[name] = ("ancilla", dim, coupling, projector)
+            model = (dim, coupling, self._parse_matrix(lp))
+            build = AncillaDetector
         else:
-            raise lp.error("expected 'effect' or 'ancilla'", kind)
+            raise kind.error("expected 'effect' or 'ancilla'")
+        name = self._declare(name_token)
+        try:
+            self.spec.detectors[name] = build(*model)
+        except ValueError as exc:
+            raise name_token.error(f"invalid detector {name!r}: {exc}") from exc
 
     def _parse_prepare(self, lp: _LineParser) -> None:
         token = lp.next("IDENT")
         if token.text not in self.spec.states:
-            raise DslParseError(
-                token.line, token.column, f"undefined state {token.text!r}", token.text
-            )
+            raise token.error(f"undefined state {token.text!r}")
         if self.spec.prepare is not None:
-            raise lp.error("prepare already given", token)
+            raise token.error("prepare already given")
         self.spec.prepare = token.text
 
     def _parse_gate(self, lp: _LineParser) -> None:
         name_token = lp.next("IDENT")
         if name_token.text not in self.spec.unitaries:
-            raise DslParseError(
-                name_token.line,
-                name_token.column,
-                f"undefined unitary {name_token.text!r}",
-                name_token.text,
-            )
+            raise name_token.error(f"undefined unitary {name_token.text!r}")
         lp.next("IDENT", "on")
         wires = []
+        span = 1
         while lp.peek() is not None:
-            wires.append(self._lookup_wire(lp.next("IDENT")))
+            wire_token = lp.next("IDENT")
+            span *= self._wire_dim(wire_token)
+            wires.append(wire_token.text)
         if not wires:
             raise lp.error("gate needs at least one wire")
         if len(set(wires)) != len(wires):
-            raise lp.error("gate wires must be distinct", name_token)
-        dims = dict(self.wires)
-        span = math.prod(dims[w] for w in wires)
+            raise name_token.error("gate wires must be distinct")
         matrix = self.spec.unitaries[name_token.text]
         if matrix.shape != (span, span):
-            raise DslParseError(
-                name_token.line,
-                name_token.column,
+            raise name_token.error(
                 f"unitary is {matrix.shape[0]}x{matrix.shape[1]} but wires span "
-                f"dimension {span}",
-                name_token.text,
+                f"dimension {span}"
             )
-        self.steps.append(GateRef(name_token.text, tuple(wires)))
+        self.spec.steps += (GateRef(name_token.text, tuple(wires)),)
 
     def _parse_measure(self, lp: _LineParser) -> None:
         wire_token = lp.next("IDENT")
-        wire = self._lookup_wire(wire_token)
-        if dict(self.wires)[wire] != 2:
-            raise DslParseError(
-                wire_token.line,
-                wire_token.column,
-                "only spin wires (dimension 2) are measurable",
-                wire_token.text,
-            )
+        if self._wire_dim(wire_token) != 2:
+            raise wire_token.error("only spin wires (dimension 2) are measurable")
         kind_token = lp.next("IDENT")
         if kind_token.text == "SG":
             kind = "sg"
         elif kind_token.text == "det":
             det_token = lp.next("IDENT")
             if det_token.text not in self.spec.detectors:
-                raise DslParseError(
-                    det_token.line,
-                    det_token.column,
-                    f"undefined detector {det_token.text!r}",
-                    det_token.text,
-                )
+                raise det_token.error(f"undefined detector {det_token.text!r}")
             kind = det_token.text
         else:
-            raise lp.error("expected 'SG' or 'det'", kind_token)
+            raise kind_token.error("expected 'SG' or 'det'")
         lp.next("ARROW")
         label_token = lp.next("IDENT")
         if label_token.text in self.measure_kinds:
-            raise DslParseError(
-                label_token.line,
-                label_token.column,
-                f"measurement label {label_token.text!r} already used",
-                label_token.text,
-            )
+            raise label_token.error(f"measurement label {label_token.text!r} already used")
         self.measure_kinds[label_token.text] = kind
-        self.steps.append(MeasureRef(wire, kind, label_token.text))
+        self.spec.steps += (MeasureRef(wire_token.text, kind, label_token.text),)
 
     def _parse_query(self, lp: _LineParser) -> None:
         name_token = lp.next("IDENT")
         if name_token.text in self.spec.queries:
-            raise DslParseError(
-                name_token.line,
-                name_token.column,
-                f"query {name_token.text!r} already declared",
-                name_token.text,
-            )
+            raise name_token.error(f"query {name_token.text!r} already declared")
         lp.next("SYM", ":")
         assignments = []
         seen = set()
         while lp.peek() is not None:
             label_token = lp.next("IDENT")
             if label_token.text not in self.measure_kinds:
-                raise DslParseError(
-                    label_token.line,
-                    label_token.column,
-                    f"unknown measurement label {label_token.text!r}",
-                    label_token.text,
-                )
+                raise label_token.error(f"unknown measurement label {label_token.text!r}")
             if label_token.text in seen:
-                raise DslParseError(
-                    label_token.line,
-                    label_token.column,
-                    f"label {label_token.text!r} assigned twice",
-                    label_token.text,
-                )
+                raise label_token.error(f"label {label_token.text!r} assigned twice")
             seen.add(label_token.text)
             lp.next("SYM", "=")
             outcome_token = lp.next("IDENT")
@@ -578,47 +535,11 @@ class _Parser:
                 else circuits.DETECTOR_OUTCOMES
             )
             if outcome_token.text not in valid:
-                raise DslParseError(
-                    outcome_token.line,
-                    outcome_token.column,
-                    f"outcome must be one of {valid}",
-                    outcome_token.text,
-                )
+                raise outcome_token.error(f"outcome must be one of {valid}")
             assignments.append((label_token.text, outcome_token.text))
             if lp.peek() is not None:
                 lp.next("SYM", ",")
         self.spec.queries[name_token.text] = tuple(sorted(assignments))
-
-    def _finalize(self) -> None:
-        for name, amps in self.spec.states.items():
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > _VALIDATION_TOL:
-                token = self.decl_positions[("state", name)]
-                raise DslParseError(
-                    token.line,
-                    token.column,
-                    f"state {name!r} is not normalized (norm={norm:.12g})",
-                    token.text,
-                )
-        for name, matrix in self.spec.unitaries.items():
-            if not qcore.is_unitary(matrix, _VALIDATION_TOL):
-                token = self.decl_positions[("unitary", name)]
-                raise DslParseError(
-                    token.line, token.column, f"matrix {name!r} is not unitary", token.text
-                )
-        built: dict[str, Detector] = {}
-        for name, payload in self.spec.detectors.items():
-            token = self.decl_positions[("detector", name)]
-            try:
-                if payload[0] == "effect":
-                    built[name] = EffectDetector(payload[1])
-                else:
-                    built[name] = AncillaDetector(payload[1], payload[2], payload[3])
-            except ValueError as exc:
-                raise DslParseError(
-                    token.line, token.column, f"invalid detector {name!r}: {exc}", token.text
-                ) from exc
-        self.spec.detectors = built
 
 
 def parse(source: str) -> ExperimentSpec:

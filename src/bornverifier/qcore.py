@@ -138,30 +138,6 @@ class BlochVector:
         return BlochVector(float(x), float(y), float(z))
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Two-term Schmidt decomposition of a (2 x d) bipartite state.
-
-    The state reconstructs as ``c1 * a1 (x) b1 + c2 * a2 (x) b2`` with
-    c1 >= c2 >= 0, c1^2 + c2^2 = 1, and orthonormal pairs (a1, a2) and
-    (b1, b2).
-    """
-
-    c1: float
-    c2: float
-    a1: np.ndarray
-    a2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    def reconstruct(self) -> np.ndarray:
-        return self.c1 * np.kron(self.a1, self.b1) + self.c2 * np.kron(self.a2, self.b2)
-
-
 StateOrMatrix = Union[StateVector, np.ndarray]
 
 
@@ -249,39 +225,6 @@ def fix_global_phase(v: np.ndarray, tol: float = _DEGENERACY_TOL) -> np.ndarray:
         if abs(x) > tol:
             return v * (np.conj(x) / abs(x))
     return np.array(v, copy=True)
-
-
-def schmidt_decompose(psi: StateVector, spin_factor: int = 0) -> SchmidtForm:
-    """Schmidt decomposition of a bipartite spin/environment state.
-
-    The factor at ``spin_factor`` must have dimension 2; all remaining
-    factors are flattened into a single environment of dimension d.
-    Computed from the closed-form eigendecomposition of the reduced spin
-    density matrix: b_k = (<a_k| (x) 1) psi / c_k.
-    """
-    _check_spin_factor(psi, spin_factor)
-    if psi.num_factors < 2:
-        raise ValueError("state is not bipartite: no environment factor present")
-    tens = np.moveaxis(psi.as_tensor(), spin_factor, 0).reshape(2, -1)
-    env_dim = tens.shape[1]
-    rho = tens @ tens.conj().T
-    eigvals, eigvecs = eig2x2_hermitian(rho)
-    c1 = math.sqrt(max(eigvals[0], 0.0))
-    c2 = math.sqrt(max(eigvals[1], 0.0))
-    a1 = eigvecs[:, 0]
-    a2 = eigvecs[:, 1]
-    b1 = _environment_vector(tens, a1, c1, env_dim, others=())
-    b2 = _environment_vector(tens, a2, c2, env_dim, others=(b1,))
-    return SchmidtForm(c1=c1, c2=c2, a1=a1, a2=a2, b1=b1, b2=b2)
-
-
-def _environment_vector(tens, a, c, env_dim, others) -> np.ndarray:
-    if c > _DEGENERACY_TOL:
-        return np.conj(a) @ tens / c
-    # Zero Schmidt weight: the environment direction is undefined, so
-    # complete against the defined vectors by Gram-Schmidt.
-    basis = gram_schmidt_complete(list(others), env_dim)
-    return basis[len(others)]
 
 
 def gram_schmidt_complete(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:

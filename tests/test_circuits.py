@@ -7,7 +7,6 @@ from bornverifier.circuits import (
     ConditionalExperiment,
     Gate,
     Measure,
-    OutcomeQuery,
     check_identity_a5_decomposition,
     check_identity_states,
     evaluate,
@@ -144,6 +143,13 @@ class TestEvaluate:
         assert result.probability == 0.0
         assert result.conditional_undefined
 
+    def test_query_mapping_order_and_absent_query(self):
+        circuit = Circuit(spin_pair_state(0.3), (Measure(1, "a"), Measure(0, "b")))
+        forward = evaluate_full(circuit, {"a": "u", "b": "u"})
+        assert evaluate_full(circuit, {"b": "u", "a": "u"}) == forward
+        assert forward.probability == pytest.approx(0.7, abs=1e-12)
+        assert evaluate(circuit, None) == evaluate(circuit, {}) == pytest.approx(1.0, abs=1e-12)
+
     def test_unknown_label_rejected(self):
         circuit = Circuit(UP, (Measure(0, "m"),))
         with pytest.raises(ValueError):
@@ -205,13 +211,6 @@ class TestCircuitValidation:
         psi = qcore.random_state((2, 3), 3)
         with pytest.raises(ValueError):
             Circuit(psi, (Measure(1, "m"),))
-
-
-class TestOutcomeQuery:
-    def test_of_mapping_sorted(self):
-        q = OutcomeQuery.of({"b": "u", "a": "d"})
-        assert q.assignments == (("a", "d"), ("b", "u"))
-        assert q.as_dict() == {"a": "d", "b": "u"}
 
 
 def _states(det, psi=None, env_unitary=None, pair=None, sg_outcome="u", **kw):

@@ -108,6 +108,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("wire w0 : 2\nstate s = |u>\nwire w1 : 2\n", "line 3, column 6"),
+            ("wire w0 : 2\nstate s = 1e400*|u> - 1e400*|u> + 1*|d>\n", "line 2, column 11"),
+        ],
+    )
+    def test_declaration_error_exits_2_with_position(self, tmp_path, capsys, text, where):
+        bad = tmp_path / "bad.qexp"
+        bad.write_text(text + "prepare s\nmeasure w0 SG -> m\nquery q : m = u\n")
+        assert run_cli("eval", str(bad), "q") == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {where}:")
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("eval", str(tmp_path / "none.qexp"), "q") == 2
 

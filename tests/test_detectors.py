@@ -292,6 +292,25 @@ class TestDetectorValidation:
         with pytest.raises(ValueError):
             AncillaDetector(2, np.eye(4), np.diag([1.0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)])
+    def test_effect_entries_must_be_finite(self, bad):
+        for index in [(0, 0), (0, 1), (1, 1)]:
+            effect = np.zeros((2, 2), dtype=complex)
+            effect[index] = bad
+            with pytest.raises(ValueError, match="finite"):
+                EffectDetector(effect)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_ancilla_entries_must_be_finite(self, bad):
+        projector = np.diag([1.0, 0.0]).astype(complex)
+        projector[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AncillaDetector(2, np.eye(4), projector)
+        coupling = np.eye(4, dtype=complex)
+        coupling[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AncillaDetector(2, coupling, np.diag([1.0, 0.0]))
+
     def test_random_effect_is_valid(self):
         rng = np.random.default_rng(13)
         for _ in range(20):

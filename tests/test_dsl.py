@@ -1,11 +1,15 @@
 import math
+import operator
+import string
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bornverifier import circuits, dsl
-from bornverifier.dsl import DslParseError, parse, print_spec
+from bornverifier import circuits, detectors, dsl, qcore
+from bornverifier.dsl import DslParseError, ExperimentSpec, GateRef, MeasureRef, parse, print_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -120,6 +124,176 @@ class TestParseErrors:
         lines = source.splitlines()
         assert 1 <= err.line <= len(lines)
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+
+def _error(source: str) -> tuple[int, int, str, str]:
+    with pytest.raises(DslParseError) as excinfo:
+        parse(source)
+    err = excinfo.value
+    return err.line, err.column, err.message, err.token
+
+
+CNOT_ANCILLA = (
+    "coupling [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]] "
+    "projector [[1, 0], [0, 0]]"
+)
+
+
+class TestDeclarationChecks:
+    """Each declaration is checked where it is parsed, against the lines
+    above it."""
+
+    def test_wire_after_state_rejected(self):
+        source = "wire w : 2\nstate s = |u>\nwire v : 2\nprepare s\n"
+        assert _error(source) == (3, 6, "wire declared after a state", "v")
+
+    @pytest.mark.parametrize(
+        "source,token",
+        [
+            ("wire w : 2\nstate s = 1e400*|u> - 1e400*|u> + 1*|d>", "1e400"),
+            ("wire w : 2\nstate s = sqrt(1e400)*|u>", "1e400"),
+            ("wire w : 2\nstate s = 0.6*|u> + 0.8-1e999i*|d>", "0.8-1e999i"),
+            ("wire w : 2\nunitary U = [[1, 0], [0, -1e400]]", "-1e400"),
+            ("wire w : 2\ndetector D = effect [[1e400, 0], [0, 0]]", "1e400"),
+        ],
+    )
+    def test_non_finite_literal_rejected_at_its_token(self, source, token):
+        column = source.splitlines()[1].index(token) + 1
+        assert _error(source) == (2, column, "literal is not finite", token)
+
+    def test_overflowing_state_is_not_normalized(self):
+        line, column, message, _ = _error("wire w : 2\nstate s = 1e300*|u> + 1e300*|u>")
+        assert (line, column, message) == (2, 7, "state 's' is not normalized (norm=inf)")
+
+    @pytest.mark.parametrize("text", ["02", "1", "0", "2.0", "+2", "2e0"])
+    def test_one_dimension_rule_for_wires_and_ancillas(self, text):
+        assert _error(f"wire w : {text}") == (
+            1, 10, "wire dimension must be an integer >= 2", text
+        )
+        assert _error(f"detector D = ancilla {text} {CNOT_ANCILLA}") == (
+            1, 22, "ancilla dimension must be an integer >= 2", text
+        )
+
+    def test_total_dimension_capped_at_its_wire(self):
+        cap = qcore.MAX_TOTAL_DIM
+        assert parse(f"wire a : {cap}").factor_dims == (cap,)
+        assert _error(f"wire a : {cap}\nwire b : 2") == (
+            2, 10, f"total dimension {2 * cap} exceeds the maximum {cap}", "2"
+        )
+
+    @pytest.mark.parametrize(
+        "declaration,message",
+        [
+            ("state s = 0.5*|u>", "state 's' is not normalized (norm=0.5)"),
+            ("unitary U = [[1, 1], [0, 1]]", "matrix 'U' is not unitary"),
+            ("detector D = effect [[0, 1], [1, 0]]", "invalid detector 'D'"),
+        ],
+    )
+    def test_first_error_in_file_order(self, declaration, message):
+        line, _, got, _ = _error(f"wire w : 2\n{declaration}\nmeasure w XX -> m\n")
+        assert line == 2 and got.startswith(message)
+
+
+# Fragments of the format, so that generated text reaches past the lexer.
+FRAGMENTS = [
+    "wire", "state", "unitary", "detector", "prepare", "gate", "measure",
+    "query", "effect", "ancilla", "coupling", "projector", "on", "SG", "det",
+    "sqrt(", ")", "w0", "w1", "s", "U", "D", "m", ":", "=", "*", "+", "-",
+    ",", "->", "2", "3", "0.5", "1e400", "2i", "0.6-0.8i", "|u>", "|ud>",
+    "|0>", "[[1, 0], [0, 1]]", "[[0.5, 0], [0, 0.5]]", "[", "]", " ", " ",
+    "\n", "#", "u", "click",
+]
+CORPUS = [path.read_text() for path in sorted(GOLDEN.glob("*.qexp"))]
+
+
+@st.composite
+def mangled_text(draw):
+    """Arbitrary text, fragment soup, or a golden file with a splice."""
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        return draw(st.text(max_size=80))
+    if choice == 1:
+        pieces = st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3))
+        return "".join(draw(st.lists(pieces, max_size=40)))
+    text = draw(st.sampled_from(CORPUS))
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, min(len(text), start + 12)))
+    insert = draw(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=4)))
+    return text[:start] + insert + text[stop:]
+
+
+_HEAD = string.ascii_letters + "_"
+_NAMES = st.builds(
+    operator.add, st.sampled_from(_HEAD), st.text(_HEAD + string.digits + "-", max_size=5)
+)
+
+
+@st.composite
+def specs(draw):
+    """Valid specs built directly, with Hypothesis-drawn amplitudes."""
+    dims = draw(
+        st.lists(st.sampled_from([2, 2, 3, 4]), min_size=1, max_size=3).filter(
+            lambda d: math.prod(d) <= 16
+        )
+    )
+    names = iter(draw(st.lists(_NAMES, min_size=12, max_size=12, unique=True)))
+    spec = ExperimentSpec(wires=tuple((next(names), dim) for dim in dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    component = st.floats(-1, 1, allow_nan=False)
+    for _ in range(draw(st.integers(0, 2))):
+        size = math.prod(dims)
+        parts = draw(st.lists(component, min_size=2 * size, max_size=2 * size))
+        amps = np.array(parts[:size]) + 1j * np.array(parts[size:])
+        norm = np.linalg.norm(amps)
+        if norm > 1e-150:
+            spec.states[next(names)] = amps / norm
+    if spec.states:
+        spec.prepare = draw(st.sampled_from(sorted(spec.states)))
+    for _ in range(draw(st.integers(0, 2))):
+        spec.unitaries[next(names)] = qcore.random_unitary(draw(st.sampled_from(dims)), rng)
+    for _ in range(draw(st.integers(0, 2))):
+        spec.detectors[next(names)] = detectors.random_detector(rng)
+    unitary_dims = {name: len(m) for name, m in spec.unitaries.items()}
+    spins = [wire for wire, dim in spec.wires if dim == 2]
+    kinds = {}
+    for _ in range(draw(st.integers(0, 4))):
+        if spec.unitaries and draw(st.booleans()):
+            unitary = draw(st.sampled_from(sorted(spec.unitaries)))
+            targets = [w for w, d in spec.wires if d == unitary_dims[unitary]]
+            if targets:
+                spec.steps += (GateRef(unitary, (draw(st.sampled_from(targets)),)),)
+        elif spins:
+            kind = draw(st.sampled_from(["sg"] + sorted(spec.detectors)))
+            label = f"m{len(kinds)}"
+            kinds[label] = kind
+            spec.steps += (MeasureRef(draw(st.sampled_from(spins)), kind, label),)
+    for name in draw(st.lists(_NAMES, max_size=2, unique=True)):
+        chosen = draw(st.lists(st.sampled_from(sorted(kinds)), unique=True)) if kinds else []
+        spec.queries[name] = tuple(
+            (label, draw(st.sampled_from(("u", "d") if kinds[label] == "sg" else ("click", "noclick"))))
+            for label in sorted(chosen)
+        )
+    return spec
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(mangled_text())
+    def test_any_text_gives_spec_or_positioned_error(self, source):
+        try:
+            parse(source)
+        except DslParseError as err:
+            lines = source.splitlines()
+            assert 1 <= err.line <= len(lines)
+            assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs())
+    def test_print_parse_round_trip(self, spec):
+        printed = print_spec(spec)
+        again = parse(printed)
+        assert again == spec
+        assert print_spec(again) == printed
 
 
 class TestPrint:

@@ -15,7 +15,6 @@ from bornverifier.qcore import (
     purify,
     random_state,
     reduced_density,
-    schmidt_decompose,
     spin_pair_state,
     tensor_product,
 )
@@ -142,70 +141,6 @@ class TestBlochPolarization:
             )
 
 
-class TestSchmidtDecompose:
-    def test_bell_state_degenerate(self):
-        form = schmidt_decompose(qcore.bell_state())
-        assert form.c1 == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert form.c2 == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        # Degenerate spectrum: correctness is the reconstruction only.
-        np.testing.assert_allclose(
-            form.reconstruct(), qcore.bell_state().amplitudes, atol=1e-9
-        )
-
-    def test_product_state_rank_one(self):
-        psi = tensor_product(random_state((2,), 11), random_state((3,), 12))
-        form = schmidt_decompose(psi)
-        assert form.c1 == pytest.approx(1.0, abs=1e-12)
-        assert form.c2 == pytest.approx(0.0, abs=1e-12)
-        assert abs(np.vdot(form.b1, form.b2)) < 1e-9
-
-    def test_correlated_pair_weights(self):
-        form = schmidt_decompose(spin_pair_state(0.25))
-        assert form.c1 == pytest.approx(math.sqrt(0.75), abs=1e-12)
-        assert form.c2 == pytest.approx(math.sqrt(0.25), abs=1e-12)
-
-    def test_reconstruction_and_orthogonality(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            env = int(rng.integers(2, 7))
-            psi = random_state((2, env), rng)
-            form = schmidt_decompose(psi)
-            assert form.c1 >= form.c2 >= 0
-            assert form.c1**2 + form.c2**2 == pytest.approx(1.0, abs=1e-10)
-            assert abs(np.vdot(form.a1, form.a2)) < 1e-10
-            assert abs(np.vdot(form.b1, form.b2)) < 1e-10
-            assert np.linalg.norm(form.reconstruct() - psi.amplitudes) < 1e-9
-
-    def test_coefficients_match_reduced_eigenvalues(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            psi = random_state((2, 4), rng)
-            form = schmidt_decompose(psi)
-            eigvals = np.linalg.eigvalsh(reduced_density(psi, 0))[::-1]
-            np.testing.assert_allclose(
-                [form.c1**2, form.c2**2], eigvals, atol=1e-10
-            )
-
-    def test_multi_factor_environment_flattened(self):
-        psi = random_state((2, 2, 2), 31)
-        form = schmidt_decompose(psi)
-        assert form.b1.shape == (4,)
-        assert np.linalg.norm(form.reconstruct() - psi.amplitudes) < 1e-9
-
-    def test_phase_convention(self):
-        rng = np.random.default_rng(33)
-        for _ in range(10):
-            form = schmidt_decompose(random_state((2, 3), rng))
-            for a in (form.a1, form.a2):
-                lead = next(x for x in a if abs(x) > 1e-12)
-                assert lead.imag == pytest.approx(0.0, abs=1e-12)
-                assert lead.real > 0
-
-    def test_non_bipartite_rejected(self):
-        with pytest.raises(ValueError):
-            schmidt_decompose(UP)
-
-
 class TestEnvarianceUnitary:
     def test_identity_case(self):
         basis = qcore.random_unitary(4, 5)
@@ -247,11 +182,9 @@ class TestPurify:
         )
 
     def test_halfway_pole_weights(self):
-        form = schmidt_decompose(purify(BlochVector(0, 0, 0.5)))
-        assert form.c1**2 == pytest.approx(0.75, abs=1e-12)
-        assert form.c2**2 == pytest.approx(0.25, abs=1e-12)
-        np.testing.assert_allclose(np.abs(form.a1), [1, 0], atol=1e-9)
-        np.testing.assert_allclose(np.abs(form.a2), [0, 1], atol=1e-9)
+        # Branch weights 0.75 and 0.25 on the up and down spin axes.
+        rho = reduced_density(purify(BlochVector(0, 0, 0.5)), 0)
+        np.testing.assert_allclose(rho, np.diag([0.75, 0.25]), atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -314,10 +247,19 @@ class TestRandomState:
         # Unitary invariance: the single-spin polarization averages to zero.
         rng = np.random.default_rng(19)
         n = 10**5
-        total = np.zeros(3)
-        for _ in range(n):
-            total += bloch_polarization(random_state((2,), rng), 0).as_array()
-        assert np.max(np.abs(total / n)) < 3.0 / math.sqrt(n)
+        amps = qcore.random_amplitudes((2,), n, rng)
+        # bloch_polarization per row: rho_01 = a0 conj(a1).
+        off = amps[:, 0] * amps[:, 1].conj()
+        polarization = np.stack(
+            [2.0 * off.real, -2.0 * off.imag, np.abs(amps[:, 0]) ** 2 - np.abs(amps[:, 1]) ** 2],
+            axis=1,
+        )
+        np.testing.assert_allclose(
+            polarization[:3],
+            [bloch_polarization(StateVector((2,), row), 0).as_array() for row in amps[:3]],
+            atol=1e-15,
+        )
+        assert np.max(np.abs(polarization.sum(axis=0) / n)) < 3.0 / math.sqrt(n)
 
 
 class TestRandomAmplitudes:
