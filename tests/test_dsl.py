@@ -236,7 +236,7 @@ def specs(draw):
             lambda d: math.prod(d) <= 16
         )
     )
-    names = iter(draw(st.lists(_NAMES, min_size=12, max_size=12, unique=True)))
+    names = iter(draw(st.lists(_NAMES, min_size=9, max_size=9, unique=True)))
     spec = ExperimentSpec(wires=tuple((next(names), dim) for dim in dims))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     component = st.floats(-1, 1, allow_nan=False)
@@ -260,18 +260,20 @@ def specs(draw):
         if spec.unitaries and draw(st.booleans()):
             unitary = draw(st.sampled_from(sorted(spec.unitaries)))
             targets = [w for w, d in spec.wires if d == unitary_dims[unitary]]
-            if targets:
-                spec.steps += (GateRef(unitary, (draw(st.sampled_from(targets)),)),)
+            spec.steps += (GateRef(unitary, (draw(st.sampled_from(targets)),)),)
         elif spins:
             kind = draw(st.sampled_from(["sg"] + sorted(spec.detectors)))
             label = f"m{len(kinds)}"
             kinds[label] = kind
             spec.steps += (MeasureRef(draw(st.sampled_from(spins)), kind, label),)
+    outcomes = {
+        label: circuits.SG_OUTCOMES if kind == "sg" else circuits.DETECTOR_OUTCOMES
+        for label, kind in kinds.items()
+    }
     for name in draw(st.lists(_NAMES, max_size=2, unique=True)):
         chosen = draw(st.lists(st.sampled_from(sorted(kinds)), unique=True)) if kinds else []
         spec.queries[name] = tuple(
-            (label, draw(st.sampled_from(("u", "d") if kinds[label] == "sg" else ("click", "noclick"))))
-            for label in sorted(chosen)
+            (label, draw(st.sampled_from(outcomes[label]))) for label in sorted(chosen)
         )
     return spec
 
