@@ -40,7 +40,6 @@ from .detectors import (
 )
 from .circuits import (
     Circuit,
-    ConditionalExperiment,
     Gate,
     Measure,
     MeasurementRecord,

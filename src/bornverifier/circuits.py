@@ -1,12 +1,12 @@
 """Circuit probability semantics: preparations, gates, measurements,
 and bracketed outcome queries.
 
-A circuit is an initial state plus an ordered list of steps.  Evaluating
-a query walks the steps over an ensemble of weighted branches: gates act
-unitarily, a queried measurement selects its branch and multiplies the
-running probability (multiplication rule), and an unqueried measurement
-sums over branches (additive rule).  Measured spins stay in the state,
-collapsed onto the outcome eigenstate.
+A circuit is an initial state plus an ordered list of steps.
+``outcome_distribution`` walks the steps once, depth first: gates act
+unitarily, and each measurement branches, multiplying the running
+probability (multiplication rule).  Measured spins stay in the state,
+collapsed onto the outcome eigenstate.  A query's bracket is the sum
+over the branches that agree with it (additive rule).
 
 The seven bracket identities that encode the five assumptions behind
 the harness are defined here once, each as the ground-truth brackets it
@@ -14,8 +14,8 @@ evaluates plus the comparison it makes.  The comparison reads the
 brackets through a rule: the derivation suite uses the default,
 ``BornRule`` (the squared-amplitude rule), and the counterexample battery
 the alternative rules.  ``check_identity_states`` checks six identities
-on one random instance and ``check_identity_a5_decomposition`` the
-seventh.
+on one instance and ``check_identity_a5_decomposition`` the seventh;
+``sweep_identities`` checks all seven on random instances for both.
 """
 
 from __future__ import annotations
@@ -185,8 +185,9 @@ def detector_measure(psi: StateVector, wire: int, det: Detector) -> list[Measure
     choice, it only keeps mid-circuit evaluation well defined.
     """
     p_click = _det.click_probability(det, psi, wire)
-    rest = _rest_shape(psi, wire)
-    tens = np.moveaxis(psi.as_tensor(), wire, 0).reshape(2, -1)
+    tens = psi.as_tensor()
+    if wire:
+        tens = np.moveaxis(tens, wire, 0)
     records = []
     for outcome, prob, kraus in zip(
         DETECTOR_OUTCOMES, (p_click, 1.0 - p_click), det.kraus_pair
@@ -194,8 +195,8 @@ def detector_measure(psi: StateVector, wire: int, det: Detector) -> list[Measure
         if prob <= _ZERO_BRANCH:
             records.append(MeasurementRecord(outcome, 0.0, None))
             continue
-        branch = kraus @ tens
-        post = np.moveaxis(branch.reshape((2,) + rest), 0, wire).reshape(-1)
+        branch = (kraus @ tens.reshape(2, -1)).reshape(tens.shape)
+        post = (np.moveaxis(branch, 0, wire) if wire else branch).reshape(-1)
         post = post / np.linalg.norm(post)
         records.append(
             MeasurementRecord(outcome, min(prob, 1.0), StateVector._trusted(psi.factor_dims, post))
@@ -203,21 +204,57 @@ def detector_measure(psi: StateVector, wire: int, det: Detector) -> list[Measure
     return records
 
 
-def _rest_shape(psi: StateVector, wire: int) -> tuple[int, ...]:
-    return tuple(d for i, d in enumerate(psi.factor_dims) if i != wire)
+def outcome_distribution(
+    circuit: Circuit, fixed: Mapping[str, str] | None = None
+) -> dict[tuple[str, ...], float | None]:
+    """One walk of the circuit: the probability of every outcome
+    sequence, one outcome per measurement in step order, that agrees
+    with ``fixed``.  A branch that ``fixed`` rules out is never entered;
+    a branch of zero probability ends at that measurement, with the
+    value None.  Sequences come in the walk's depth-first order."""
+    fixed = dict(fixed or {})
+    steps = circuit.steps
+    out: dict[tuple[str, ...], float | None] = {}
+
+    def walk(state: StateVector, start: int, outcomes: tuple[str, ...], weight: float) -> None:
+        for index in range(start, len(steps)):
+            step = steps[index]
+            if isinstance(step, Gate):
+                state = apply_unitary(state, step.wires, step.matrix)
+                continue
+            if step.detector is None:
+                records = sg_measure(state, step.wire)
+            else:
+                records = detector_measure(state, step.wire, step.detector)
+            for rec in records:
+                if fixed.get(step.label, rec.outcome) != rec.outcome:
+                    continue
+                if rec.post_state is None:
+                    out[outcomes + (rec.outcome,)] = None
+                else:
+                    walk(rec.post_state, index + 1, outcomes + (rec.outcome,), weight * rec.probability)
+            return
+        out[outcomes] = weight
+
+    walk(circuit.initial, 0, (), 1.0)
+    return out
 
 
-def measure_records(psi: StateVector, step: Measure) -> list[MeasurementRecord]:
-    if step.detector is None:
-        return sg_measure(psi, step.wire)
-    return detector_measure(psi, step.wire, step.detector)
+def _mass(distribution: Mapping[tuple[str, ...], float | None], *prefix: str) -> float:
+    """Clamped probability of the sequences that start with ``prefix``."""
+    total = sum(
+        p for key, p in distribution.items() if p is not None and key[: len(prefix)] == prefix
+    )
+    return min(max(float(total), 0.0), 1.0)
 
 
 def evaluate_full(circuit: Circuit, query: Mapping[str, str] | None) -> EvalResult:
     """Exact bracket probability of the queried outcome assignment;
-    measurements the query does not mention are summed over."""
+    measurements the query does not mention are summed over.  A queried
+    branch of zero probability is listed in ``undefined_labels``, once
+    per branch that reaches it, in step order."""
     wanted = dict(query or {})
-    labels = set(circuit.measure_labels)
+    labels = circuit.measure_labels
     for label, outcome in wanted.items():
         if label not in labels:
             raise ValueError(f"query references unknown measurement {label!r}")
@@ -228,36 +265,13 @@ def evaluate_full(circuit: Circuit, query: Mapping[str, str] | None) -> EvalResu
                     f"outcome {wanted[step.label]!r} invalid for measurement "
                     f"{step.label!r} (expected one of {step.outcomes})"
                 )
-
-    branches: list[tuple[float, StateVector]] = [(1.0, circuit.initial)]
-    undefined: list[str] = []
-    for step in circuit.steps:
-        if isinstance(step, Gate):
-            branches = [
-                (w, apply_unitary(state, step.wires, step.matrix))
-                for w, state in branches
-            ]
-            continue
-        next_branches: list[tuple[float, StateVector]] = []
-        for weight, state in branches:
-            records = measure_records(state, step)
-            if step.label in wanted:
-                rec = next(r for r in records if r.outcome == wanted[step.label])
-                if rec.post_state is None:
-                    undefined.append(step.label)
-                    continue
-                next_branches.append((weight * rec.probability, rec.post_state))
-            else:
-                for rec in records:
-                    if rec.post_state is None:
-                        continue
-                    next_branches.append((weight * rec.probability, rec.post_state))
-        branches = next_branches
-    probability = float(sum(w for w, _ in branches))
+    distribution = outcome_distribution(circuit, wanted)
+    ended = sorted((key for key, p in distribution.items() if p is None), key=len)
+    undefined = tuple(labels[len(key) - 1] for key in ended if labels[len(key) - 1] in wanted)
     return EvalResult(
-        probability=min(max(probability, 0.0), 1.0),
+        probability=_mass(distribution),
         conditional_undefined=bool(undefined),
-        undefined_labels=tuple(undefined),
+        undefined_labels=undefined,
     )
 
 
@@ -328,21 +342,21 @@ def check_identity_states(
     probe = Measure(0, "m", det)
     click, no_click = probe.outcomes
     gate = Gate((1,), env_unitary)
-    two_step = (Measure(1, "s"), probe)
 
-    def bracket(state: StateVector, steps: tuple[Step, ...] = (probe,), **query: str) -> float:
-        return evaluate(Circuit(state, steps), {"m": click, **query})
+    def bracket(state: StateVector, steps: tuple[Step, ...] = (probe,)) -> float:
+        return evaluate(Circuit(state, steps), {"m": click})
 
     lhs = bracket(single)
     extended = qcore.tensor_product(ancilla, single)
     rhs = bracket(extended, (Measure(ancilla.num_factors, "m", det),))
-    hit = bracket(psi)
-    miss = bracket(psi, m=no_click)
+    measured = outcome_distribution(Circuit(psi, (probe,)))
+    hit, miss = _mass(measured, click), _mass(measured, no_click)
     later = bracket(psi, (probe, gate))
     before = bracket(psi, (gate, probe))
     alone = bracket(pair)
-    unread = bracket(pair, two_step)
-    joint = {o: bracket(pair, two_step, s=o) for o in SG_OUTCOMES}
+    both = outcome_distribution(Circuit(pair, (Measure(1, "s"), probe)), {"m": click})
+    unread = _mass(both)
+    joint = {o: _mass(both, o) for o in SG_OUTCOMES}
     record = next(r for r in sg_measure(pair, 1) if r.outcome == sg_outcome)
     conditional = 0.0 if record.post_state is None else bracket(record.post_state)
 
@@ -383,33 +397,27 @@ def check_identity_states(
     ]
 
 
-@dataclass(frozen=True)
-class ConditionalExperiment:
-    """Single-spin experiment: optional 2x2 gates on spin 0, then a
-    detector measurement of it that asks for a click."""
-
-    detector: Detector
-    unitaries: tuple[np.ndarray, ...] = ()
-
-    def run(self, psi: StateVector) -> float:
-        gates = tuple(Gate((0,), u) for u in self.unitaries)
-        circuit = Circuit(psi, gates + (Measure(0, "exp", self.detector),))
-        return evaluate(circuit, {"exp": "click"})
-
-
 def check_identity_a5_decomposition(
     lam: float,
-    experiment: ConditionalExperiment,
+    det: Detector,
+    unitaries: Sequence[np.ndarray] = (),
     tolerance: float = DEFAULT_TOL,
     rule: Reading = BORN,
 ) -> VerificationReport:
     """The correlated-pair bracket splits into reference-branch-weighted
-    conditionals on the collapsed single-spin states."""
+    conditionals on the collapsed single-spin states.  Each bracket
+    applies the 2x2 ``unitaries`` to spin 0 and then asks ``det`` for a
+    click on it."""
+    steps = tuple(Gate((0,), u) for u in unitaries) + (Measure(0, "m", det),)
+
+    def click(state: StateVector) -> float:
+        return evaluate(Circuit(state, steps), {"m": "click"})
+
     pair = qcore.spin_pair_state(lam)
-    lhs = experiment.run(pair)
+    lhs = click(pair)
     a_lam = next(r for r in sg_measure(pair, 1) if r.outcome == "u").probability
-    up = experiment.run(StateVector((2,), qcore.UP))
-    down = experiment.run(StateVector((2,), qcore.DOWN))
+    up = click(StateVector((2,), qcore.UP))
+    down = click(StateVector((2,), qcore.DOWN))
     s = rule.combined
     rhs = s(a_lam) * s(up) + s(1.0 - a_lam) * s(down)
     return VerificationReport.from_deviation(
@@ -419,3 +427,40 @@ def check_identity_a5_decomposition(
         tolerance,
         (("lhs", lhs), ("a_lambda", a_lam), ("up", up), ("down", down)),
     )
+
+
+def sweep_identities(
+    rng, instances: int, tolerance: float = DEFAULT_TOL, rule=BORN
+) -> tuple[dict[str, float], float]:
+    """The seven identities on ``instances`` random instances from ``rng``.
+
+    Each instance draws a random detector, states and unitaries, and its
+    reading ``rule.for_instance(rng)``, then checks the six state
+    identities and the decomposition at a random weight.  Returns the
+    worst deviation of each identity, and ``born_deviation``: the worst
+    distance between the reading of the single-spin click and the click
+    itself."""
+    worst = dict.fromkeys(IDENTITY_NAMES, 0.0)
+    born_deviation = 0.0
+    for _ in range(instances):
+        det = _det.random_detector(rng)
+        env = int(rng.choice([2, 3, 4]))
+        psi = qcore.random_state((2, env), rng)
+        pair = qcore.random_state((2, 2), rng)
+        single = qcore.random_state((2,), rng)
+        ancilla = qcore.random_state((2,), rng)
+        sg_outcome = str(rng.choice(SG_OUTCOMES))
+        u_env = qcore.random_unitary(env, rng)
+        u_spin = qcore.random_unitary(2, rng)
+        lam = float(rng.uniform())
+        reading = rule.for_instance(rng)
+        reports = check_identity_states(
+            det, single, ancilla, psi, u_env, pair, sg_outcome, tolerance, reading
+        )
+        reports.append(check_identity_a5_decomposition(lam, det, (u_spin,), tolerance, reading))
+        for report in reports:
+            name = report.name.removeprefix("identity:")
+            worst[name] = max(worst[name], report.max_deviation)
+        click = dict(reports[0].details)["lhs"]  # a1-extension: the click of ``single``
+        born_deviation = max(born_deviation, abs(reading.compared(click) - click))
+    return worst, born_deviation

@@ -3,12 +3,12 @@
 Three rules replace the squared-amplitude probabilities: a threshold
 rule driven by an external random stream, a modified-inner-product rule,
 and a cubic reshaping.  ``run_battery`` checks the seven bracket
-identities under a rule and records which of them survive.  Each
-identity is the one definition in ``circuits`` that the derivation suite
-also checks: its brackets are exact ground-truth values, and the rule
-reads them, in one way for a bracket compared with a single other
-bracket and in another for a bracket that enters a sum or a product.
-The squared-amplitude rule, ``BornRule``, comes from ``circuits``.
+identities under a rule and records which of them survive.  It runs the
+derivation suite's own sweep, ``circuits.sweep_identities``: the
+brackets are exact ground-truth values, and the rule reads them, in one
+way for a bracket compared with a single other bracket and in another
+for a bracket that enters a sum or a product.  The squared-amplitude
+rule, ``BornRule``, comes from ``circuits``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits, detectors as _det, qcore
-from .circuits import IDENTITY_NAMES, BornRule, ConditionalExperiment
-from .reporting import VerificationReport
+from .circuits import IDENTITY_NAMES, BornRule
 
 
 def p1_rule(p0: float, x: float) -> float:
@@ -180,19 +179,16 @@ def tilted_projector(angle: float) -> _det.EffectDetector:
 
 
 def run_battery(
-    rule: ProbabilityRule,
-    seed: int = 42,
-    tolerance: float = 1e-9,
-    lam: float = 0.3,
-    instances: int = 20,
+    rule: ProbabilityRule, seed: int = 42, tolerance: float = 1e-9
 ) -> BatteryResult:
     """Check the seven bracket identities with brackets read through the
     rule.
 
-    The identities are the definitions in ``circuits`` that the
-    derivation suite checks under the squared-amplitude rule; their
-    brackets are exact ground-truth values, and ``rule.for_instance``
-    gives the reading of each random instance.  Special cases:
+    ``circuits.sweep_identities`` draws the derivation suite's kind of
+    random instance and reads each through ``rule.for_instance``; the
+    brackets are exact ground-truth values.  A hand-checked witness
+    follows: the decomposition at lambda = 0.3 with a projective click
+    tilted 60 degrees from vertical.  Special cases:
       - the threshold rule reads a bracket compared with a single other
         bracket with one stream value per instance, and a bracket that
         enters a sum or a product at its expectation over the stream (the
@@ -208,41 +204,11 @@ def run_battery(
         return _modified_battery(rule, seed, tolerance)
 
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0xBA7)))
-    deviations = dict.fromkeys(IDENTITY_NAMES, 0.0)
-    born_deviation = 0.0
-
-    def record(report: VerificationReport) -> None:
-        name = report.name.removeprefix("identity:")
-        deviations[name] = max(deviations[name], report.max_deviation)
-
-    for _ in range(instances):
-        det = _det.random_detector(rng)
-        env = int(rng.choice([2, 3]))
-        psi = qcore.random_state((2, env), rng)
-        pair = qcore.random_state((2, 2), rng)
-        single = qcore.random_state((2,), rng)
-        ancilla = qcore.random_state((2,), rng)
-        reading = rule.for_instance(rng)
-        u_env = qcore.random_unitary(env, rng)
-        sg_outcome = str(rng.choice(["u", "d"]))
-        reports = circuits.check_identity_states(
-            det, single, ancilla, psi, u_env, pair, sg_outcome, tolerance, reading
-        )
-        for report in reports:
-            record(report)
-        base = dict(reports[0].details)["lhs"]  # a1-extension: the click of ``single``
-        born_deviation = max(born_deviation, abs(reading.compared(base) - base))
-
-    # Correlated-pair decomposition at fixed lambda, with a tilted
-    # conditional experiment plus random ones.
-    a5_rng = qcore.as_rng(np.random.SeedSequence((seed, 0xA5)))
-    experiments = [ConditionalExperiment(tilted_projector(math.pi / 3))]
-    for _ in range(4):
-        detector = _det.random_detector(a5_rng)
-        experiments.append(ConditionalExperiment(detector, (qcore.random_unitary(2, a5_rng),)))
-    for experiment in experiments:
-        reading = rule.for_instance(a5_rng)
-        record(circuits.check_identity_a5_decomposition(lam, experiment, tolerance, reading))
+    deviations, born_deviation = circuits.sweep_identities(rng, 20, tolerance, rule)
+    witness = circuits.check_identity_a5_decomposition(
+        0.3, tilted_projector(math.pi / 3), (), tolerance, rule.for_instance(rng)
+    )
+    deviations["a5-decomposition"] = max(deviations["a5-decomposition"], witness.max_deviation)
 
     notes: list[str] = []
     if isinstance(rule, RandomThresholdRule):

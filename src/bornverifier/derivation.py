@@ -440,29 +440,18 @@ def standard_battery(seed: int, n_random: int = 4) -> list[tuple[str, Detector]]
 
 
 def _identity_reports(seed: int, tolerance: float, instances: int) -> list[VerificationReport]:
-    """Random-instance sweeps of the seven bracket identities."""
+    """Random-instance sweep of the seven bracket identities."""
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0x1D)))
-    buckets: dict[str, list[VerificationReport]] = {}
-    for _ in range(instances):
-        det = _det.random_detector(rng)
-        env = int(rng.choice([2, 3, 4]))
-        psi = qcore.random_state((2, env), rng)
-        pair = qcore.random_state((2, 2), rng)
-        single = qcore.random_state((2,), rng)
-        ancilla = qcore.random_state((2,), rng)
-        sg_outcome = str(rng.choice(["u", "d"]))
-        u_env = qcore.random_unitary(env, rng)
-        reports = circuits.check_identity_states(
-            det, single, ancilla, psi, u_env, pair, sg_outcome, tolerance
-        )
-        experiment = circuits.ConditionalExperiment(det, (qcore.random_unitary(2, rng),))
-        lam = float(rng.uniform())
-        reports.append(circuits.check_identity_a5_decomposition(lam, experiment, tolerance))
-        for report in reports:
-            buckets.setdefault(report.name, []).append(report)
+    worst, _ = circuits.sweep_identities(rng, instances, tolerance)
     return [
-        merge_reports(name, f"instances={instances}", tolerance, reports)
-        for name, reports in sorted(buckets.items())
+        VerificationReport.from_deviation(
+            f"identity:{name}",
+            f"instances={instances}",
+            deviation,
+            tolerance,
+            (("instances", float(instances)),),
+        )
+        for name, deviation in sorted(worst.items())
     ]
 
 

@@ -191,7 +191,7 @@ def test_c06_effect_positivity_across_battery():
 
 
 def test_c07_counterexample_separation():
-    cubic = cx.run_battery(cx.CubicRule(), seed=42, lam=0.3)
+    cubic = cx.run_battery(cx.CubicRule(), seed=42)
     deviations = dict(cubic.deviations)
     assert cubic.status["a5-decomposition"] == "fail"
     assert deviations["a5-decomposition"] > 1e-2

@@ -4,7 +4,6 @@ import pytest
 from bornverifier import circuits, detectors, qcore
 from bornverifier.circuits import (
     Circuit,
-    ConditionalExperiment,
     Gate,
     Measure,
     check_identity_a5_decomposition,
@@ -243,10 +242,7 @@ class TestIdentityFamilies:
             reports = [
                 *check_identity_states(det, single, phi, psi, u_env, pair, sg_outcome),
                 *check_identity_states(None, single, phi, psi, u_env, pair, sg_outcome),
-                check_identity_a5_decomposition(
-                    float(rng.uniform()),
-                    ConditionalExperiment(detector=det),
-                ),
+                check_identity_a5_decomposition(float(rng.uniform()), det),
             ]
             for report in reports:
                 assert report.passed, (report.name, report.max_deviation)
@@ -266,9 +262,8 @@ class TestIdentityFamilies:
 
     def test_a5_decomposition_edge_weights(self):
         det = detectors.random_detector(np.random.default_rng(50))
-        exp = ConditionalExperiment(detector=det)
         for lam in (0.0, 1.0):
-            report = check_identity_a5_decomposition(lam, exp)
+            report = check_identity_a5_decomposition(lam, det)
             assert report.passed
             details = dict(report.details)
             assert details["a_lambda"] == pytest.approx(1.0 - lam, abs=1e-12)

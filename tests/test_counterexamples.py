@@ -119,7 +119,7 @@ class TestBattery:
         assert result.born_deviation == 0.0
 
     def test_cubic_separation(self):
-        result = cx.run_battery(cx.CubicRule(), seed=42, lam=0.3)
+        result = cx.run_battery(cx.CubicRule(), seed=42)
         status = result.status
         deviations = dict(result.deviations)
         assert status["a5-decomposition"] == "fail"
@@ -138,7 +138,7 @@ class TestBattery:
         rhs = cx.p3_rule(0.7) * cx.p3_rule(0.75) + cx.p3_rule(0.3) * cx.p3_rule(0.25)
         expected_gap = abs(lhs - rhs)
         assert expected_gap == pytest.approx(0.04725, abs=1e-12)
-        result = cx.run_battery(cx.CubicRule(), seed=42, lam=0.3)
+        result = cx.run_battery(cx.CubicRule(), seed=42)
         assert dict(result.deviations)["a5-decomposition"] >= expected_gap - 1e-12
 
     def test_threshold_rule_flags_state_dependence(self):
@@ -177,13 +177,13 @@ class TestBattery:
 
     @pytest.mark.parametrize("name", ["born", "random1", "cubic3"])
     def test_bracket_evaluation_budget(self, name, monkeypatch):
-        # Each of the 20 instances evaluates its 11 distinct state brackets
-        # once, and each of the 5 a5 experiments its 3 brackets.
+        # Each of the 20 instances walks its 8 distinct state circuits and
+        # its 3 a5 circuits once, and the tilted witness its 3.
         calls = []
-        real = circuits.evaluate_full
-        monkeypatch.setattr(circuits, "evaluate_full", lambda *a: calls.append(a) or real(*a))
+        real = circuits.outcome_distribution
+        monkeypatch.setattr(circuits, "outcome_distribution", lambda *a: calls.append(a) or real(*a))
         cx.run_battery(cx.rule_by_name(name, seed=3), seed=3)
-        assert len(calls) == 20 * 11 + 5 * 3
+        assert len(calls) == 20 * 11 + 3
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):

@@ -234,14 +234,14 @@ class TestFullSuite:
         assert [r.name for r in reports] == ["isospin-born[gaussian]", "isospin-born[uniform]"]
 
     def test_identity_sweep_evaluation_budget(self, monkeypatch):
-        # 11 distinct state brackets and 3 a5 brackets per instance, each
-        # evaluated once.
+        # 8 distinct state circuits and 3 a5 circuits per instance, each
+        # walked once.
         calls = []
-        real = circuits.evaluate_full
-        monkeypatch.setattr(circuits, "evaluate_full", lambda *a: calls.append(a) or real(*a))
+        real = circuits.outcome_distribution
+        monkeypatch.setattr(circuits, "outcome_distribution", lambda *a: calls.append(a) or real(*a))
         reports = derivation._identity_reports(42, 1e-9, 200)
         assert len(reports) == len(circuits.IDENTITY_NAMES)
-        assert len(calls) == 200 * 14
+        assert len(calls) == 200 * 11
 
     def test_undeclared_report_name_raises(self, monkeypatch):
         real = derivation.verify_envariance
