@@ -7,7 +7,8 @@ affine responses and effects of declared detectors), and
 
 Reports are canonical JSON (sorted keys, 17-significant-digit floats),
 so identical invocations are byte-identical.  Exit codes: 0 all checks
-passed, 1 verification failures, 2 usage or parse errors.
+passed, 1 verification failures, 2 usage or input errors (flags, rule
+names, experiment and wavefunction files), 3 internal errors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, counterexamples, derivation, detectors, dsl
-from . import coordinate
+from . import coordinate, qcore
 from .reporting import ReportDocument, canonical_json, csv_summary, format_float
 
 _SEED_ENV = "BORNVERIFIER_SEED"
@@ -59,9 +60,16 @@ class TomographyEntry:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $BORNVERIFIER_SEED or 42)")
-    parser.add_argument("--tolerance", type=float, default=1e-9, help="absolute tolerance for checks")
+    parser.add_argument("--tolerance", type=float, default=qcore.DEFAULT_TOL, help="absolute tolerance for checks")
     parser.add_argument("--out", type=str, default=None, help="write the JSON report here instead of stdout")
     parser.add_argument("--csv", type=str, default=None, help="also write a CSV summary here")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suite")
     _add_common_flags(verify)
     verify.add_argument("--subset", type=str, default=None, help="keep only reports whose name contains this")
-    verify.add_argument("--depth", type=int, default=derivation.DEFAULT_DYADIC_DEPTH, help="dyadic profile depth")
+    verify.add_argument("--depth", type=_positive_int, default=derivation.DEFAULT_DYADIC_DEPTH, help="dyadic profile depth")
     verify.add_argument(
         "--wavefunction",
         action="append",
@@ -126,7 +134,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     extra = []
     for path in args.wavefunction:
-        extra.append((os.path.basename(path), coordinate.load_wavefunction(path)))
+        extra.append((os.path.basename(path), _read_input(coordinate.load_wavefunction, path)))
     reports = derivation.run_full_suite(
         seed=seed,
         tolerance=args.tolerance,
@@ -142,20 +150,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    spec = dsl.parse_file(args.file)
+    spec = _read_input(dsl.parse_file, args.file)
     if args.query not in spec.queries:
         known = ", ".join(sorted(spec.queries)) or "(none)"
         raise _UsageError(f"unknown query {args.query!r}; file declares: {known}")
     from . import circuits
 
-    probability = circuits.evaluate(spec.to_circuit(), spec.query(args.query))
+    circuit = _read_input(spec.to_circuit)
+    probability = circuits.evaluate(circuit, spec.query(args.query))
     sys.stdout.write(format_float(probability) + "\n")
     return 0
 
 
 def cmd_tomography(args) -> int:
     seed = _resolve_seed(args)
-    spec = dsl.parse_file(args.file)
+    spec = _read_input(dsl.parse_file, args.file)
     if not spec.detectors:
         raise _UsageError(f"{args.file} declares no detectors")
     entries = []
@@ -175,7 +184,7 @@ def cmd_tomography(args) -> int:
 def cmd_counterexamples(args) -> int:
     seed = _resolve_seed(args)
     operator = _parse_operator(args.operator) if args.operator else None
-    rule = counterexamples.rule_by_name(args.rule, operator=operator, seed=seed)
+    rule = _read_input(counterexamples.rule_by_name, args.rule, operator, seed)
     result = counterexamples.run_battery(rule, seed=seed, tolerance=args.tolerance)
     doc = ReportDocument(
         version=__version__, seed=seed, tolerance=args.tolerance, reports=(result,)
@@ -201,6 +210,17 @@ class _UsageError(ValueError):
     pass
 
 
+def _read_input(read, *args):
+    """Call ``read`` on user input; a ``ValueError`` or ``OSError`` it
+    raises is a usage error, and a parse error keeps its position."""
+    try:
+        return read(*args)
+    except dsl.DslParseError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -218,9 +238,12 @@ def main(argv: list[str] | None = None) -> int:
     except dsl.DslParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (_UsageError, FileNotFoundError, ValueError) as exc:
+    except (_UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

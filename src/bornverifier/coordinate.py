@@ -39,8 +39,9 @@ class Wavefunction1D:
             raise ValueError("wavefunction needs at least two grid values")
         if not self.x_max > self.x_min:
             raise ValueError("grid requires x_max > x_min")
-        norm = float(np.sum(np.abs(values) ** 2) * self._dx(values.size))
-        if abs(norm - 1.0) > 1e-6:
+        with np.errstate(over="ignore"):
+            norm = float(np.sum(np.abs(values) ** 2) * self._dx(values.size))
+        if not abs(norm - 1.0) <= 1e-6:
             raise ValueError(f"wavefunction is not normalized (norm^2={norm!r})")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -138,6 +139,8 @@ def load_wavefunction(path, normalize: bool = False) -> Wavefunction1D:
                 nums = [float(p) for p in parts]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, nums)):
+                raise ValueError(f"{path}:{lineno}: values must be finite, got {line!r}")
             rows.append(nums)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two grid points")
@@ -228,7 +231,7 @@ def verify_isospin_born(
     det_click_model: Detector,
     psi: Wavefunction1D,
     interval: IntervalDetector,
-    tolerance: float = 1e-9,
+    tolerance: float = qcore.DEFAULT_TOL,
     name: str = "isospin-born",
 ) -> VerificationReport:
     """Map the interval decomposition onto a spin-1/2 plus environment,

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import circuits, detectors as _det, qcore
 from .circuits import IDENTITY_NAMES, BornRule
+from .qcore import DEFAULT_TOL
 
 
 def p1_rule(p0: float, x: float) -> float:
@@ -179,7 +180,7 @@ def tilted_projector(angle: float) -> _det.EffectDetector:
 
 
 def run_battery(
-    rule: ProbabilityRule, seed: int = 42, tolerance: float = 1e-9
+    rule: ProbabilityRule, seed: int = 42, tolerance: float = DEFAULT_TOL
 ) -> BatteryResult:
     """Check the seven bracket identities with brackets read through the
     rule.

@@ -15,11 +15,10 @@ import numpy as np
 
 from . import circuits, coordinate, detectors as _det, qcore
 from .detectors import Detector
-from .qcore import BlochVector, StateVector
+from .qcore import DEFAULT_TOL, BlochVector, StateVector
 from .reporting import VerificationReport, merge_reports
 
 DEFAULT_SEED = 42
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_DYADIC_DEPTH = 20
 
 # Exhaustive dyadic sweeps above this depth would need millions of
@@ -47,7 +46,7 @@ def verify_envariance(
     trials: int = 200,
     seed: int = DEFAULT_SEED,
     env_dim: int = 4,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = DEFAULT_TOL,
     name: str = "envariance",
 ) -> VerificationReport:
     """Environment-assisted invariance: two states sharing Schmidt data
@@ -108,7 +107,7 @@ def verify_lemma1(
     p0: BlochVector,
     p1: BlochVector,
     lam: float,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Convexity along segments, replayed through the four-spin
     construction.
@@ -191,7 +190,7 @@ def verify_lemma2(
     det: Detector,
     p0: BlochVector,
     p1: BlochVector,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Midpoint identity, plus the balanced-pair branch weight 1/2."""
     mid = BlochVector.from_array(0.5 * (p0.as_array() + p1.as_array()))
@@ -217,7 +216,7 @@ def verify_lemma3_dyadic(
     depth: int = DEFAULT_DYADIC_DEPTH,
     seed: int = DEFAULT_SEED,
     n_random: int = 100,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = DEFAULT_TOL,
 ) -> tuple[DyadicProfile, VerificationReport]:
     """Dyadic pinning of the normalized segment response f(x).
 
@@ -291,7 +290,7 @@ def verify_theorem1(
     det: Detector,
     n_points: int = 100,
     seed: int = DEFAULT_SEED,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = DEFAULT_TOL,
     name: str = "theorem1",
 ) -> VerificationReport:
     """Affine response: tomography prediction matches the probed click
@@ -344,7 +343,7 @@ def verify_theorem2(
     det: Detector,
     n_states: int = 1000,
     seed: int = DEFAULT_SEED,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = DEFAULT_TOL,
     name: str = "theorem2",
 ) -> VerificationReport:
     """Squared-amplitude rule for ideal two-outcome devices, and its
@@ -457,7 +456,7 @@ def _identity_reports(seed: int, tolerance: float, instances: int) -> list[Verif
 
 def run_full_suite(
     seed: int = DEFAULT_SEED,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = DEFAULT_TOL,
     subset: str | None = None,
     depth: int = DEFAULT_DYADIC_DEPTH,
     wavefunctions: list[tuple[str, coordinate.Wavefunction1D]] | None = None,

@@ -91,7 +91,7 @@ class AncillaDetector(_DerivedData):
             raise ValueError("projector must act on the ancilla space")
         if np.max(np.abs(projector - projector.conj().T)) > 1e-9:
             raise ValueError("projector must be Hermitian")
-        if np.max(np.abs(projector @ projector - projector)) > 1e-9:
+        if not np.max(np.abs(projector @ projector - projector)) <= 1e-9:
             raise ValueError("projector must be idempotent")
         coupling.setflags(write=False)
         projector.setflags(write=False)

@@ -28,8 +28,6 @@ from .detectors import AncillaDetector, Detector, EffectDetector
 from .qcore import StateVector
 from .reporting import format_float
 
-_VALIDATION_TOL = 1e-9
-
 
 class DslParseError(ValueError):
     """Parse or validation failure with a 1-based source position."""
@@ -348,7 +346,7 @@ class _Parser:
                 continue
             raise lp.error("expected '+', '-', or end of state expression")
         norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= _VALIDATION_TOL:
+        if not abs(norm - 1.0) <= qcore.DEFAULT_TOL:
             raise name_token.error(f"state {name!r} is not normalized (norm={norm:.12g})")
         self.spec.states[name] = amps
 
@@ -435,7 +433,7 @@ class _Parser:
         name = self._declare(name_token)
         lp.next("SYM", "=")
         matrix = self._parse_matrix(lp)
-        if not qcore.is_unitary(matrix, _VALIDATION_TOL):
+        if not qcore.is_unitary(matrix):
             raise name_token.error(f"matrix {name!r} is not unitary")
         self.spec.unitaries[name] = matrix
 
@@ -544,8 +542,10 @@ class _Parser:
 
 def parse(source: str) -> ExperimentSpec:
     """Parse experiment text; raises DslParseError with a position on
-    any lexical, syntactic, reference, or validation error."""
-    return _Parser().parse(source)
+    any lexical, syntactic, reference, or validation error.  A literal so
+    large that a check overflows fails that check, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Parser().parse(source)
 
 
 def parse_file(path) -> ExperimentSpec:

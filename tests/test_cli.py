@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bornverifier import cli
+from bornverifier import cli, derivation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,8 +88,26 @@ class TestVerify:
         wf_path.write_text("\n".join(f"{i * 0.005:.6f} 2.0" for i in range(200)) + "\n")
         assert run_cli("verify", "--wavefunction", str(wf_path)) == 2
 
+    def test_non_finite_wavefunction_exits_2_with_line(self, tmp_path, capsys):
+        wf_path = tmp_path / "wf.txt"
+        wf_path.write_text("0.0 1.0\n1 nan\n")
+        assert run_cli("verify", "--subset", "isospin", "--wavefunction", str(wf_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {wf_path}:2: values must be finite")
+
     def test_invalid_flag_exits_2(self, capsys):
         assert run_cli("verify", "--bogus") == 2
+
+    def test_zero_depth_exits_2_at_the_flag(self, capsys):
+        assert run_cli("verify", "--subset", "lemma3", "--depth", "0") == 2
+        assert "--depth" in capsys.readouterr().err
+
+    def test_internal_failure_exits_3(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("broken verifier")
+
+        monkeypatch.setattr(derivation, "verify_envariance", broken)
+        assert run_cli("verify", "--subset", "envariance") == 3
+        assert capsys.readouterr().err == "internal error: ValueError: broken verifier\n"
 
 
 class TestEval:
@@ -196,6 +214,10 @@ class TestCounterexamples:
 
     def test_bad_operator_exits_2(self, capsys):
         assert run_cli("counterexamples", "modified2", "--A", "nope") == 2
+
+    def test_operator_that_is_not_positive_exits_2(self, capsys):
+        assert run_cli("counterexamples", "modified2", "--A", "diag:1,-1") == 2
+        assert capsys.readouterr().err == "error: modified-product operator must be positive definite\n"
 
 
 class TestDeterminism:

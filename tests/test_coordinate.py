@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,21 @@ class TestWavefunctionIO:
         with pytest.raises(ValueError, match=":2:"):
             load_wavefunction(path)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("0.0 1.0\n1 nan\n", 2),  # NaN amplitude
+            ("nan 1.0\n0.5 1.0\n", 1),  # NaN coordinate
+            ("0.0 1.0\n0.5 inf\n", 2),  # infinite amplitude
+            ("0.0 1.0 0.0\n0.5 1.0 -inf\n", 2),  # infinite imaginary part
+        ],
+    )
+    def test_non_finite_value_reports_line(self, tmp_path, text, line):
+        path = tmp_path / "wf.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: values must be finite")):
+            load_wavefunction(path)
+
 
 class TestValidation:
     def test_interval_orientation(self):
@@ -239,3 +255,9 @@ class TestValidation:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             Wavefunction1D(0.0, 1.0, np.ones(100) * 5.0)
+
+    @pytest.mark.parametrize("value", [np.nan, 1e200])
+    def test_non_finite_norm_is_not_normalized(self, value):
+        # 1e200 overflows the norm; pytest turns a RuntimeWarning into an error.
+        with pytest.raises(ValueError, match="not normalized"):
+            Wavefunction1D(0.0, 1.0, [value, 1.0])

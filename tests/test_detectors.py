@@ -408,6 +408,23 @@ class TestBlackBoxContract:
             )
             assert report.passed, dict(report.details)
 
+    @pytest.mark.parametrize("family", [random_effect_detector, random_ancilla_detector])
+    def test_oracle_call_counts(self, family, monkeypatch):
+        # Tomography asks the oracle once, for its four reference points;
+        # the linear extension rebuilds a value from those alone.
+        rng = np.random.default_rng(35)
+        det = family(rng)
+        batches = []
+        real = detectors.click_probabilities
+        monkeypatch.setattr(
+            detectors, "click_probabilities",
+            lambda d, amps: batches.append(len(amps)) or real(d, amps),
+        )
+        resp = extract_affine(det)
+        assert batches == [4]
+        linear_extension(resp, qcore.random_bloch(rng))
+        assert batches == [4]
+
 
 class TestDetectorCaches:
     def test_caches_live_on_the_instance(self):

@@ -165,6 +165,26 @@ class TestDeclarationChecks:
         line, column, message, _ = _error("wire w : 2\nstate s = 1e300*|u> + 1e300*|u>")
         assert (line, column, message) == (2, 7, "state 's' is not normalized (norm=inf)")
 
+    @pytest.mark.parametrize(
+        "declaration,column,message",
+        [
+            ("state s = 1e308*|u> + 1e308*|u>", 7, "state 's' is not normalized (norm=inf)"),
+            ("unitary U = [[1e200, 0], [0, 1]]", 9, "matrix 'U' is not unitary"),
+            ("detector D = effect [[0, 1e308], [-1e308, 0]]", 10,
+             "invalid detector 'D': effect must be Hermitian"),
+            ("detector D = ancilla 2 coupling "
+             "[[1e200, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]] "
+             "projector [[1, 0], [0, 0]]", 10, "invalid detector 'D': coupling must be unitary"),
+            ("detector D = ancilla 2 coupling "
+             "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]] "
+             "projector [[1e200, 0], [0, 0]]", 10, "invalid detector 'D': projector must be idempotent"),
+        ],
+    )
+    def test_overflow_fails_its_check_without_a_warning(self, declaration, column, message):
+        # pytest turns a numpy RuntimeWarning into an error.
+        line, col, msg, _ = _error(f"wire w : 2\n{declaration}")
+        assert (line, col, msg) == (2, column, message)
+
     @pytest.mark.parametrize("text", ["02", "1", "0", "2.0", "+2", "2e0"])
     def test_one_dimension_rule_for_wires_and_ancillas(self, text):
         assert _error(f"wire w : {text}") == (
