@@ -29,7 +29,7 @@ import numpy as np
 from . import detectors as _det
 from . import qcore
 from .detectors import Detector
-from .qcore import StateVector, DEFAULT_TOL
+from .qcore import StateVector, DEFAULT_TOL, ZERO_BRANCH
 from .reporting import VerificationReport
 
 SG_OUTCOMES = ("u", "d")
@@ -45,8 +45,6 @@ IDENTITY_NAMES = (
     "nosignal-measure",
     "a5-decomposition",
 )
-
-_ZERO_BRANCH = 1e-24
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ class Circuit:
                         f"gate matrix shape {step.matrix.shape} does not match "
                         f"wire dimensions (expected {span}x{span})"
                     )
-                if not qcore.is_unitary(step.matrix, DEFAULT_TOL):
+                if not qcore.matrix_is(step.matrix, "unitary"):
                     raise ValueError("gate matrix is not unitary")
             elif isinstance(step, Measure):
                 if not 0 <= step.wire < len(dims):
@@ -132,8 +130,12 @@ class Circuit:
 @dataclass(frozen=True)
 class EvalResult:
     probability: float
-    conditional_undefined: bool
     undefined_labels: tuple[str, ...] = ()
+
+    @property
+    def conditional_undefined(self) -> bool:
+        """Whether a queried branch has zero probability."""
+        return bool(self.undefined_labels)
 
 
 def apply_unitary(psi: StateVector, wires: Sequence[int], matrix: np.ndarray) -> StateVector:
@@ -166,7 +168,7 @@ def sg_measure(psi: StateVector, wire: int) -> list[MeasurementRecord]:
         branch = np.zeros_like(tens)
         branch[idx] = tens[idx]
         prob = float(np.vdot(branch, branch).real)
-        if prob <= _ZERO_BRANCH:
+        if prob <= ZERO_BRANCH:
             records.append(MeasurementRecord(outcome, 0.0, None))
             continue
         post = np.moveaxis(branch / math.sqrt(prob), 0, wire).reshape(-1)
@@ -192,7 +194,7 @@ def detector_measure(psi: StateVector, wire: int, det: Detector) -> list[Measure
     for outcome, prob, kraus in zip(
         DETECTOR_OUTCOMES, (p_click, 1.0 - p_click), det.kraus_pair
     ):
-        if prob <= _ZERO_BRANCH:
+        if prob <= ZERO_BRANCH:
             records.append(MeasurementRecord(outcome, 0.0, None))
             continue
         branch = (kraus @ tens.reshape(2, -1)).reshape(tens.shape)
@@ -268,11 +270,7 @@ def evaluate_full(circuit: Circuit, query: Mapping[str, str] | None) -> EvalResu
     distribution = outcome_distribution(circuit, wanted)
     ended = sorted((key for key, p in distribution.items() if p is None), key=len)
     undefined = tuple(labels[len(key) - 1] for key in ended if labels[len(key) - 1] in wanted)
-    return EvalResult(
-        probability=_mass(distribution),
-        conditional_undefined=bool(undefined),
-        undefined_labels=undefined,
-    )
+    return EvalResult(_mass(distribution), undefined)
 
 
 def evaluate(circuit: Circuit, query: Mapping[str, str] | None) -> float:

@@ -14,6 +14,7 @@ names, experiment and wavefunction files), 3 internal errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ class TomographyEntry:
         eigvals = self.effect.eigenvalues()
         return bool(
             self.response.is_physical()
-            and eigvals[0] >= -1e-12
-            and eigvals[-1] <= 1.0 + 1e-12
+            and eigvals[0] >= -qcore.EIGENVALUE_SLACK
+            and eigvals[-1] <= 1.0 + qcore.EIGENVALUE_SLACK
         )
 
     def to_dict(self) -> dict:
@@ -194,15 +195,15 @@ def cmd_counterexamples(args) -> int:
 
 
 def _parse_operator(text: str) -> np.ndarray:
-    if not text.startswith("diag:"):
-        raise _UsageError("operator must look like diag:<a>,<b>")
-    parts = text[len("diag:"):].split(",")
-    if len(parts) != 2:
+    parts = text.removeprefix("diag:").split(",")
+    if not text.startswith("diag:") or len(parts) != 2:
         raise _UsageError("operator must look like diag:<a>,<b>")
     try:
         a, b = (float(p) for p in parts)
     except ValueError as exc:
         raise _UsageError(f"bad operator entries: {exc}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _UsageError("operator entries must be finite")
     return np.diag([a, b]).astype(complex)
 
 

@@ -18,10 +18,8 @@ import numpy as np
 
 from . import detectors as _det, qcore
 from .detectors import Detector
-from .qcore import BlochVector, StateVector
+from .qcore import GRID_SPACING_TOL, MODEL_TOL, NORM_TOL, ZERO_WEIGHT, BlochVector, StateVector
 from .reporting import VerificationReport
-
-_ZERO_WEIGHT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,17 +37,17 @@ class Wavefunction1D:
             raise ValueError("wavefunction needs at least two grid values")
         if not self.x_max > self.x_min:
             raise ValueError("grid requires x_max > x_min")
-        with np.errstate(over="ignore"):
-            norm = float(np.sum(np.abs(values) ** 2) * self._dx(values.size))
-        if not abs(norm - 1.0) <= 1e-6:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = (self.x_max - self.x_min) / values.size
+            norm = float(np.sum(np.abs(values) ** 2) * dx)
+        if not math.isfinite(dx):
+            raise ValueError("grid extent x_max - x_min must be finite")
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"wavefunction is not normalized (norm^2={norm!r})")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "x_min", float(self.x_min))
         object.__setattr__(self, "x_max", float(self.x_max))
-
-    def _dx(self, n: int) -> float:
-        return (self.x_max - self.x_min) / n
 
     @property
     def n(self) -> int:
@@ -57,7 +55,7 @@ class Wavefunction1D:
 
     @property
     def dx(self) -> float:
-        return self._dx(self.values.size)
+        return (self.x_max - self.x_min) / self.n
 
     @property
     def xs(self) -> np.ndarray:
@@ -68,9 +66,10 @@ class Wavefunction1D:
         """Build with exact grid normalization applied."""
         values = np.asarray(values, dtype=complex)
         dx = (float(x_max) - float(x_min)) / values.size
-        norm = math.sqrt(float(np.sum(np.abs(values) ** 2) * dx))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero wavefunction")
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = math.sqrt(float(np.sum(np.abs(values) ** 2) * dx))
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize a wavefunction of norm {norm!r}")
         return Wavefunction1D(x_min, x_max, values / norm)
 
 
@@ -121,9 +120,10 @@ def gaussian_wavefunction(
     return Wavefunction1D.from_values(x_min, x_max, values)
 
 
-def load_wavefunction(path, normalize: bool = False) -> Wavefunction1D:
+def load_wavefunction(path) -> Wavefunction1D:
     """Read a plain-text wavefunction: two columns (x, re) or three
-    columns (x, re, im), one grid point per line, '#' comments."""
+    columns (x, re, im), one grid point per line, '#' comments.  The
+    values must already be normalized on the grid."""
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -148,14 +148,18 @@ def load_wavefunction(path, normalize: bool = False) -> Wavefunction1D:
     values = np.array(
         [complex(r[1], r[2] if len(r) == 3 else 0.0) for r in rows]
     )
-    dx = xs[1] - xs[0]
-    if dx <= 0 or np.max(np.abs(np.diff(xs) - dx)) > 1e-9 * max(abs(dx), 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = float(xs[1] - xs[0])
+        spacing_error = np.max(np.abs(np.diff(xs) - dx))
+        x_max = float(xs[0] + dx * len(xs))
+    if not math.isfinite(dx):
+        raise ValueError(f"{path}: grid spacing overflows")
+    if not (dx > 0 and spacing_error <= GRID_SPACING_TOL * max(dx, 1.0)):
         raise ValueError(f"{path}: grid must be uniformly spaced and increasing")
-    x_min = float(xs[0])
-    x_max = float(xs[0] + dx * len(xs))
-    if normalize:
-        return Wavefunction1D.from_values(x_min, x_max, values)
-    return Wavefunction1D(x_min, x_max, values)
+    try:
+        return Wavefunction1D(float(xs[0]), x_max, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def interval_mask(psi: Wavefunction1D, det: IntervalDetector) -> np.ndarray:
@@ -182,12 +186,12 @@ def decompose_interval(
     c1_sq = float(np.sum(np.abs(psi.values[mask]) ** 2) * psi.dx)
     c0_sq = float(np.sum(np.abs(psi.values[~mask]) ** 2) * psi.dx)
     undefined = []
-    if c1_sq > _ZERO_WEIGHT:
+    if c1_sq > ZERO_WEIGHT:
         phi1 = Wavefunction1D(psi.x_min, psi.x_max, inside / math.sqrt(c1_sq))
     else:
         phi1, c1_sq = None, max(c1_sq, 0.0)
         undefined.append("phi1")
-    if c0_sq > _ZERO_WEIGHT:
+    if c0_sq > ZERO_WEIGHT:
         phi0 = Wavefunction1D(psi.x_min, psi.x_max, outside / math.sqrt(c0_sq))
     else:
         phi0, c0_sq = None, max(c0_sq, 0.0)
@@ -211,7 +215,7 @@ def isospin_polarization(chi0: np.ndarray, chi1: np.ndarray) -> BlochVector:
     chi1 = np.asarray(chi1, dtype=complex)
     w0 = float(np.vdot(chi0, chi0).real)
     w1 = float(np.vdot(chi1, chi1).real)
-    if abs(w0 + w1 - 1.0) > 1e-9:
+    if not abs(w0 + w1 - 1.0) <= MODEL_TOL:
         raise ValueError("environment components must carry unit total weight")
     overlap = np.vdot(chi1, chi0)
     return BlochVector(2.0 * overlap.real, 2.0 * overlap.imag, w1 - w0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import circuits, detectors as _det, qcore
 from .circuits import IDENTITY_NAMES, BornRule
-from .qcore import DEFAULT_TOL
+from .qcore import DEFAULT_TOL, POSITIVE_FLOOR
 
 
 def p1_rule(p0: float, x: float) -> float:
@@ -60,9 +60,8 @@ def modified_outcome_pair(a: np.ndarray, unitary: np.ndarray | None = None):
 def _validate_positive_hermitian(a: np.ndarray) -> None:
     if a.shape != (2, 2):
         raise ValueError("modified-product operator must be 2x2")
-    if np.max(np.abs(a - a.conj().T)) > 1e-9:
-        raise ValueError("modified-product operator must be Hermitian")
-    if np.linalg.eigvalsh(a)[0] <= 1e-12:
+    qcore.check_matrix(a, "modified-product operator", "Hermitian")
+    if not np.linalg.eigvalsh(a)[0] > POSITIVE_FLOOR:
         raise ValueError("modified-product operator must be positive definite")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import circuits, coordinate, detectors as _det, qcore
 from .detectors import Detector
-from .qcore import DEFAULT_TOL, BlochVector, StateVector
+from .qcore import DEFAULT_TOL, DEGENERACY_TOL, FLAT_SEGMENT_THRESHOLD, BlochVector, StateVector
 from .reporting import VerificationReport, merge_reports
 
 DEFAULT_SEED = 42
@@ -24,7 +24,7 @@ DEFAULT_DYADIC_DEPTH = 20
 # Exhaustive dyadic sweeps above this depth would need millions of
 # probes per segment; beyond it the bound is checked on sampled points.
 _EXHAUSTIVE_DYADIC_DEPTH = 10
-_FLAT_SEGMENT_THRESHOLD = 1e-4
+_ENV_DIM = 4
 
 
 def _random_unit(rng, dim: int) -> np.ndarray:
@@ -45,7 +45,6 @@ def verify_envariance(
     det: Detector,
     trials: int = 200,
     seed: int = DEFAULT_SEED,
-    env_dim: int = 4,
     tolerance: float = DEFAULT_TOL,
     name: str = "envariance",
 ) -> VerificationReport:
@@ -66,19 +65,19 @@ def verify_envariance(
         a1 = qcore.fix_global_phase(_random_unit(rng, 2))
         a2 = np.array([-np.conj(a1[1]), np.conj(a1[0])])
         if trial == 0:
-            basis = qcore.random_unitary(env_dim, rng)
+            basis = qcore.random_unitary(_ENV_DIM, rng)
             b1p, b2p = basis[:, 0], basis[:, 1]
             b1pp, b2pp = b1p, b2p
         else:
-            src = qcore.random_unitary(env_dim, rng)
-            dst = qcore.random_unitary(env_dim, rng)
+            src = qcore.random_unitary(_ENV_DIM, rng)
+            dst = qcore.random_unitary(_ENV_DIM, rng)
             b1p, b2p = src[:, 0], src[:, 1]
             b1pp, b2pp = dst[:, 0], dst[:, 1]
         psi_p = StateVector.from_amplitudes(
-            (2, env_dim), c1 * np.kron(a1, b1p) + c2 * np.kron(a2, b2p)
+            (2, _ENV_DIM), c1 * np.kron(a1, b1p) + c2 * np.kron(a2, b2p)
         )
         psi_pp = StateVector.from_amplitudes(
-            (2, env_dim), c1 * np.kron(a1, b1pp) + c2 * np.kron(a2, b2pp)
+            (2, _ENV_DIM), c1 * np.kron(a1, b1pp) + c2 * np.kron(a2, b2pp)
         )
         worst_prob = max(
             worst_prob,
@@ -95,7 +94,7 @@ def verify_envariance(
         )
     return VerificationReport.from_deviation(
         name,
-        f"trials={trials} env_dim={env_dim}",
+        f"trials={trials} env_dim={_ENV_DIM}",
         max(worst_prob, worst_map),
         tolerance,
         (("probability_deviation", worst_prob), ("mapping_residual", worst_map)),
@@ -238,7 +237,7 @@ def verify_lemma3_dyadic(
         """Oracle at the segment points (1 - x) p0 + x p1, one batch."""
         return _det.probe_fclick(det, (1.0 - xs)[:, None] * a + xs[:, None] * b)
 
-    if abs(delta) <= _FLAT_SEGMENT_THRESHOLD:
+    if abs(delta) <= FLAT_SEGMENT_THRESHOLD:
         drift = np.abs(probe_segment(np.linspace(0.0, 1.0, 65)) - f0)
         report = VerificationReport.from_deviation(
             "lemma3-flat",
@@ -360,7 +359,7 @@ def verify_theorem2(
     resp = _det.extract_affine(det)
     p_max = resp.beta + resp.alpha_norm
     p_min = resp.beta - resp.alpha_norm
-    if resp.alpha_norm > 1e-12:
+    if resp.alpha_norm > DEGENERACY_TOL:
         axis = BlochVector.from_array(resp.alpha / resp.alpha_norm)
     else:
         axis = BlochVector(0.0, 0.0, 1.0)

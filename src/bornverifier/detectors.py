@@ -19,8 +19,11 @@ from . import qcore
 from .qcore import (
     BlochVector,
     StateVector,
-    DEFAULT_TOL,
     IDENTITY_2,
+    MODEL_TOL,
+    PHYSICAL_SLACK,
+    TETRA_SLACK,
+    ULP_SLACK,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -57,12 +60,9 @@ class EffectDetector(_DerivedData):
         m = np.array(self.effect, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("effect must be a 2x2 matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("effect entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-9:
-            raise ValueError("effect must be Hermitian")
+        qcore.check_matrix(m, "effect", "Hermitian")
         eigvals = np.linalg.eigvalsh(m)
-        if eigvals[0] < -1e-9 or eigvals[-1] > 1.0 + 1e-9:
+        if eigvals[0] < -MODEL_TOL or eigvals[-1] > 1.0 + MODEL_TOL:
             raise ValueError(f"effect eigenvalues {eigvals} outside [0, 1]")
         m.setflags(write=False)
         object.__setattr__(self, "effect", m)
@@ -81,18 +81,12 @@ class AncillaDetector(_DerivedData):
         m = int(self.ancilla_dim)
         coupling = np.array(self.coupling, dtype=complex)
         projector = np.array(self.projector, dtype=complex)
-        if not (np.isfinite(coupling).all() and np.isfinite(projector).all()):
-            raise ValueError("coupling and projector entries must be finite")
         if coupling.shape != (2 * m, 2 * m):
             raise ValueError("coupling must act on the spin+ancilla space")
-        if not qcore.is_unitary(coupling, 1e-9):
-            raise ValueError("coupling must be unitary")
+        qcore.check_matrix(coupling, "coupling", "unitary")
         if projector.shape != (m, m):
             raise ValueError("projector must act on the ancilla space")
-        if np.max(np.abs(projector - projector.conj().T)) > 1e-9:
-            raise ValueError("projector must be Hermitian")
-        if not np.max(np.abs(projector @ projector - projector)) <= 1e-9:
-            raise ValueError("projector must be idempotent")
+        qcore.check_matrix(projector, "projector", "Hermitian", "idempotent")
         coupling.setflags(write=False)
         projector.setflags(write=False)
         object.__setattr__(self, "ancilla_dim", m)
@@ -128,10 +122,10 @@ class AffineResponse:
     def alpha_norm(self) -> float:
         return float(np.linalg.norm(self.alpha))
 
-    def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_physical(self) -> bool:
         return (
-            self.beta + self.alpha_norm <= 1.0 + tol
-            and self.beta - self.alpha_norm >= -tol
+            self.beta + self.alpha_norm <= 1.0 + PHYSICAL_SLACK
+            and self.beta - self.alpha_norm >= -PHYSICAL_SLACK
         )
 
     def predict(self, p: BlochVector) -> float:
@@ -231,7 +225,7 @@ def extract_affine(det: Detector) -> AffineResponse:
     return AffineResponse(alpha=values[1:] - beta, beta=beta)
 
 
-def linear_extension(resp: AffineResponse, p: BlochVector, tol: float = DEFAULT_TOL) -> float:
+def linear_extension(resp: AffineResponse, p: BlochVector) -> float:
     """Click probability at ``p`` rebuilt by the four-step convex
     construction from the four reference values only.
 
@@ -241,13 +235,13 @@ def linear_extension(resp: AffineResponse, p: BlochVector, tol: float = DEFAULT_
     centroid.  The shortcut dot product lives in ``AffineResponse.predict``
     and serves as the independent oracle.
     """
-    if p.norm > 1.0 + tol:
+    if p.norm > 1.0 + PHYSICAL_SLACK:
         raise ValueError(f"|p| = {p.norm} lies outside the Bloch ball")
     point = p.as_array()
     if _in_tetrahedron(point):
         return _step_tetrahedron(resp, _clip_tetra(point))
     t_lo, t_hi = _clip_line_to_tetrahedron(point)
-    if t_hi - t_lo < 1e-12:
+    if t_hi - t_lo < TETRA_SLACK:
         raise ValueError("degenerate line: tetrahedron intersection is a point")
     direction = _CENTROID - point
     q1 = _clip_tetra(point + t_lo * direction)
@@ -266,7 +260,7 @@ def _step_segment(resp: AffineResponse, px: float) -> float:
 
 def _step_triangle(resp: AffineResponse, px: float, py: float) -> float:
     f_b = resp.beta + resp.alpha[1]
-    if py >= 1.0 - 1e-15:
+    if py >= 1.0 - ULP_SLACK:
         return f_b
     base = _step_segment(resp, px / (1.0 - py))
     return (1.0 - py) * base + py * f_b
@@ -275,19 +269,19 @@ def _step_triangle(resp: AffineResponse, px: float, py: float) -> float:
 def _step_tetrahedron(resp: AffineResponse, point: np.ndarray) -> float:
     f_c = resp.beta + resp.alpha[2]
     px, py, pz = point
-    if pz >= 1.0 - 1e-15:
+    if pz >= 1.0 - ULP_SLACK:
         return f_c
     base = _step_triangle(resp, px / (1.0 - pz), py / (1.0 - pz))
     return (1.0 - pz) * base + pz * f_c
 
 
-def _in_tetrahedron(point: np.ndarray, slack: float = 1e-12) -> bool:
-    return bool(np.all(point >= -slack) and point.sum() <= 1.0 + slack)
+def _in_tetrahedron(point: np.ndarray) -> bool:
+    return bool(np.all(point >= -TETRA_SLACK) and point.sum() <= 1.0 + TETRA_SLACK)
 
 
 def _clip_tetra(point: np.ndarray) -> np.ndarray:
     # Absorb clipping round-off so the step functions see clean inputs.
-    cleaned = np.where(np.abs(point) < 1e-12, 0.0, point)
+    cleaned = np.where(np.abs(point) < TETRA_SLACK, 0.0, point)
     return np.clip(cleaned, 0.0, None)
 
 
@@ -306,8 +300,8 @@ def _clip_line_to_tetrahedron(point: np.ndarray) -> tuple[float, float]:
     for normal, offset, sign in normals:
         value = sign * (normal @ point - offset)
         slope = sign * (normal @ direction)
-        if abs(slope) < 1e-15:
-            if value < -1e-12:
+        if abs(slope) < ULP_SLACK:
+            if value < -TETRA_SLACK:
                 return (0.0, 0.0)
             continue
         crossing = -value / slope
@@ -318,9 +312,9 @@ def _clip_line_to_tetrahedron(point: np.ndarray) -> tuple[float, float]:
     return (max(t_lo, 0.0), t_hi)
 
 
-def to_povm(resp: AffineResponse, tol: float = DEFAULT_TOL) -> PovmEffect:
+def to_povm(resp: AffineResponse) -> PovmEffect:
     """Assemble the click effect alpha . sigma + beta * 1."""
-    if not resp.is_physical(tol):
+    if not resp.is_physical():
         raise ValueError(
             "non-physical affine response: probabilities leave [0, 1] "
             f"(beta={resp.beta}, |alpha|={resp.alpha_norm})"
@@ -337,7 +331,7 @@ def mixed_click_probability(
     the weighted click probabilities of its members, probed in one batch.
     The members must share their factor dimensions."""
     weights = np.array([w for w, _ in ensemble], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+    if np.any(weights < 0) or not abs(weights.sum() - 1.0) <= MODEL_TOL:
         raise ValueError("ensemble weights must be non-negative and sum to 1")
     if len({psi.factor_dims for _, psi in ensemble}) > 1:
         raise ValueError("ensemble members must share their factor dimensions")

@@ -346,7 +346,7 @@ class _Parser:
                 continue
             raise lp.error("expected '+', '-', or end of state expression")
         norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= qcore.DEFAULT_TOL:
+        if not abs(norm - 1.0) <= qcore.MODEL_TOL:
             raise name_token.error(f"state {name!r} is not normalized (norm={norm:.12g})")
         self.spec.states[name] = amps
 
@@ -433,7 +433,7 @@ class _Parser:
         name = self._declare(name_token)
         lp.next("SYM", "=")
         matrix = self._parse_matrix(lp)
-        if not qcore.is_unitary(matrix):
+        if not qcore.matrix_is(matrix, "unitary"):
             raise name_token.error(f"matrix {name!r} is not unitary")
         self.spec.unitaries[name] = matrix
 

@@ -12,16 +12,43 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
 MAX_TOTAL_DIM = 1024
-# Largest accepted distance of a state's norm from 1; amplitudes read
-# from text carry rounding.
+
+# Tolerances: every threshold the package compares against, one name per
+# purpose, each with its reason.  One double rounding near 1 is ~1e-16.
+
+# Default --tolerance: exact replays deviate by 1e-15 at most, violations by far more.
+DEFAULT_TOL = 1e-9
+# Model checks (Hermitian, unitary, effect, unit norm, weights): typed decimals err ~1e-16.
+MODEL_TOL = 1e-9
+# Slack of the Bloch ball, and of [0, 1] for a response: computed by a few roundings.
+PHYSICAL_SLACK = 1e-9
+# State norm (a wavefunction's squared norm) from 1: amplitudes from text carry rounding.
 NORM_TOL = 1e-6
-_DEGENERACY_TOL = 1e-12
+# Grid spacing error, relative to max(dx, 1): decimal grid coordinates differ by rounding.
+GRID_SPACING_TOL = 1e-9
+# Gram-Schmidt residual: ~1e-15 for a dependent vector, >= 1/sqrt(1024) for some other.
+BASIS_TOL = 1e-7
+# A gap, component or vector this short gives no direction: it is rounding, not signal.
+DEGENERACY_TOL = 1e-12
+# Eigenvalue slack of a tomographed effect: eigvalsh of a 2x2 in [0, 1] errs by ~1e-16.
+EIGENVALUE_SLACK = 1e-12
+# Least eigenvalue of a modified product: A^(-1/2) would amplify rounding a millionfold.
+POSITIVE_FLOOR = 1e-12
+# Zero interval weight: normalizing by its root would amplify rounding a millionfold.
+ZERO_WEIGHT = 1e-12
+# Zero branch probability: DEGENERACY_TOL squared, the weight of a rounding amplitude.
+ZERO_BRANCH = 1e-24
+# Round-off of the convex construction on the reference tetrahedron, coordinates <= 1.
+TETRA_SLACK = 1e-12
+# A few ulps of 1: a coordinate this near a vertex is it, a slope this near 0 is parallel.
+ULP_SLACK = 1e-15
+# Flat segment: a larger endpoint gap divides rounding to far below the 2^-20 dyadic bound.
+FLAT_SEGMENT_THRESHOLD = 1e-4
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -34,12 +61,6 @@ DOWN = np.array([0.0, 1.0], dtype=complex)
 
 class DimensionError(ValueError):
     """Raised when a tensor product would exceed the configured size cap."""
-
-
-def _frozen_array(values, dtype=complex) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -62,7 +83,8 @@ class StateVector:
             raise DimensionError(
                 f"total dimension {total} exceeds the maximum {MAX_TOTAL_DIM}"
             )
-        amps = _frozen_array(self.amplitudes)
+        amps = np.array(self.amplitudes, dtype=complex)
+        amps.setflags(write=False)
         if amps.ndim != 1 or amps.size != total:
             raise ValueError(
                 f"amplitude length {amps.size} does not match factor dims {dims}"
@@ -138,26 +160,12 @@ class BlochVector:
         return BlochVector(float(x), float(y), float(z))
 
 
-StateOrMatrix = Union[StateVector, np.ndarray]
-
-
-def tensor_product(a: StateOrMatrix, b: StateOrMatrix) -> StateOrMatrix:
-    """Kronecker product of two states (concatenating factor lists) or
-    two operators."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        total = a.dim * b.dim
-        if total > MAX_TOTAL_DIM:
-            raise DimensionError(
-                f"total dimension {total} exceeds the maximum {MAX_TOTAL_DIM}"
-            )
-        return StateVector(
-            a.factor_dims + b.factor_dims, np.kron(a.amplitudes, b.amplitudes)
-        )
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        if a.shape[0] * b.shape[0] > MAX_TOTAL_DIM:
-            raise DimensionError("operator tensor product exceeds the size cap")
-        return np.kron(a, b)
-    raise TypeError("tensor_product operands must both be states or both matrices")
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states, concatenating their factor lists."""
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise TypeError("tensor_product operands must both be states")
+    # The constructor enforces the size cap.
+    return StateVector(a.factor_dims + b.factor_dims, np.kron(a.amplitudes, b.amplitudes))
 
 
 def reduced_density(psi: StateVector, spin_factor: int = 0) -> np.ndarray:
@@ -200,9 +208,9 @@ def eig2x2_hermitian(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half_gap = math.hypot(0.5 * (a - d), abs(b))
     mu1 = mean + half_gap
     mu2 = mean - half_gap
-    if half_gap <= _DEGENERACY_TOL:
+    if half_gap <= DEGENERACY_TOL:
         vecs = np.eye(2, dtype=complex)
-    elif abs(b) <= _DEGENERACY_TOL:
+    elif abs(b) <= DEGENERACY_TOL:
         vecs = np.eye(2, dtype=complex) if a >= d else np.eye(2, dtype=complex)[:, ::-1]
     else:
         # Pick the row formula whose leading component avoids the
@@ -219,10 +227,11 @@ def eig2x2_hermitian(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([mu1, mu2]), vecs
 
 
-def fix_global_phase(v: np.ndarray, tol: float = _DEGENERACY_TOL) -> np.ndarray:
-    """Rotate a vector so its first component above ``tol`` is real positive."""
+def fix_global_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate a vector so its first component above ``DEGENERACY_TOL`` is
+    real positive."""
     for x in v:
-        if abs(x) > tol:
+        if abs(x) > DEGENERACY_TOL:
             return v * (np.conj(x) / abs(x))
     return np.array(v, copy=True)
 
@@ -239,7 +248,7 @@ def gram_schmidt_complete(vectors: list[np.ndarray], dim: int) -> list[np.ndarra
         for u in basis:
             cand = cand - (np.conj(u) @ cand) * u
         norm = np.linalg.norm(cand)
-        if norm > 1e-7:
+        if norm > BASIS_TOL:
             basis.append(cand / norm)
     if len(basis) != dim:
         raise ValueError("could not complete the basis; inputs not orthonormal?")
@@ -251,7 +260,6 @@ def envariance_unitary(
     b2p: np.ndarray,
     b1pp: np.ndarray,
     b2pp: np.ndarray,
-    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Unitary on the environment mapping {b1', b2'} onto {b1'', b2''}.
 
@@ -266,9 +274,9 @@ def envariance_unitary(
         if pair[0].size != dim or pair[1].size != dim:
             raise ValueError("all environment vectors must have equal dimension")
         for v in pair:
-            if abs(np.linalg.norm(v) - 1.0) > tol:
+            if not abs(np.linalg.norm(v) - 1.0) <= MODEL_TOL:
                 raise ValueError("environment vectors must be unit vectors")
-        if abs(np.conj(pair[0]) @ pair[1]) > tol:
+        if not abs(np.conj(pair[0]) @ pair[1]) <= MODEL_TOL:
             raise ValueError("environment vector pairs must be orthogonal")
     src_basis = gram_schmidt_complete(src, dim)
     dst_basis = gram_schmidt_complete(dst, dim)
@@ -278,13 +286,13 @@ def envariance_unitary(
     return u
 
 
-def purify(p: BlochVector, tol: float = DEFAULT_TOL) -> StateVector:
+def purify(p: BlochVector) -> StateVector:
     """Canonical two-spin purification with the given spin polarization
     (a batch of one of ``purify_batch``)."""
-    return StateVector((2, 2), purify_batch(p.as_array()[None], tol)[0])
+    return StateVector((2, 2), purify_batch(p.as_array()[None])[0])
 
 
-def purify_batch(points, tol: float = DEFAULT_TOL) -> np.ndarray:
+def purify_batch(points) -> np.ndarray:
     """Canonical two-spin purifications of an (N, 3) array of Bloch
     points, returned as (N, 4) amplitude rows over (spin, environment).
 
@@ -304,7 +312,7 @@ def purify_batch(points, tol: float = DEFAULT_TOL) -> np.ndarray:
     px, py, pz = pts.T
     transverse = np.hypot(px, py)
     radius = np.hypot(pz, transverse)
-    inside = radius <= 1.0 + tol  # also false for non-finite components
+    inside = radius <= 1.0 + PHYSICAL_SLACK  # also false for non-finite components
     if not np.all(inside):
         raise ValueError(f"|p| = {radius[~inside][0]} lies outside the Bloch ball")
     north = pz >= 0.0
@@ -312,19 +320,19 @@ def purify_batch(points, tol: float = DEFAULT_TOL) -> np.ndarray:
     # (cos t, sin t) is (big, transverse) / scale in the north and
     # (transverse, big) / scale in the south.
     scale = np.sqrt(2.0 * radius * big)
-    on_axis = transverse <= 2.0 * _DEGENERACY_TOL
+    on_axis = transverse <= 2.0 * DEGENERACY_TOL
     cos_t = np.where(north, big, transverse)
     sin_t = np.where(north, transverse, big)
     phase = (px + 1j * py) / np.where(on_axis, 1.0, transverse)
     if np.any(on_axis):
-        upper = north[on_axis] | (radius[on_axis] <= 2.0 * _DEGENERACY_TOL)
+        upper = north[on_axis] | (radius[on_axis] <= 2.0 * DEGENERACY_TOL)
         cos_t[on_axis] = upper
         sin_t[on_axis] = ~upper
         scale[on_axis] = 1.0
         phase[on_axis] = np.where(upper, -1.0, 1.0)
     cos_t /= scale
     sin_t /= scale
-    # Clipping c1 to 1 on the boundary slack |p| <= 1 + tol plays the
+    # Clipping c1 to 1 on the boundary slack of the ball plays the
     # part of normalizing the amplitudes.
     c1 = np.sqrt(np.clip(0.5 + 0.5 * radius, 0.0, 1.0))
     c2 = np.sqrt(np.clip(0.5 - 0.5 * radius, 0.0, 1.0))
@@ -408,12 +416,33 @@ def bell_state() -> StateVector:
     return spin_pair_state(0.5)
 
 
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+_MATRIX_DEFECTS = {
+    "Hermitian": lambda m: m - m.conj().T,
+    "unitary": lambda m: m.conj().T @ m - np.eye(m.shape[0]),
+    "idempotent": lambda m: m @ m - m,
+}
+
+
+def matrix_is(m: np.ndarray, prop: str) -> bool:
+    """Whether the square matrix ``m`` is "Hermitian", "unitary" or
+    "idempotent" to within ``MODEL_TOL``: the one check of every model
+    matrix.  Entries so large that the defect overflows, or non-finite
+    ones, fail it without a numpy warning."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(
-        np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(_MATRIX_DEFECTS[prop](m)))
+    return bool(defect <= MODEL_TOL)  # false for NaN
+
+
+def check_matrix(m: np.ndarray, name: str, *props: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless the model matrix
+    ``m`` has finite entries and each of ``props`` (see ``matrix_is``)."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} entries must be finite")
+    for prop in props:
+        if not matrix_is(m, prop):
+            raise ValueError(f"{name} must be {prop}")
 
 
 def _check_spin_factor(psi: StateVector, spin_factor: int) -> None:

@@ -1,7 +1,10 @@
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bornverifier import cli, derivation
 
@@ -10,6 +13,18 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def operator_texts():
+    """Arbitrary text, and "diag:" forms whose entries run from valid
+    numbers through overflowing and non-finite ones to junk."""
+    entry = st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(["1e400", "-1e400", "inf", "nan", "-0", "1_0", "", " 2 "]),
+        st.text(max_size=4),
+    )
+    forms = st.lists(entry, max_size=3).map(lambda parts: "diag:" + ",".join(parts))
+    return st.one_of(st.text(max_size=12), forms)
 
 
 @pytest.fixture()
@@ -218,6 +233,23 @@ class TestCounterexamples:
     def test_operator_that_is_not_positive_exits_2(self, capsys):
         assert run_cli("counterexamples", "modified2", "--A", "diag:1,-1") == 2
         assert capsys.readouterr().err == "error: modified-product operator must be positive definite\n"
+
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
+    def test_non_finite_operator_exits_2(self, entry, capsys):
+        # pytest turns a numpy RuntimeWarning into an error.
+        assert run_cli("counterexamples", "modified2", "--A", f"diag:{entry},1") == 2
+        assert capsys.readouterr().err == "error: operator entries must be finite\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(operator_texts())
+    def test_any_operator_text_gives_finite_operator_or_usage_error(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                operator = cli._parse_operator(text)
+            except cli._UsageError:
+                return
+        assert operator.shape == (2, 2) and np.isfinite(operator).all()
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bornverifier import coordinate as co
 from bornverifier import detectors, qcore
@@ -18,6 +20,27 @@ from bornverifier.coordinate import (
     uniform_wavefunction,
     verify_isospin_born,
 )
+
+
+def wavefunction_texts():
+    """Arbitrary text, lines of numeric and junk tokens, and uniform
+    grids normalized where they can be, from tiny to overflowing."""
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    token = st.one_of(
+        number.map(repr),
+        st.sampled_from(["1e308", "-1e308", "1e200", "nan", "-inf", "0", "#"]),
+        st.text(max_size=3),
+    )
+    lines = st.lists(st.lists(token, min_size=1, max_size=4).map(" ".join), max_size=5)
+
+    def grid(x0, dx, values):
+        scale = math.sqrt(sum(v * v for v in values) * abs(dx)) or 1.0
+        if not math.isfinite(scale):
+            scale = 1.0
+        return "".join(f"{x0 + i * dx!r} {v / scale!r}\n" for i, v in enumerate(values))
+
+    grids = st.builds(grid, number, number, st.lists(number, min_size=2, max_size=5))
+    return st.one_of(st.text(max_size=40), lines.map("\n".join), grids)
 
 
 class TestBornIntegral:
@@ -213,8 +236,9 @@ class TestWavefunctionIO:
     def test_two_column_real_only(self, tmp_path):
         path = tmp_path / "wf.txt"
         n = 100
+        # Constant 1.0 on [0, 1): unit norm on this grid.
         path.write_text("\n".join(f"{float(i * 0.01)!r} 1.0" for i in range(n)) + "\n")
-        loaded = load_wavefunction(path, normalize=True)
+        loaded = load_wavefunction(path)
         assert born_integral(loaded, IntervalDetector(-1, 2)) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -223,6 +247,20 @@ class TestWavefunctionIO:
         path = tmp_path / "wf.txt"
         path.write_text("0.0 1.0\n0.1 1.0\n0.3 1.0\n")
         with pytest.raises(ValueError, match="uniform"):
+            load_wavefunction(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0 1\n1e308 1\n", "grid extent x_max - x_min must be finite"),
+            ("1e308 1\n-1e308 1\n", "grid spacing overflows"),
+        ],
+    )
+    def test_overflowing_grid_rejected_with_its_file(self, tmp_path, text, message):
+        # pytest turns a numpy RuntimeWarning into an error.
+        path = tmp_path / "wf.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_wavefunction(path)
 
     def test_bad_column_count_reports_line(self, tmp_path):
@@ -247,6 +285,21 @@ class TestWavefunctionIO:
             load_wavefunction(path)
 
 
+class TestLoadFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(text=wavefunction_texts())
+    def test_any_text_gives_wavefunction_or_value_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                loaded = load_wavefunction(path)
+            except ValueError:
+                return
+        assert isinstance(loaded, Wavefunction1D)
+
+
 class TestValidation:
     def test_interval_orientation(self):
         with pytest.raises(ValueError):
@@ -261,3 +314,8 @@ class TestValidation:
         # 1e200 overflows the norm; pytest turns a RuntimeWarning into an error.
         with pytest.raises(ValueError, match="not normalized"):
             Wavefunction1D(0.0, 1.0, [value, 1.0])
+
+    def test_overflowing_norm_cannot_be_normalized(self):
+        # pytest turns a numpy RuntimeWarning into an error.
+        with pytest.raises(ValueError, match="cannot normalize a wavefunction of norm inf"):
+            Wavefunction1D.from_values(0.0, 1.0, [1e200, 1.0])
