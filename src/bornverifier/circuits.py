@@ -6,7 +6,9 @@ A circuit is an initial state plus an ordered list of steps.
 unitarily, and each measurement branches, multiplying the running
 probability (multiplication rule).  Measured spins stay in the state,
 collapsed onto the outcome eigenstate.  A query's bracket is the sum
-over the branches that agree with it (additive rule).
+over the branches that agree with it (additive rule).  The walk takes a
+stack of N initial states as N rows of one batch, with per-row gates
+and detectors; a single circuit is a batch of one.
 
 The seven bracket identities that encode the five assumptions behind
 the harness are defined here once, each as the ground-truth brackets it
@@ -15,7 +17,8 @@ brackets through a rule: the derivation suite uses the default,
 ``BornRule`` (the squared-amplitude rule), and the counterexample battery
 the alternative rules.  ``check_identity_states`` checks six identities
 on one instance and ``check_identity_a5_decomposition`` the seventh;
-``sweep_identities`` checks all seven on random instances for both.
+``sweep_identities`` checks all seven on random instances for both,
+one batch per detector family and shape.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .reporting import VerificationReport
 
 SG_OUTCOMES = ("u", "d")
 DETECTOR_OUTCOMES = ("click", "noclick")
+# The reference apparatus's projectors on up and down, shaped to act on
+# the (N, 2, rest) spin-first amplitudes of both branches at once.
+_PROJECTORS = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)[:, None]
 # The seven bracket identities; ``check_identity_*`` reports each one as
 # "identity:<name>".
 IDENTITY_NAMES = (
@@ -49,6 +55,9 @@ IDENTITY_NAMES = (
 
 @dataclass(frozen=True)
 class Gate:
+    """A unitary on the listed wires: one (s, s) matrix, or an (N, s, s)
+    stack with one matrix per row of a batched walk."""
+
     wires: tuple[int, ...]
     matrix: np.ndarray
 
@@ -62,11 +71,13 @@ class Gate:
 @dataclass(frozen=True)
 class Measure:
     """Measurement step; ``detector`` None means the reference
-    Stern-Gerlach apparatus, otherwise a black-box click detector."""
+    Stern-Gerlach apparatus, otherwise a black-box click detector, or a
+    sequence of N detectors of one family and shape, one per row of a
+    batched walk."""
 
     wire: int
     label: str
-    detector: Detector | None = None
+    detector: Detector | Sequence[Detector] | None = None
 
     @property
     def outcomes(self) -> tuple[str, str]:
@@ -88,12 +99,18 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class Circuit:
-    initial: StateVector
+    """An initial state, or a stack of N states with equal factor dims
+    (the rows of a batched walk), and the steps that act on it."""
+
+    initial: StateVector | Sequence[StateVector]
     steps: tuple[Step, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        dims = self.initial.factor_dims
+        states = self.states
+        if not states or any(s.factor_dims != states[0].factor_dims for s in states):
+            raise ValueError("a circuit needs initial states of equal factor dimensions")
+        dims = states[0].factor_dims
         seen_labels = set()
         for step in self.steps:
             if isinstance(step, Gate):
@@ -102,7 +119,7 @@ class Circuit:
                 if any(not 0 <= w < len(dims) for w in step.wires):
                     raise ValueError(f"gate wires {step.wires} out of range")
                 span = math.prod(dims[w] for w in step.wires)
-                if step.matrix.shape != (span, span):
+                if step.matrix.shape not in ((span, span), (len(states), span, span)):
                     raise ValueError(
                         f"gate matrix shape {step.matrix.shape} does not match "
                         f"wire dimensions (expected {span}x{span})"
@@ -118,9 +135,16 @@ class Circuit:
                     raise ValueError("measurement label must be non-empty")
                 if step.label in seen_labels:
                     raise ValueError(f"duplicate measurement label {step.label!r}")
+                if _per_row(step.detector) and len(step.detector) != len(states):
+                    raise ValueError("a detector sequence needs one detector per row")
                 seen_labels.add(step.label)
             else:
                 raise TypeError(f"unknown step type {type(step).__name__}")
+
+    @property
+    def states(self) -> tuple[StateVector, ...]:
+        """The initial states, one per row of the walk."""
+        return (self.initial,) if isinstance(self.initial, StateVector) else tuple(self.initial)
 
     @property
     def measure_labels(self) -> tuple[str, ...]:
@@ -138,123 +162,183 @@ class EvalResult:
         return bool(self.undefined_labels)
 
 
-def apply_unitary(psi: StateVector, wires: Sequence[int], matrix: np.ndarray) -> StateVector:
-    """Apply a unitary acting on the listed wires (in the given order).
+def _per_row(detector) -> bool:
+    """Whether a measurement's ``detector`` is a sequence, one per row."""
+    return not (detector is None or isinstance(detector, Detector))
 
-    A matrix that does not preserve the state's norm is rejected."""
-    wires = tuple(wires)
-    dims = psi.factor_dims
-    tens = np.moveaxis(psi.as_tensor(), wires, range(len(wires)))
-    span = math.prod(dims[w] for w in wires)
-    flat = tens.reshape(span, -1)
-    flat = np.asarray(matrix, dtype=complex) @ flat
-    tens = flat.reshape([dims[w] for w in wires] + [-1]).reshape(tens.shape)
-    tens = np.moveaxis(tens, range(len(wires)), wires)
-    out = tens.reshape(-1)
-    norm = np.linalg.norm(out)
-    if not abs(norm - 1.0) <= qcore.NORM_TOL:
-        raise ValueError(f"matrix is not unitary: it maps the state to norm {norm!r}")
-    return StateVector._trusted(dims, out)
+
+def _rows(detector, index: Sequence[int]):
+    """The detector of the listed rows: a sequence is picked row by row,
+    one detector or the reference apparatus serves every row."""
+    return [detector[i] for i in index] if _per_row(detector) else detector
+
+
+def _stack(states: Sequence[StateVector]) -> np.ndarray:
+    """(N, *factor_dims) tensor of N states with equal factor dims."""
+    return np.array([s.amplitudes for s in states]).reshape((len(states),) + states[0].factor_dims)
+
+
+def _to_front(tens: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+    """A view of ``tens`` with the listed axes moved, in order, right after
+    the row axis, and the axis order that moves them back."""
+    order = (0, *axes) + tuple(i for i in range(1, tens.ndim) if i not in axes)
+    return tens.transpose(order), [order.index(i) for i in range(len(order))]
+
+
+def apply_unitaries(tens: np.ndarray, wires: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+    """Apply a unitary, or an (N, s, s) stack of them, to the listed wires
+    (in the given order) of N stacked states, an (N, *factor_dims)
+    tensor.  A matrix that does not preserve a state's norm is rejected."""
+    moved, back = _to_front(tens, tuple(w + 1 for w in wires))
+    flat = moved.reshape(len(tens), math.prod(moved.shape[1 : len(wires) + 1]), -1)
+    # Contiguous, so that later reductions sum in the state's own order.
+    out = np.ascontiguousarray((matrix @ flat).reshape(moved.shape).transpose(back))
+    norms = np.linalg.norm(out.reshape(len(out), -1), axis=1)
+    bad = ~(np.abs(norms - 1.0) <= qcore.NORM_TOL)
+    if bad.any():
+        raise ValueError(f"matrix is not unitary: it maps the state to norm {norms[bad][0]!r}")
+    return out
+
+
+def apply_unitary(psi: StateVector, wires: Sequence[int], matrix: np.ndarray) -> StateVector:
+    """Apply a unitary acting on the listed wires (in the given order): a
+    batch of one of ``apply_unitaries``."""
+    out = apply_unitaries(psi.as_tensor()[None], tuple(wires), np.asarray(matrix, dtype=complex))
+    return StateVector._trusted(psi.factor_dims, out[0].reshape(-1))
+
+
+def _branches(tens: np.ndarray, wire: int, detector) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcome branches of one measurement of N stacked states: the
+    (2, N) branch probabilities of the two outcomes, 0 where a branch has
+    zero probability, and their (2, N, *factor_dims) post tensors, each
+    divided by its own norm (arbitrary on the rows of a zero branch).
+
+    The reference apparatus (``detector`` None) projects the measured
+    spin on up and down, and a branch's probability is its squared norm.
+    A detector's probabilities come from its oracle, and its branches from
+    ``kraus_pair``, the principal square roots of the ground-truth
+    effect: probabilities of later steps never depend on that choice, it
+    only keeps mid-circuit evaluation well defined."""
+    rows = len(tens)
+    moved, back = _to_front(tens, (wire + 1,))
+    amps = moved.reshape(rows, 2, -1)  # the measured spin first
+    if detector is None:
+        kraus = _PROJECTORS
+    elif _per_row(detector):
+        kraus = np.stack([d.kraus_pair for d in detector], axis=1)
+    else:
+        kraus = np.array(detector.kraus_pair)[:, None]
+    branches = kraus @ amps
+    # Squared norms summed as numpy's one-dimensional vdot sums them, so a
+    # row's value does not depend on the batch it is in.
+    flat = branches.reshape(2, rows, -1)
+    squared = (flat.conj()[..., None, :] @ flat[..., :, None])[..., 0, 0].real
+    if detector is None:
+        raw = squared
+    else:
+        click = _det.click_probabilities(detector, amps)
+        raw = np.array([click, 1.0 - click])
+    live = raw > ZERO_BRANCH
+    scale = np.sqrt(np.where(live, squared, 1.0)).reshape((2, rows) + (1,) * (tens.ndim - 1))
+    # Contiguous, so that later reductions sum in the state's own order.
+    posts = branches.reshape((2,) + moved.shape).transpose([0] + [i + 1 for i in back])
+    return np.where(live, np.minimum(raw, 1.0), 0.0), np.ascontiguousarray(posts) / scale
+
+
+def _records(psi: StateVector, outcomes, probs, posts) -> list[MeasurementRecord]:
+    """The records of a batch of one measured state."""
+    return [
+        MeasurementRecord(outcome, float(p), StateVector._trusted(psi.factor_dims, post[0].ravel()))
+        if p > 0.0
+        else MeasurementRecord(outcome, 0.0, None)
+        for outcome, p, post in zip(outcomes, probs[:, 0], posts)
+    ]
 
 
 def sg_measure(psi: StateVector, wire: int) -> list[MeasurementRecord]:
     """Ground-truth vertical-projection measurement: branch probabilities
     are the squared norms of the two projected components, and the post
-    state keeps the measured spin collapsed on its outcome."""
+    state keeps the measured spin collapsed on its outcome (a batch of one
+    of the walk's measurement)."""
     qcore._check_spin_factor(psi, wire)
-    tens = np.moveaxis(psi.as_tensor(), wire, 0)
-    records = []
-    for idx, outcome in enumerate(SG_OUTCOMES):
-        branch = np.zeros_like(tens)
-        branch[idx] = tens[idx]
-        prob = float(np.vdot(branch, branch).real)
-        if prob <= ZERO_BRANCH:
-            records.append(MeasurementRecord(outcome, 0.0, None))
-            continue
-        post = np.moveaxis(branch / math.sqrt(prob), 0, wire).reshape(-1)
-        records.append(
-            MeasurementRecord(outcome, min(prob, 1.0), StateVector._trusted(psi.factor_dims, post))
-        )
-    return records
+    return _records(psi, SG_OUTCOMES, *_branches(psi.as_tensor()[None], wire, None))
 
 
 def detector_measure(psi: StateVector, wire: int, det: Detector) -> list[MeasurementRecord]:
-    """Click/no-click branches for a black-box detector.
-
-    Probabilities come from the detector oracle.  Post states use the
-    principal square root of the ground-truth effect as the measurement
-    operator; probabilities of any later steps never depend on this
-    choice, it only keeps mid-circuit evaluation well defined.
-    """
-    p_click = _det.click_probability(det, psi, wire)
-    tens = psi.as_tensor()
-    if wire:
-        tens = np.moveaxis(tens, wire, 0)
-    records = []
-    for outcome, prob, kraus in zip(
-        DETECTOR_OUTCOMES, (p_click, 1.0 - p_click), det.kraus_pair
-    ):
-        if prob <= ZERO_BRANCH:
-            records.append(MeasurementRecord(outcome, 0.0, None))
-            continue
-        branch = (kraus @ tens.reshape(2, -1)).reshape(tens.shape)
-        post = (np.moveaxis(branch, 0, wire) if wire else branch).reshape(-1)
-        post = post / np.linalg.norm(post)
-        records.append(
-            MeasurementRecord(outcome, min(prob, 1.0), StateVector._trusted(psi.factor_dims, post))
-        )
-    return records
+    """Click/no-click branches for a black-box detector: probabilities from
+    the detector oracle, post states from ``kraus_pair`` (a batch of one
+    of the walk's measurement)."""
+    qcore._check_spin_factor(psi, wire)
+    return _records(psi, DETECTOR_OUTCOMES, *_branches(psi.as_tensor()[None], wire, det))
 
 
 def outcome_distribution(
     circuit: Circuit, fixed: Mapping[str, str] | None = None
-) -> dict[tuple[str, ...], float | None]:
-    """One walk of the circuit: the probability of every outcome
-    sequence, one outcome per measurement in step order, that agrees
-    with ``fixed``.  A branch that ``fixed`` rules out is never entered;
-    a branch of zero probability ends at that measurement, with the
-    value None.  Sequences come in the walk's depth-first order."""
+) -> dict[tuple[str, ...], np.ndarray]:
+    """One walk of the circuit's N stacked initial states: the (N,)
+    probabilities of every outcome sequence, one outcome per measurement
+    in step order, that agrees with ``fixed``.  A branch that ``fixed``
+    rules out is never entered.  A branch of zero probability ends at
+    that measurement, row by row: on the rows that ended there, its
+    sequence holds NaN, and every longer sequence holds 0.  Sequences come
+    in the walk's depth-first order."""
     fixed = dict(fixed or {})
     steps = circuit.steps
-    out: dict[tuple[str, ...], float | None] = {}
+    total = len(circuit.states)
+    out: dict[tuple[str, ...], np.ndarray] = {}
 
-    def walk(state: StateVector, start: int, outcomes: tuple[str, ...], weight: float) -> None:
+    def put(key: tuple[str, ...], rows: np.ndarray, values: np.ndarray) -> None:
+        if key not in out and len(rows) == total:
+            out[key] = values
+        else:
+            out.setdefault(key, np.zeros(total))[rows] = values
+
+    def walk(tens: np.ndarray, rows: np.ndarray, start: int, outcomes: tuple[str, ...], weight):
         for index in range(start, len(steps)):
             step = steps[index]
             if isinstance(step, Gate):
-                state = apply_unitary(state, step.wires, step.matrix)
+                matrix = step.matrix if step.matrix.ndim == 2 else step.matrix[rows]
+                tens = apply_unitaries(tens, step.wires, matrix)
                 continue
-            if step.detector is None:
-                records = sg_measure(state, step.wire)
-            else:
-                records = detector_measure(state, step.wire, step.detector)
-            for rec in records:
-                if fixed.get(step.label, rec.outcome) != rec.outcome:
+            probs, posts = _branches(tens, step.wire, _rows(step.detector, rows))
+            weights = weight * probs
+            for k, outcome in enumerate(step.outcomes):
+                if fixed.get(step.label, outcome) != outcome:
                     continue
-                if rec.post_state is None:
-                    out[outcomes + (rec.outcome,)] = None
-                else:
-                    walk(rec.post_state, index + 1, outcomes + (rec.outcome,), weight * rec.probability)
+                key = outcomes + (outcome,)
+                live = probs[k] > 0.0
+                alive = np.count_nonzero(live)
+                if alive == len(rows):
+                    walk(posts[k], rows, index + 1, key, weights[k])
+                    continue
+                put(key, rows, np.where(live, 0.0, np.nan))
+                if alive:
+                    walk(posts[k][live], rows[live], index + 1, key, weights[k][live])
             return
-        out[outcomes] = weight
+        put(outcomes, rows, weight)
 
-    walk(circuit.initial, 0, (), 1.0)
+    walk(_stack(circuit.states), np.arange(total), 0, (), np.ones(total))
     return out
 
 
-def _mass(distribution: Mapping[tuple[str, ...], float | None], *prefix: str) -> float:
-    """Clamped probability of the sequences that start with ``prefix``."""
-    total = sum(
-        p for key, p in distribution.items() if p is not None and key[: len(prefix)] == prefix
-    )
-    return min(max(float(total), 0.0), 1.0)
+def _mass(distribution: Mapping[tuple[str, ...], np.ndarray], *prefix: str) -> np.ndarray:
+    """Clamped (N,) probability of the sequences that start with
+    ``prefix``; a row that ended counts 0."""
+    total = 0.0
+    for key, p in distribution.items():
+        if key[: len(prefix)] == prefix:
+            total = total + np.fmax(p, 0.0)  # fmax reads NaN, an ended row, as 0
+    return np.minimum(np.maximum(total, 0.0), 1.0)
 
 
 def evaluate_full(circuit: Circuit, query: Mapping[str, str] | None) -> EvalResult:
-    """Exact bracket probability of the queried outcome assignment;
+    """Exact bracket probability of the queried outcome assignment on a
+    circuit of one initial state (a batch of one of the walk);
     measurements the query does not mention are summed over.  A queried
     branch of zero probability is listed in ``undefined_labels``, once
     per branch that reaches it, in step order."""
+    if len(circuit.states) != 1:
+        raise ValueError("evaluate_full takes a circuit of one initial state")
     wanted = dict(query or {})
     labels = circuit.measure_labels
     for label, outcome in wanted.items():
@@ -268,9 +352,9 @@ def evaluate_full(circuit: Circuit, query: Mapping[str, str] | None) -> EvalResu
                     f"{step.label!r} (expected one of {step.outcomes})"
                 )
     distribution = outcome_distribution(circuit, wanted)
-    ended = sorted((key for key, p in distribution.items() if p is None), key=len)
+    ended = sorted((key for key, p in distribution.items() if math.isnan(p[0])), key=len)
     undefined = tuple(labels[len(key) - 1] for key in ended if labels[len(key) - 1] in wanted)
-    return EvalResult(_mass(distribution), undefined)
+    return EvalResult(float(_mass(distribution)[0]), undefined)
 
 
 def evaluate(circuit: Circuit, query: Mapping[str, str] | None) -> float:
@@ -310,6 +394,81 @@ class BornRule:
 BORN = BornRule()
 
 
+# The brackets each state identity reports, in ``IDENTITY_NAMES`` order.
+_DETAILS = (
+    ("lhs", "rhs"),
+    ("click", "no_click"),
+    ("joint_up", "joint_down", "unread", "marginal", "conditional"),
+    ("click", "later"),
+    ("click", "before"),
+    ("alone", "unread"),
+)
+
+
+def _check_states(det, single, ancilla, psi, env_unitary, pair, sg_outcome, tolerance, rules):
+    """``check_identity_states`` on N rows at once: the arguments are
+    sequences of N values, except ``det``, which is one detector, None,
+    or one detector per row.  Each distinct circuit is walked once, the
+    ``psi`` circuits once per environment dimension."""
+    rows = len(single)
+    probe = Measure(0, "m", det)
+    click, no_click = probe.outcomes
+
+    def bracket(states, steps=(probe,)) -> np.ndarray:
+        return _mass(outcome_distribution(Circuit(states, steps), {"m": click}))
+
+    b = {"lhs": bracket(single)}
+    extended = [qcore.tensor_product(a, s) for a, s in zip(ancilla, single)]
+    b["rhs"] = bracket(extended, (Measure(ancilla[0].num_factors, "m", det),))
+    b["click"], b["no_click"], b["later"], b["before"] = np.zeros((4, rows))
+    for shape in {state.factor_dims for state in psi}:
+        index = [i for i, state in enumerate(psi) if state.factor_dims == shape]
+        states = [psi[i] for i in index]
+        probe_rows = Measure(0, "m", _rows(det, index))
+        gate = Gate((1,), np.stack([env_unitary[i] for i in index]))
+        measured = outcome_distribution(Circuit(states, (probe_rows,)))
+        b["click"][index], b["no_click"][index] = _mass(measured, click), _mass(measured, no_click)
+        b["later"][index] = bracket(states, (probe_rows, gate))
+        b["before"][index] = bracket(states, (gate, probe_rows))
+    b["alone"] = bracket(pair)
+    both = outcome_distribution(Circuit(pair, (Measure(1, "s"), probe)), {"m": click})
+    b["unread"], b["joint_up"], b["joint_down"] = _mass(both), _mass(both, "u"), _mass(both, "d")
+    chosen = np.array([SG_OUTCOMES.index(o) for o in sg_outcome])
+    probs, posts = _branches(_stack(pair), 1, None)
+    b["marginal"], b["conditional"] = probs[chosen, np.arange(rows)], np.zeros(rows)
+    live = np.flatnonzero(b["marginal"])
+    if live.size:
+        shape = pair[0].factor_dims
+        recorded = [StateVector._trusted(shape, posts[chosen[i], i].ravel()) for i in live]
+        b["conditional"][live] = bracket(recorded, (Measure(0, "m", _rows(det, live)),))
+
+    reports = []
+    for i, row in enumerate(zip(*(v.tolist() for v in b.values()))):
+        r = dict(zip(b, row))
+        c, s = rules[i].compared, rules[i].combined
+        joint = r["joint_up"] if sg_outcome[i] == "u" else r["joint_down"]
+        product = abs(s(joint) - s(r["marginal"]) * s(r["conditional"]))
+        additivity = abs(s(r["unread"]) - (s(r["joint_up"]) + s(r["joint_down"])))
+        deviations = (
+            abs(c(r["lhs"]) - c(r["rhs"])),
+            abs(s(r["click"]) + s(r["no_click"]) - 1.0),
+            max(product, additivity),
+            abs(c(r["click"]) - c(r["later"])),
+            abs(c(r["click"]) - c(r["before"])),
+            abs(c(r["alone"]) - c(r["unread"])),
+        )
+        psi_dims, pair_dims = f"dims={psi[i].factor_dims}", f"dims={pair[i].factor_dims}"
+        inputs = (f"dims={single[i].factor_dims}+{ancilla[i].factor_dims}", psi_dims,
+                  f"{pair_dims} a={sg_outcome[i]}", psi_dims, psi_dims, pair_dims)
+        reports.append([
+            VerificationReport.from_deviation(
+                f"identity:{name}", shown, deviation, tolerance, tuple((k, r[k]) for k in keys)
+            )
+            for name, shown, deviation, keys in zip(IDENTITY_NAMES, inputs, deviations, _DETAILS)
+        ])
+    return reports
+
+
 def check_identity_states(
     det: Detector | None,
     single: StateVector,
@@ -337,62 +496,31 @@ def check_identity_states(
       - nosignal-measure: that unread measurement leaves the click
         unchanged.
     """
-    probe = Measure(0, "m", det)
-    click, no_click = probe.outcomes
-    gate = Gate((1,), env_unitary)
+    instance = (single, ancilla, psi, env_unitary, pair, sg_outcome)
+    return _check_states(det, *([x] for x in instance), tolerance, [rule])[0]
 
-    def bracket(state: StateVector, steps: tuple[Step, ...] = (probe,)) -> float:
-        return evaluate(Circuit(state, steps), {"m": click})
 
-    lhs = bracket(single)
-    extended = qcore.tensor_product(ancilla, single)
-    rhs = bracket(extended, (Measure(ancilla.num_factors, "m", det),))
-    measured = outcome_distribution(Circuit(psi, (probe,)))
-    hit, miss = _mass(measured, click), _mass(measured, no_click)
-    later = bracket(psi, (probe, gate))
-    before = bracket(psi, (gate, probe))
-    alone = bracket(pair)
-    both = outcome_distribution(Circuit(pair, (Measure(1, "s"), probe)), {"m": click})
-    unread = _mass(both)
-    joint = {o: _mass(both, o) for o in SG_OUTCOMES}
-    record = next(r for r in sg_measure(pair, 1) if r.outcome == sg_outcome)
-    conditional = 0.0 if record.post_state is None else bracket(record.post_state)
+def _check_a5(lam, det, unitaries, tolerance, rules) -> list[VerificationReport]:
+    """``check_identity_a5_decomposition`` on N rows at once: ``lam`` and
+    ``rules`` hold N values, ``det`` is one detector or one per row, and
+    each of ``unitaries`` is a 2x2 matrix or an (N, 2, 2) stack."""
+    steps = tuple(Gate((0,), u) for u in unitaries) + (Measure(0, "m", det),)
 
-    def report(name: str, inputs: str, deviation: float, **details: float) -> VerificationReport:
-        return VerificationReport.from_deviation(
-            f"identity:{name}", inputs, deviation, tolerance, tuple(details.items())
-        )
+    def click(states) -> list[float]:
+        return _mass(outcome_distribution(Circuit(states, steps), {"m": "click"})).tolist()
 
-    c, s = rule.compared, rule.combined
-    product = abs(s(joint[sg_outcome]) - s(record.probability) * s(conditional))
-    additivity = abs(s(unread) - (s(joint["u"]) + s(joint["d"])))
-    dims = f"dims={psi.factor_dims}"
-    pair_dims = f"dims={pair.factor_dims}"
-    return [
-        report(
-            "a1-extension",
-            f"dims={single.factor_dims}+{ancilla.factor_dims}",
-            abs(c(lhs) - c(rhs)),
-            lhs=lhs,
-            rhs=rhs,
-        ),
-        report("normalization", dims, abs(s(hit) + s(miss) - 1.0), click=hit, no_click=miss),
-        report(
-            "multiplication",
-            f"{pair_dims} a={sg_outcome}",
-            max(product, additivity),
-            joint_up=joint["u"],
-            joint_down=joint["d"],
-            unread=unread,
-            marginal=record.probability,
-            conditional=conditional,
-        ),
-        report("causality", dims, abs(c(hit) - c(later)), without=hit, with_later=later),
-        report("nosignal-unitary", dims, abs(c(hit) - c(before)), without=hit, with_prior=before),
-        report(
-            "nosignal-measure", pair_dims, abs(c(alone) - c(unread)), alone=alone, unread=unread
-        ),
-    ]
+    pairs = [qcore.spin_pair_state(x) for x in lam]
+    a_lam = _branches(_stack(pairs), 1, None)[0][0].tolist()
+    up, down = (click([StateVector((2,), v)] * len(lam)) for v in (qcore.UP, qcore.DOWN))
+    reports = []
+    for x, lhs, a, u, d, rule in zip(lam, click(pairs), a_lam, up, down, rules):
+        s = rule.combined
+        deviation = abs(s(lhs) - (s(a) * s(u) + s(1.0 - a) * s(d)))
+        details = (("lhs", lhs), ("a_lambda", a), ("up", u), ("down", d))
+        reports.append(VerificationReport.from_deviation(
+            "identity:a5-decomposition", f"lambda={x}", deviation, tolerance, details
+        ))
+    return reports
 
 
 def check_identity_a5_decomposition(
@@ -406,25 +534,7 @@ def check_identity_a5_decomposition(
     conditionals on the collapsed single-spin states.  Each bracket
     applies the 2x2 ``unitaries`` to spin 0 and then asks ``det`` for a
     click on it."""
-    steps = tuple(Gate((0,), u) for u in unitaries) + (Measure(0, "m", det),)
-
-    def click(state: StateVector) -> float:
-        return evaluate(Circuit(state, steps), {"m": "click"})
-
-    pair = qcore.spin_pair_state(lam)
-    lhs = click(pair)
-    a_lam = next(r for r in sg_measure(pair, 1) if r.outcome == "u").probability
-    up = click(StateVector((2,), qcore.UP))
-    down = click(StateVector((2,), qcore.DOWN))
-    s = rule.combined
-    rhs = s(a_lam) * s(up) + s(1.0 - a_lam) * s(down)
-    return VerificationReport.from_deviation(
-        "identity:a5-decomposition",
-        f"lambda={lam}",
-        abs(s(lhs) - rhs),
-        tolerance,
-        (("lhs", lhs), ("a_lambda", a_lam), ("up", up), ("down", down)),
-    )
+    return _check_a5([lam], det, unitaries, tolerance, [rule])[0]
 
 
 def sweep_identities(
@@ -433,13 +543,14 @@ def sweep_identities(
     """The seven identities on ``instances`` random instances from ``rng``.
 
     Each instance draws a random detector, states and unitaries, and its
-    reading ``rule.for_instance(rng)``, then checks the six state
-    identities and the decomposition at a random weight.  Returns the
-    worst deviation of each identity, and ``born_deviation``: the worst
-    distance between the reading of the single-spin click and the click
-    itself."""
-    worst = dict.fromkeys(IDENTITY_NAMES, 0.0)
-    born_deviation = 0.0
+    reading ``rule.for_instance(rng)``, in this stream order; all are
+    drawn before any is checked.  Then the instances whose detectors
+    share a family and shape are checked as one batch: the six state
+    identities, and the decomposition at each instance's random weight.
+    Returns the worst deviation of each identity, and ``born_deviation``:
+    the worst distance between the reading of the single-spin click and
+    the click itself."""
+    groups: dict[tuple, list[tuple]] = {}
     for _ in range(instances):
         det = _det.random_detector(rng)
         env = int(rng.choice([2, 3, 4]))
@@ -452,13 +563,21 @@ def sweep_identities(
         u_spin = qcore.random_unitary(2, rng)
         lam = float(rng.uniform())
         reading = rule.for_instance(rng)
-        reports = check_identity_states(
-            det, single, ancilla, psi, u_env, pair, sg_outcome, tolerance, reading
+        groups.setdefault((type(det), getattr(det, "ancilla_dim", 0)), []).append(
+            (det, single, ancilla, psi, u_env, pair, sg_outcome, u_spin, lam, reading)
         )
-        reports.append(check_identity_a5_decomposition(lam, det, (u_spin,), tolerance, reading))
-        for report in reports:
-            name = report.name.removeprefix("identity:")
-            worst[name] = max(worst[name], report.max_deviation)
-        click = dict(reports[0].details)["lhs"]  # a1-extension: the click of ``single``
-        born_deviation = max(born_deviation, abs(reading.compared(click) - click))
+    worst = dict.fromkeys(IDENTITY_NAMES, 0.0)
+    born_deviation = 0.0
+    for group in groups.values():
+        det, single, ancilla, psi, u_env, pair, sg_outcome, u_spin, lam, readings = zip(*group)
+        states = _check_states(
+            det, single, ancilla, psi, u_env, pair, sg_outcome, tolerance, readings
+        )
+        a5 = _check_a5(lam, det, (np.stack(u_spin),), tolerance, readings)
+        for reports, reading in zip((r + [a] for r, a in zip(states, a5)), readings):
+            for report in reports:
+                name = report.name.removeprefix("identity:")
+                worst[name] = max(worst[name], report.max_deviation)
+            click = dict(reports[0].details)["lhs"]  # a1-extension: the click of ``single``
+            born_deviation = max(born_deviation, abs(reading.compared(click) - click))
     return worst, born_deviation

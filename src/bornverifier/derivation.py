@@ -52,8 +52,7 @@ def verify_envariance(
     have equal click probability, and the constructed environment
     unitary maps one onto the other."""
     rng = qcore.as_rng(seed)
-    worst_prob = 0.0
-    worst_map = 0.0
+    weights, spins, sources, targets = [], [], [], []
     for trial in range(trials):
         if trial == 0:
             theta = math.pi / 4  # identical bases, exact-equality case
@@ -61,37 +60,32 @@ def verify_envariance(
             theta = 0.0  # product state, c2 = 0
         else:
             theta = rng.uniform(0.0, math.pi / 2)
-        c1, c2 = math.cos(theta), math.sin(theta)
+        weights.append((math.cos(theta), math.sin(theta)))
         a1 = qcore.fix_global_phase(_random_unit(rng, 2))
-        a2 = np.array([-np.conj(a1[1]), np.conj(a1[0])])
-        if trial == 0:
-            basis = qcore.random_unitary(_ENV_DIM, rng)
-            b1p, b2p = basis[:, 0], basis[:, 1]
-            b1pp, b2pp = b1p, b2p
-        else:
-            src = qcore.random_unitary(_ENV_DIM, rng)
-            dst = qcore.random_unitary(_ENV_DIM, rng)
-            b1p, b2p = src[:, 0], src[:, 1]
-            b1pp, b2pp = dst[:, 0], dst[:, 1]
-        psi_p = StateVector.from_amplitudes(
-            (2, _ENV_DIM), c1 * np.kron(a1, b1p) + c2 * np.kron(a2, b2p)
-        )
-        psi_pp = StateVector.from_amplitudes(
-            (2, _ENV_DIM), c1 * np.kron(a1, b1pp) + c2 * np.kron(a2, b2pp)
-        )
-        worst_prob = max(
-            worst_prob,
-            abs(
-                _det.click_probability(det, psi_p, 0)
-                - _det.click_probability(det, psi_pp, 0)
-            ),
-        )
-        u = qcore.envariance_unitary(b1p, b2p, b1pp, b2pp)
-        mapped = circuits.apply_unitary(psi_p, (1,), u)
-        worst_map = max(
-            worst_map,
-            float(np.linalg.norm(mapped.amplitudes - psi_pp.amplitudes)),
-        )
+        spins.append((a1, np.array([-np.conj(a1[1]), np.conj(a1[0])])))
+        src = qcore.random_unitary(_ENV_DIM, rng)
+        sources.append(src[:, :2])
+        targets.append(src[:, :2] if trial == 0 else qcore.random_unitary(_ENV_DIM, rng)[:, :2])
+    # psi' and psi'', c1 |a1>|b1> + c2 |a2>|b2> over the source and the
+    # target environment pairs: two (trials, 2, env) stacks, each row
+    # normalized and checked as ``StateVector.from_amplitudes`` would.
+    c = np.array(weights)[:, :, None, None]
+    a = np.array(spins)[:, :, :, None]
+    terms = [c * (a * np.array(b).transpose(0, 2, 1)[:, :, None, :]) for b in (sources, targets)]
+    amps = np.array([t[:, 0] + t[:, 1] for t in terms])
+    norms = np.linalg.norm(amps, axis=(2, 3), keepdims=True)
+    amps = amps / np.where(norms > 0.0, norms, np.nan)
+    if not np.all(np.abs(np.linalg.norm(amps, axis=(2, 3)) - 1.0) <= qcore.NORM_TOL):
+        raise ValueError("envariance states must normalize to unit vectors")
+    clicks = [_det.click_probabilities(det, states) for states in amps]
+    worst_prob = float(np.max(np.abs(clicks[0] - clicks[1])))
+    unitaries = np.array([
+        qcore.envariance_unitary(s[:, 0], s[:, 1], t[:, 0], t[:, 1])
+        for s, t in zip(sources, targets)
+    ])
+    mapped = circuits.apply_unitaries(amps[0], (1,), unitaries)
+    residuals = np.linalg.norm(mapped - amps[1], axis=(1, 2))
+    worst_map = float(np.max(residuals))
     return VerificationReport.from_deviation(
         name,
         f"trials={trials} env_dim={_ENV_DIM}",

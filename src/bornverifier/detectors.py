@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -164,22 +165,30 @@ def _spin_amplitudes(psi: StateVector, spin_factor: int) -> np.ndarray:
     return tens.reshape(2, -1)
 
 
-def click_probabilities(det: Detector, amps: np.ndarray) -> np.ndarray:
+def click_probabilities(det: Detector | Sequence[Detector], amps: np.ndarray) -> np.ndarray:
     """Click probabilities of N stacked states.
 
     ``amps`` has shape (N, 2, rest): axis 1 is the measured spin and
-    axis 2 runs over every other factor.  An effect detector gives
-    sum_r <a_r|E|a_r>; an ancilla detector is simulated exactly, as the
-    squared norm of its projected spin+ancilla amplitudes.
+    axis 2 runs over every other factor.  ``det`` is one detector for
+    every row, or N detectors of one family and shape, one per row.  An
+    effect detector gives sum_r <a_r|E|a_r>; an ancilla detector is
+    simulated exactly, as the squared norm of its projected spin+ancilla
+    amplitudes.
     """
     if isinstance(det, EffectDetector):
         p = np.einsum("nir,ij,njr->n", amps.conj(), det.effect, amps).real
     elif isinstance(det, AncillaDetector):
         projected = np.einsum("ki,nir->nkr", det.click_map, amps)
         p = np.einsum("nkr,nkr->n", projected.conj(), projected).real
+    elif isinstance(det, Sequence) and all(isinstance(d, EffectDetector) for d in det):
+        effects = np.stack([d.effect for d in det])
+        p = np.einsum("nir,nij,njr->n", amps.conj(), effects, amps).real
+    elif isinstance(det, Sequence) and all(isinstance(d, AncillaDetector) for d in det):
+        projected = np.stack([d.click_map for d in det]) @ amps
+        p = np.einsum("nkr,nkr->n", projected.conj(), projected).real
     else:
-        raise TypeError(f"not a detector: {type(det).__name__}")
-    return np.clip(p, 0.0, 1.0)
+        raise TypeError("not a detector, nor a sequence of detectors of one family")
+    return np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip, without its call overhead
 
 
 def equivalent_effect(det: Detector) -> np.ndarray:

@@ -35,8 +35,6 @@ GRID_SPACING_TOL = 1e-9
 BASIS_TOL = 1e-7
 # A gap, component or vector this short gives no direction: it is rounding, not signal.
 DEGENERACY_TOL = 1e-12
-# Eigenvalue slack of a tomographed effect: eigvalsh of a 2x2 in [0, 1] errs by ~1e-16.
-EIGENVALUE_SLACK = 1e-12
 # Least eigenvalue of a modified product: A^(-1/2) would amplify rounding a millionfold.
 POSITIVE_FLOOR = 1e-12
 # Zero interval weight: normalizing by its root would amplify rounding a millionfold.
@@ -417,18 +415,19 @@ def bell_state() -> StateVector:
 
 
 _MATRIX_DEFECTS = {
-    "Hermitian": lambda m: m - m.conj().T,
-    "unitary": lambda m: m.conj().T @ m - np.eye(m.shape[0]),
+    "Hermitian": lambda m: m - m.conj().swapaxes(-1, -2),
+    "unitary": lambda m: m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]),
     "idempotent": lambda m: m @ m - m,
 }
 
 
 def matrix_is(m: np.ndarray, prop: str) -> bool:
-    """Whether the square matrix ``m`` is "Hermitian", "unitary" or
-    "idempotent" to within ``MODEL_TOL``: the one check of every model
-    matrix.  Entries so large that the defect overflows, or non-finite
-    ones, fail it without a numpy warning."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Whether the square matrix ``m``, or every matrix of an (N, s, s)
+    stack, is "Hermitian", "unitary" or "idempotent" to within
+    ``MODEL_TOL``: the one check of every model matrix.  Entries so large
+    that the defect overflows, or non-finite ones, fail it without a
+    numpy warning."""
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         defect = np.max(np.abs(_MATRIX_DEFECTS[prop](m)))

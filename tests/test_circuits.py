@@ -12,6 +12,7 @@ from bornverifier.circuits import (
     evaluate_full,
     sg_measure,
 )
+from bornverifier import counterexamples as cx
 from bornverifier.counterexamples import CubicRule, p3_rule
 from bornverifier.qcore import StateVector, spin_pair_state
 
@@ -332,3 +333,98 @@ class TestRuleReadings:
         assert multiplication.max_deviation > multiplication.tolerance
         assert not multiplication.passed
         assert reports["nosignal-measure"].max_deviation <= reports["nosignal-measure"].tolerance
+
+
+class TestBatchedWalk:
+    """The grouped sweep and the batched walk against per-instance loops
+    over their batches of one."""
+
+    @staticmethod
+    def draw(rng, rule):
+        """One instance, drawn in the sweep's stream order."""
+        det = detectors.random_detector(rng)
+        env = int(rng.choice([2, 3, 4]))
+        psi, pair, single, ancilla = (qcore.random_state(d, rng) for d in ((2, env), (2, 2), (2,), (2,)))
+        sg_outcome = str(rng.choice(["u", "d"]))
+        u_env, u_spin = qcore.random_unitary(env, rng), qcore.random_unitary(2, rng)
+        lam = float(rng.uniform())
+        return (det, single, ancilla, psi, u_env, pair, sg_outcome), (u_spin, lam, rule.for_instance(rng))
+
+    @pytest.mark.parametrize("seed", [42, 7, 1234])
+    @pytest.mark.parametrize("rule_name", ["born", "cubic3", "random1"])
+    def test_grouped_sweep_matches_per_instance_checks(self, seed, rule_name):
+        rule = cx.rule_by_name(rule_name, seed=seed)
+        instances = 60
+        rng = np.random.default_rng(seed)
+        drawn = [self.draw(rng, rule) for _ in range(instances)]
+        single = [
+            check_identity_states(*states, rule=reading)
+            + [check_identity_a5_decomposition(lam, states[0], (u_spin,), rule=reading)]
+            for states, (u_spin, lam, reading) in drawn
+        ]
+
+        groups = {}
+        for k, (states, _) in enumerate(drawn):
+            groups.setdefault((type(states[0]), getattr(states[0], "ancilla_dim", 0)), []).append(k)
+        assert len(groups) == 3
+        for index in groups.values():
+            columns = list(zip(*(drawn[k][0] for k in index)))
+            u_spin, lam, readings = zip(*(drawn[k][1] for k in index))
+            states = circuits._check_states(*columns, 1e-9, readings)
+            a5 = circuits._check_a5(lam, columns[0], (np.stack(u_spin),), 1e-9, readings)
+            for k, grouped in zip(index, (r + [a] for r, a in zip(states, a5))):
+                for one, many in zip(single[k], grouped, strict=True):
+                    assert (many.name, many.inputs) == (one.name, one.inputs)
+                    assert many.max_deviation == pytest.approx(one.max_deviation, abs=1e-14)
+                    assert [key for key, _ in many.details] == [key for key, _ in one.details]
+                    for (key, value), (_, expected) in zip(many.details, one.details):
+                        assert value == pytest.approx(expected, abs=1e-14), (one.name, key)
+
+        worst, born_deviation = circuits.sweep_identities(np.random.default_rng(seed), instances, rule=rule)
+        for name in circuits.IDENTITY_NAMES:
+            expected = max(r.max_deviation for reports in single for r in reports
+                           if r.name == f"identity:{name}")
+            assert worst[name] == pytest.approx(expected, abs=1e-14), name
+        clicks = [(dict(reports[0].details)["lhs"], d[1][2]) for reports, d in zip(single, drawn)]
+        expected_born = max(abs(reading.compared(click) - click) for click, reading in clicks)
+        assert born_deviation == pytest.approx(expected_born, abs=1e-14)
+
+    def test_ended_rows_next_to_live_rows(self):
+        # Row 0: |uu>, whose "d" branch has zero probability, measured by a
+        # detector that never clicks; row 1 is live everywhere.
+        rng = np.random.default_rng(81)
+        never = detectors.EffectDetector(np.zeros((2, 2)))
+        live = detectors.random_effect_detector(rng)
+        uu = qcore.basis_state((2, 2), (0, 0))
+        other = qcore.random_state((2, 2), rng)
+        steps = (Measure(1, "s"), Measure(0, "m", [never, live]))
+        distribution = circuits.outcome_distribution(Circuit([uu, other], steps))
+
+        assert np.isnan(distribution[("d",)][0]) and distribution[("d",)][1] == 0.0
+        assert np.isnan(distribution[("u", "click")][0])
+        assert distribution[("d", "click")][0] == 0.0
+        assert distribution[("d", "noclick")][0] == 0.0
+        assert distribution[("u", "noclick")][0] == 1.0
+        assert circuits._mass(distribution, "d")[0] == 0.0
+        assert circuits._mass(distribution, "u", "click")[0] == 0.0
+        single = Circuit(other, (Measure(1, "s"), Measure(0, "m", live)))
+        for key, values in distribution.items():
+            if len(key) == 2:
+                query = {"s": key[0], "m": key[1]}
+                assert values[1] == pytest.approx(evaluate(single, query), abs=1e-15)
+
+        one = Circuit(uu, (Measure(1, "s"), Measure(0, "m", never)))
+        assert evaluate_full(one, {"s": "d", "m": "click"}).undefined_labels == ("s",)
+        assert evaluate_full(one, {"m": "click"}).undefined_labels == ("m",)
+        assert evaluate_full(one, {"m": "click"}).probability == 0.0
+        records = circuits.detector_measure(uu, 0, never)
+        assert [(r.probability, r.post_state) for r in records][0] == (0.0, None)
+
+    def test_stacked_gate_and_detectors_need_one_per_row(self):
+        pair = qcore.random_state((2, 2), 82)
+        with pytest.raises(ValueError):
+            Circuit([pair, pair], (Gate((0,), np.stack([np.eye(2)] * 3)),))
+        with pytest.raises(ValueError):
+            Circuit([pair, pair], (Measure(0, "m", [detectors.sg_up_detector()]),))
+        with pytest.raises(ValueError):
+            Circuit([pair, UP], (Measure(0, "m"),))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bornverifier import cli, derivation
+from bornverifier import cli, derivation, detectors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -193,6 +193,14 @@ class TestTomography:
 
     def test_no_detectors_exits_2(self, pair_file, capsys):
         assert run_cli("tomography", str(pair_file)) == 2
+
+    def test_pass_flag_agrees_with_to_povm(self):
+        # Eigenvalues beta +- |alpha| = 1 + 5e-10 and -5e-10: inside the
+        # response's own slack, so the effect is accepted and passes.
+        response = detectors.AffineResponse([0.0, 0.0, 0.5 + 5e-10], 0.5)
+        entry = cli.TomographyEntry("E", response, detectors.to_povm(response))
+        assert entry.passed
+        assert entry.to_dict()["passed"] is True
 
 
 class TestCounterexamples:

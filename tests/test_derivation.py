@@ -234,14 +234,18 @@ class TestFullSuite:
         assert [r.name for r in reports] == ["isospin-born[gaussian]", "isospin-born[uniform]"]
 
     def test_identity_sweep_evaluation_budget(self, monkeypatch):
-        # 8 distinct state circuits and 3 a5 circuits per instance, each
-        # walked once.
+        # Each counted call is one batched walk over a group of instances:
+        # per detector family and shape, 3 single-spin circuits and 5
+        # two-spin ones, and 3 ``psi`` circuits per environment dimension.
         calls = []
         real = circuits.outcome_distribution
         monkeypatch.setattr(circuits, "outcome_distribution", lambda *a: calls.append(a) or real(*a))
         reports = derivation._identity_reports(42, 1e-9, 200)
         assert len(reports) == len(circuits.IDENTITY_NAMES)
-        assert len(calls) == 200 * 11
+        assert len(calls) <= 60
+        groups = [_walk_group(circuit) for circuit, *_ in calls]
+        assert max(groups.count(g) for g in groups) <= 11
+        assert sum(len(circuit.states) for circuit, *_ in calls) == 200 * 11
 
     def test_undeclared_report_name_raises(self, monkeypatch):
         real = derivation.verify_envariance
@@ -258,3 +262,11 @@ class TestFullSuite:
         assert kinds == {"EffectDetector", "AncillaDetector"}
         names = [name for name, _ in battery]
         assert len(names) == len(set(names))
+
+
+def _walk_group(circuit):
+    """The group of a batched walk: its detector family and shape, and the
+    factor dims of its initial states."""
+    det = [s for s in circuit.steps if isinstance(s, circuits.Measure)][-1].detector
+    first = det[0] if isinstance(det, (list, tuple)) else det
+    return type(first).__name__, getattr(first, "ancilla_dim", None), circuit.states[0].factor_dims

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornverifier import circuits, cli, coordinate, counterexamples, derivation, detectors, qcore
+from bornverifier import circuits, coordinate, counterexamples, derivation, detectors, qcore
 from bornverifier.qcore import BlochVector, StateVector
 
 SRC = Path(qcore.__file__).parent
@@ -92,12 +92,6 @@ def _degeneracy_tol(x):
     return qcore.fix_global_phase(np.array([x, 1j]))[1].imag == 0.0
 
 
-def _eigenvalue_slack(x):
-    response = detectors.AffineResponse(np.zeros(3), 0.5)
-    effect = detectors.PovmEffect(np.diag([-x, 1.0]))
-    return cli.TomographyEntry("E", response, effect).passed
-
-
 def _positive_floor(x):
     return _raises(lambda: counterexamples.ModifiedInnerRule(np.diag([x, 1.0])))
 
@@ -142,7 +136,6 @@ PROBES = {
     "GRID_SPACING_TOL": _grid_spacing_tol,
     "BASIS_TOL": _basis_tol,
     "DEGENERACY_TOL": _degeneracy_tol,
-    "EIGENVALUE_SLACK": _eigenvalue_slack,
     "POSITIVE_FLOOR": _positive_floor,
     "ZERO_WEIGHT": _zero_weight,
     "ZERO_BRANCH": _zero_branch,
