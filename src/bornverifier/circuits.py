@@ -542,27 +542,30 @@ def sweep_identities(
 ) -> tuple[dict[str, float], float]:
     """The seven identities on ``instances`` random instances from ``rng``.
 
-    Each instance draws a random detector, states and unitaries, and its
-    reading ``rule.for_instance(rng)``, in this stream order; all are
-    drawn before any is checked.  Then the instances whose detectors
-    share a family and shape are checked as one batch: the six state
-    identities, and the decomposition at each instance's random weight.
-    Returns the worst deviation of each identity, and ``born_deviation``:
-    the worst distance between the reading of the single-spin click and
-    the click itself."""
-    groups: dict[tuple, list[tuple]] = {}
+    Each instance draws the raw numbers of a random detector, states and
+    unitaries, and its reading ``rule.for_instance(rng)``, in this stream
+    order; then all are built in stacks of equal shape.  The instances
+    whose detectors share a family and shape are checked as one batch:
+    the six state identities, and the decomposition at each instance's
+    random weight.  Returns the worst deviation of each identity, and
+    ``born_deviation``: the worst distance between the reading of the
+    single-spin click and the click itself."""
+    det_draws, state_draws, unitary_draws, rest = [], [], [], []
     for _ in range(instances):
-        det = _det.random_detector(rng)
+        det_draws.append(_det.draw_detector(rng))
         env = int(rng.choice([2, 3, 4]))
-        psi = qcore.random_state((2, env), rng)
-        pair = qcore.random_state((2, 2), rng)
-        single = qcore.random_state((2,), rng)
-        ancilla = qcore.random_state((2,), rng)
+        for dims in ((2, env), (2, 2), (2,), (2,)):  # psi, pair, single, ancilla
+            state_draws.append((dims, rng.standard_normal((2, math.prod(dims)))))
         sg_outcome = str(rng.choice(SG_OUTCOMES))
-        u_env = qcore.random_unitary(env, rng)
-        u_spin = qcore.random_unitary(2, rng)
-        lam = float(rng.uniform())
-        reading = rule.for_instance(rng)
+        unitary_draws += [rng.standard_normal((2, d, d)) for d in (env, 2)]  # u_env, u_spin
+        rest.append((sg_outcome, float(rng.uniform()), rule.for_instance(rng)))
+    dets = _det.build_detectors(det_draws)
+    states = qcore.build_states(state_draws)
+    unitaries = qcore.build_unitaries(unitary_draws)
+    groups: dict[tuple, list[tuple]] = {}
+    for i, (det, (sg_outcome, lam, reading)) in enumerate(zip(dets, rest)):
+        psi, pair, single, ancilla = states[4 * i : 4 * i + 4]
+        u_env, u_spin = unitaries[2 * i : 2 * i + 2]
         groups.setdefault((type(det), getattr(det, "ancilla_dim", 0)), []).append(
             (det, single, ancilla, psi, u_env, pair, sg_outcome, u_spin, lam, reading)
         )
@@ -570,11 +573,11 @@ def sweep_identities(
     born_deviation = 0.0
     for group in groups.values():
         det, single, ancilla, psi, u_env, pair, sg_outcome, u_spin, lam, readings = zip(*group)
-        states = _check_states(
+        checked = _check_states(
             det, single, ancilla, psi, u_env, pair, sg_outcome, tolerance, readings
         )
         a5 = _check_a5(lam, det, (np.stack(u_spin),), tolerance, readings)
-        for reports, reading in zip((r + [a] for r, a in zip(states, a5)), readings):
+        for reports, reading in zip((r + [a] for r, a in zip(checked, a5)), readings):
             for report in reports:
                 name = report.name.removeprefix("identity:")
                 worst[name] = max(worst[name], report.max_deviation)

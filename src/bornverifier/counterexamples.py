@@ -272,8 +272,7 @@ def _modified_battery(
     unit_up = phi_up / np.linalg.norm(phi_up)
     norm_dev = 0.0
     born_dev = 0.0
-    for _ in range(200):
-        psi = qcore.random_state((2,), rng).amplitudes
+    for psi in qcore.random_amplitudes((2,), 200, rng):
         up = p2_rule(rule.operator, phi_up, psi)
         down = p2_rule(rule.operator, phi_down, psi)
         norm_dev = max(norm_dev, abs(up + down - 1.0))

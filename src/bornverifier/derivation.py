@@ -27,11 +27,6 @@ _EXHAUSTIVE_DYADIC_DEPTH = 10
 _ENV_DIM = 4
 
 
-def _random_unit(rng, dim: int) -> np.ndarray:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
-
-
 @dataclass(frozen=True)
 class DyadicProfile:
     """Samples (x, f(x), 2^-depth) of the normalized response along a
@@ -61,17 +56,22 @@ def verify_envariance(
         else:
             theta = rng.uniform(0.0, math.pi / 2)
         weights.append((math.cos(theta), math.sin(theta)))
-        a1 = qcore.fix_global_phase(_random_unit(rng, 2))
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a1 = qcore.fix_global_phase(z / np.linalg.norm(z))
         spins.append((a1, np.array([-np.conj(a1[1]), np.conj(a1[0])])))
-        src = qcore.random_unitary(_ENV_DIM, rng)
-        sources.append(src[:, :2])
-        targets.append(src[:, :2] if trial == 0 else qcore.random_unitary(_ENV_DIM, rng)[:, :2])
+        sources.append(rng.standard_normal((2, _ENV_DIM, _ENV_DIM)))
+        if trial:  # trial 0 maps the source pair onto itself
+            targets.append(rng.standard_normal((2, _ENV_DIM, _ENV_DIM)))
+    # The environment pairs b1, b2: the first two columns of Haar unitaries.
+    sources, targets = (
+        qcore.haar_unitaries(np.array(g))[:, :, :2] for g in (sources, sources[:1] + targets)
+    )
     # psi' and psi'', c1 |a1>|b1> + c2 |a2>|b2> over the source and the
     # target environment pairs: two (trials, 2, env) stacks, each row
     # normalized and checked as ``StateVector.from_amplitudes`` would.
     c = np.array(weights)[:, :, None, None]
     a = np.array(spins)[:, :, :, None]
-    terms = [c * (a * np.array(b).transpose(0, 2, 1)[:, :, None, :]) for b in (sources, targets)]
+    terms = [c * (a * b.transpose(0, 2, 1)[:, :, None, :]) for b in (sources, targets)]
     amps = np.array([t[:, 0] + t[:, 1] for t in terms])
     norms = np.linalg.norm(amps, axis=(2, 3), keepdims=True)
     amps = amps / np.where(norms > 0.0, norms, np.nan)
@@ -306,7 +306,7 @@ def verify_theorem1(
         k = int(rng.integers(2, 5))
         weights = rng.uniform(size=k)
         weights /= weights.sum()
-        members = [qcore.random_state((2, 2), rng) for _ in range(k)]
+        members = StateVector.stack((2, 2), qcore.random_amplitudes((2, 2), k, rng))
         ensemble = list(zip(weights.tolist(), members))
         mean_p = BlochVector.from_array(
             sum(w * qcore.bloch_polarization(s, 0).as_array() for w, s in ensemble)
@@ -379,7 +379,7 @@ def verify_theorem2(
         members = qcore.random_amplitudes((2,), k, rng)
         rho = np.einsum("k,ki,kj->ij", weights, members, members.conj())
         predicted = span * float((np.conj(phi_up) @ rho @ phi_up).real) + p_min
-        ensemble = [(w, StateVector((2,), m)) for w, m in zip(weights.tolist(), members)]
+        ensemble = list(zip(weights.tolist(), StateVector.stack((2,), members)))
         oracle = _det.mixed_click_probability(ensemble, det)
         dev_mixed = max(dev_mixed, abs(oracle - predicted))
 
@@ -424,11 +424,20 @@ def standard_battery(seed: int, n_random: int = 4) -> list[tuple[str, Detector]]
         ),
         ("ancilla:cnot-up", _det.cnot_click_detector()),
     ]
-    for i in range(n_random):
-        battery.append((f"effect:random-{i}", _det.random_effect_detector(rng)))
-    for i in range(n_random):
-        battery.append((f"ancilla:random-{i}", _det.random_ancilla_detector(rng)))
-    return battery
+    families = [family for family in ("effect", "ancilla") for _ in range(n_random)]
+    draws = [_det.draw_detector(rng, family) for family in families]
+    names = [f"{family}:random-{i % n_random}" for i, family in enumerate(families)]
+    return battery + list(zip(names, _det.build_detectors(draws)))
+
+
+def _segments(rng, count: int, extra) -> list[tuple]:
+    """``count`` random (detector, p0, p1, ``extra(rng)``) segments, all
+    drawn in this stream order before their detectors are built in one
+    batch."""
+    draws = [(_det.draw_detector(rng), qcore.random_bloch(rng), qcore.random_bloch(rng), extra(rng))
+             for _ in range(count)]
+    dets = _det.build_detectors([draw[0] for draw in draws])
+    return [(det, *rest) for det, (_, *rest) in zip(dets, draws)]
 
 
 def _identity_reports(seed: int, tolerance: float, instances: int) -> list[VerificationReport]:
@@ -475,35 +484,22 @@ def run_full_suite(
         ]
 
     def lemmas12(name1: str, name2: str) -> list[VerificationReport]:
-        rng = qcore.as_rng(children[2])
-        lemma1_runs = []
-        lemma2_runs = []
-        for _ in range(30):
-            det = _det.random_detector(rng)
-            p0 = qcore.random_bloch(rng)
-            p1 = qcore.random_bloch(rng)
-            lemma1_runs.append(verify_lemma1(det, p0, p1, float(rng.uniform()), tolerance))
-            lemma2_runs.append(verify_lemma2(det, p0, p1, tolerance))
+        instances = _segments(qcore.as_rng(children[2]), 30, lambda rng: float(rng.uniform()))
+        lemma1_runs = [verify_lemma1(det, p0, p1, x, tolerance) for det, p0, p1, x in instances]
+        lemma2_runs = [verify_lemma2(det, p0, p1, tolerance) for det, p0, p1, _ in instances]
         return [
             merge_reports(name1, "instances=30", tolerance, lemma1_runs),
             merge_reports(name2, "instances=30", tolerance, lemma2_runs),
         ]
 
     def lemma3(name: str) -> list[VerificationReport]:
-        rng = qcore.as_rng(children[3])
-        runs = []
-        for _ in range(3):
-            det = _det.random_detector(rng)
-            _, rep = verify_lemma3_dyadic(
-                det,
-                qcore.random_bloch(rng),
-                qcore.random_bloch(rng),
-                depth=depth,
-                seed=rng.integers(2**31),
-                n_random=50,
-                tolerance=tolerance,
-            )
-            runs.append(rep)
+        instances = _segments(qcore.as_rng(children[3]), 3, lambda rng: rng.integers(2**31))
+        runs = [
+            verify_lemma3_dyadic(
+                det, p0, p1, depth=depth, seed=s, n_random=50, tolerance=tolerance
+            )[1]
+            for det, p0, p1, s in instances
+        ]
         return [merge_reports(name, "segments=3", tolerance, runs)]
 
     families = [

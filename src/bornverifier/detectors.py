@@ -362,32 +362,52 @@ def cnot_click_detector() -> AncillaDetector:
     return AncillaDetector(2, cnot, np.diag([1.0, 0.0]).astype(complex))
 
 
-def random_effect_detector(rng) -> EffectDetector:
-    """Random valid effect: Haar basis with eigenvalues uniform in [0, 1]."""
+def draw_detector(rng, family: str | None = None, ancilla_dim: int | None = None) -> tuple:
+    """The raw numbers of a random detector in stream order: its ancilla
+    dimension (0 for an effect), the Gaussians of its Haar unitaries, and
+    the effect's eigenvalues, uniform in [0, 1], or the rank of its random
+    projector.  No ``family`` ("effect" or "ancilla") is an even mix."""
     rng = qcore.as_rng(rng)
-    w = qcore.random_unitary(2, rng)
-    eigvals = rng.uniform(0.0, 1.0, size=2)
-    return EffectDetector(w @ np.diag(eigvals) @ w.conj().T)
+    family = family or ("effect" if rng.uniform() < 0.5 else "ancilla")
+    if family == "effect":
+        basis = rng.standard_normal((2, 2, 2))
+        return 0, (basis,), rng.uniform(0.0, 1.0, size=2)
+    m = int(ancilla_dim) if ancilla_dim else int(rng.choice([2, 4]))
+    coupling = rng.standard_normal((2, 2 * m, 2 * m))
+    rank = int(rng.integers(1, m))
+    return m, (coupling, rng.standard_normal((2, m, m))), rank
+
+
+def build_detectors(draws: Sequence[tuple]) -> list[Detector]:
+    """The detectors of ``draw_detector`` draws: the unitaries of all
+    draws in one ``haar_unitaries`` call per dimension, then each detector
+    through its checked initializer."""
+    unitaries = iter(qcore.build_unitaries([g for _, gaussians, _ in draws for g in gaussians]))
+    built: list[Detector] = []
+    for m, _, spectrum in draws:
+        if not m:
+            w = next(unitaries)
+            built.append(EffectDetector(w @ np.diag(spectrum) @ w.conj().T))
+            continue
+        coupling, basis = next(unitaries), next(unitaries)
+        projector = basis[:, :spectrum] @ basis[:, :spectrum].conj().T
+        built.append(AncillaDetector(m, coupling, projector))
+    return built
+
+
+def random_effect_detector(rng) -> EffectDetector:
+    """Random valid effect: a batch of one of ``build_detectors``."""
+    return build_detectors([draw_detector(rng, "effect")])[0]
 
 
 def random_ancilla_detector(rng, ancilla_dim: int | None = None) -> AncillaDetector:
-    """Random ancilla model: Haar coupling on spin+ancilla plus a random
-    rank-deficient projector."""
-    rng = qcore.as_rng(rng)
-    m = int(ancilla_dim) if ancilla_dim else int(rng.choice([2, 4]))
-    coupling = qcore.random_unitary(2 * m, rng)
-    rank = int(rng.integers(1, m))
-    basis = qcore.random_unitary(m, rng)
-    projector = basis[:, :rank] @ basis[:, :rank].conj().T
-    return AncillaDetector(m, coupling, projector)
+    """Random ancilla model: a batch of one of ``build_detectors``."""
+    return build_detectors([draw_detector(rng, "ancilla", ancilla_dim)])[0]
 
 
 def random_detector(rng) -> Detector:
     """Even mix of the two ground-truth families."""
-    rng = qcore.as_rng(rng)
-    if rng.uniform() < 0.5:
-        return random_effect_detector(rng)
-    return random_ancilla_detector(rng)
+    return build_detectors([draw_detector(rng)])[0]
 
 
 def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:

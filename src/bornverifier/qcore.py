@@ -73,27 +73,15 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 2 for d in dims):
-            raise ValueError(f"factor dimensions must all be >= 2, got {dims}")
-        total = math.prod(dims)
-        if total > MAX_TOTAL_DIM:
-            raise DimensionError(
-                f"total dimension {total} exceeds the maximum {MAX_TOTAL_DIM}"
-            )
-        amps = np.array(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
-        if amps.ndim != 1 or amps.size != total:
-            raise ValueError(
-                f"amplitude length {amps.size} does not match factor dims {dims}"
-            )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state is not normalized (norm={norm!r})")
+        dims, rows = _checked(self.factor_dims, [self.amplitudes])
         object.__setattr__(self, "factor_dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", rows[0])
+
+    @classmethod
+    def stack(cls, factor_dims: Sequence[int], amplitudes) -> list["StateVector"]:
+        """States of (N, size) amplitude rows, checked as the initializer does."""
+        dims, rows = _checked(factor_dims, amplitudes)
+        return [cls._trusted(dims, row) for row in rows]
 
     @property
     def dim(self) -> int:
@@ -130,6 +118,31 @@ class StateVector:
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(tuple(factor_dims), amps / norm)
+
+
+def _checked(factor_dims, rows) -> tuple[tuple[int, ...], np.ndarray]:
+    """``StateVector``'s checks: factor dims of at least 2 within the size
+    cap, then (N, size) amplitude rows of matching length, finite and of
+    unit norm.  Returns the dims and the read-only rows."""
+    dims = tuple(int(d) for d in factor_dims)
+    if not dims or any(d < 2 for d in dims):
+        raise ValueError(f"factor dimensions must all be >= 2, got {dims}")
+    total = math.prod(dims)
+    if total > MAX_TOTAL_DIM:
+        raise DimensionError(f"total dimension {total} exceeds the maximum {MAX_TOTAL_DIM}")
+    rows = np.array(rows, dtype=complex)
+    rows.setflags(write=False)
+    if rows.ndim != 2 or rows.shape[1] != total:
+        length = rows.shape[1] if rows.ndim == 2 else rows.size
+        raise ValueError(f"amplitude length {length} does not match factor dims {dims}")
+    parts = rows.view(float)
+    if not np.isfinite(parts).all():
+        raise ValueError("amplitudes must be finite")
+    # Compared as floats, which costs a batch of one less than array operations.
+    for norm in np.sqrt(np.einsum("ij,ij->i", parts, parts)).tolist():  # inf on overflow
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state is not normalized (norm={norm!r})")
+    return dims, rows
 
 
 @dataclass(frozen=True)
@@ -343,8 +356,7 @@ def purify_batch(points) -> np.ndarray:
 def random_state(factor_dims: Sequence[int], rng) -> StateVector:
     """Haar-random pure state (normalized independent complex Gaussians);
     a batch of one of ``random_amplitudes``."""
-    dims = tuple(int(d) for d in factor_dims)
-    return StateVector(dims, random_amplitudes(dims, 1, rng)[0])
+    return StateVector.stack(factor_dims, random_amplitudes(factor_dims, 1, rng))[0]
 
 
 def random_amplitudes(factor_dims: Sequence[int], count: int, rng) -> np.ndarray:
@@ -353,22 +365,51 @@ def random_amplitudes(factor_dims: Sequence[int], count: int, rng) -> np.ndarray
     Draws the same stream as ``count`` successive ``random_state`` calls,
     so row k is the state the k-th call would return.
     """
-    rng = as_rng(rng)
     n = math.prod(int(d) for d in factor_dims)
-    parts = rng.standard_normal((count, 2, n))
-    norms = np.sqrt(np.einsum("kjn,kjn->k", parts, parts))[:, None]
+    return normalized_amplitudes(as_rng(rng).standard_normal((count, 2, n)))
+
+
+def normalized_amplitudes(gaussians: np.ndarray) -> np.ndarray:
+    """Normalized (N, size) amplitude rows from (N, 2, size) Gaussians: a
+    state's draw is ``rng.standard_normal((2, size))``, real parts first."""
+    norms = np.sqrt(np.einsum("kjn,kjn->k", gaussians, gaussians))[:, None]
     if not norms.all():
         raise ValueError("cannot normalize the zero vector")
-    return (parts[:, 0] + 1j * parts[:, 1]) / norms
+    return (gaussians[:, 0] + 1j * gaussians[:, 1]) / norms
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-random unitary via QR with phase-fixed R diagonal."""
-    rng = as_rng(rng)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    """Haar-random unitary: a batch of one of ``haar_unitaries``."""
+    return haar_unitaries(as_rng(rng).standard_normal((1, 2, dim, dim)))[0]
+
+
+def haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
+    """Haar-random (N, d, d) unitaries from (N, 2, d, d) Gaussians (a draw is
+    ``rng.standard_normal((2, d, d))``), by one QR, R's diagonal phase-fixed."""
+    q, r = np.linalg.qr(gaussians[:, 0] + 1j * gaussians[:, 1])
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def in_stacks(items: Sequence, key, build) -> list:
+    """``build(stack)`` on each stack of ``items`` that share ``key(item)``,
+    one result per item, returned in the order of ``items``."""
+    keys = [key(item) for item in items]
+    built = {k: iter(build([x for x, kx in zip(items, keys) if kx == k])) for k in set(keys)}
+    return [next(built[k]) for k in keys]
+
+
+def build_unitaries(gaussians: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``haar_unitaries`` of (2, d, d) draws, one call per dimension."""
+    return in_stacks(gaussians, np.shape, lambda stack: haar_unitaries(np.stack(stack)))
+
+
+def build_states(draws: Sequence[tuple[tuple[int, ...], np.ndarray]]) -> list[StateVector]:
+    """Checked states of (factor_dims, (2, size) Gaussians) draws, one
+    normalization and one check per stack of equal factor dims."""
+    return in_stacks(draws, lambda draw: draw[0], lambda stack: StateVector.stack(
+        stack[0][0], normalized_amplitudes(np.stack([g for _, g in stack]))
+    ))
 
 
 def random_bloch(rng, surface: bool = False) -> BlochVector:

@@ -389,6 +389,33 @@ class TestBatchedWalk:
         expected_born = max(abs(reading.compared(click) - click) for click, reading in clicks)
         assert born_deviation == pytest.approx(expected_born, abs=1e-14)
 
+    @pytest.mark.parametrize("seed", [42, 7, 1234])
+    @pytest.mark.parametrize("rule_name", ["born", "cubic3", "random1"])
+    def test_stacked_builds_match_per_instance_builds(self, seed, rule_name):
+        # The sweep as it ran when each instance built its detector, states
+        # and unitaries while drawing: the same groups and the same checks.
+        rule = cx.rule_by_name(rule_name, seed=seed)
+        rng = np.random.default_rng(seed)
+        groups = {}
+        for states, extra in (self.draw(rng, rule) for _ in range(20)):
+            key = (type(states[0]), getattr(states[0], "ancilla_dim", 0))
+            groups.setdefault(key, []).append(states + extra)
+        worst = dict.fromkeys(circuits.IDENTITY_NAMES, 0.0)
+        born_deviation = 0.0
+        for group in groups.values():
+            *columns, u_spin, lam, readings = zip(*group)
+            states = circuits._check_states(*columns, 1e-9, readings)
+            a5 = circuits._check_a5(lam, columns[0], (np.stack(u_spin),), 1e-9, readings)
+            for reports, reading in zip((r + [a] for r, a in zip(states, a5)), readings):
+                for report in reports:
+                    name = report.name.removeprefix("identity:")
+                    worst[name] = max(worst[name], report.max_deviation)
+                click = dict(reports[0].details)["lhs"]
+                born_deviation = max(born_deviation, abs(reading.compared(click) - click))
+
+        swept = circuits.sweep_identities(np.random.default_rng(seed), 20, rule=rule)
+        assert swept == (worst, born_deviation)
+
     def test_ended_rows_next_to_live_rows(self):
         # Row 0: |uu>, whose "d" branch has zero probability, measured by a
         # detector that never clicks; row 1 is live everywhere.

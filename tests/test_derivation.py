@@ -247,6 +247,17 @@ class TestFullSuite:
         assert max(groups.count(g) for g in groups) <= 11
         assert sum(len(circuit.states) for circuit, *_ in calls) == 200 * 11
 
+    @pytest.mark.parametrize("subset, budget", [("identity", 12), (None, 30)])
+    def test_unitaries_are_built_in_stacks(self, subset, budget, monkeypatch):
+        # Every random unitary is drawn first and built by one batched QR
+        # per dimension and family: the sweep's detectors, its environment
+        # and spin unitaries, the battery, envariance and the lemmas.
+        calls = []
+        real = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or real(*a, **k))
+        run_full_suite(42, subset=subset)
+        assert len(calls) <= budget
+
     def test_undeclared_report_name_raises(self, monkeypatch):
         real = derivation.verify_envariance
         monkeypatch.setattr(

@@ -343,6 +343,31 @@ def _probe_points(rng):
     return points
 
 
+class TestDetectorDraws:
+    @pytest.mark.parametrize(
+        "draw, make",
+        [
+            (detectors.draw_detector, random_detector),
+            (lambda rng: detectors.draw_detector(rng, "effect"), random_effect_detector),
+            (lambda rng: detectors.draw_detector(rng, "ancilla", ancilla_dim=2),
+             lambda rng: random_ancilla_detector(rng, ancilla_dim=2)),
+            (lambda rng: detectors.draw_detector(rng, "ancilla", ancilla_dim=4),
+             lambda rng: random_ancilla_detector(rng, ancilla_dim=4)),
+        ],
+        ids=["mixed", "effect", "ancilla-2", "ancilla-4"],
+    )
+    def test_built_detectors_match_successive_constructors(self, draw, make):
+        rng = np.random.default_rng(33)
+        built = detectors.build_detectors([draw(rng) for _ in range(12)])
+        rng = np.random.default_rng(33)
+        for det in built:
+            expected = make(rng)
+            assert type(det) is type(expected)
+            for name in ("effect", "coupling", "projector"):
+                if hasattr(expected, name):
+                    np.testing.assert_array_equal(getattr(det, name), getattr(expected, name))
+
+
 class TestBatchedOracle:
     @pytest.mark.parametrize("make", [random_effect_detector, random_ancilla_detector])
     def test_batch_scalar_and_plain_trace_agree(self, make):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,47 @@ class TestRandomAmplitudes:
         rng = np.random.default_rng(21)
         for row in rows:
             np.testing.assert_array_equal(row, random_state((2, 3), rng).amplitudes)
+
+
+class TestStackedBuilds:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_haar_rows_match_successive_random_unitaries(self, dim):
+        rows = qcore.haar_unitaries(np.random.default_rng(24).standard_normal((6, 2, dim, dim)))
+        rng = np.random.default_rng(24)
+        for row in rows:
+            np.testing.assert_array_equal(row, qcore.random_unitary(dim, rng))
+
+    def test_mixed_shapes_come_back_in_draw_order(self):
+        rng = np.random.default_rng(25)
+        dims = [(2, 3), (2,), (2, 2), (2, 3), (2,), (2, 4)]
+        states = qcore.build_states([(d, rng.standard_normal((2, math.prod(d)))) for d in dims])
+        sizes = [2, 4, 3, 2, 8, 3]
+        unitaries = qcore.build_unitaries([rng.standard_normal((2, n, n)) for n in sizes])
+        rng = np.random.default_rng(25)
+        for d, state in zip(dims, states):
+            expected = random_state(d, rng)
+            assert state.factor_dims == expected.factor_dims
+            np.testing.assert_array_equal(state.amplitudes, expected.amplitudes)
+            assert not state.amplitudes.flags.writeable
+        for n, u in zip(sizes, unitaries):
+            np.testing.assert_array_equal(u, qcore.random_unitary(n, rng))
+
+    @pytest.mark.parametrize(
+        "dims, rows",
+        [
+            ((2,), [[1.0, 0.0], [np.nan, 0.0]]),
+            ((2,), [[1.0, 0.0], [1.0, 1.0]]),
+            ((2,), [[1.0, 0.0], [1e200, 0.0]]),
+            ((2, 2), [[1.0, 0.0], [0.0, 1.0]]),
+            ((2,) * 11, [[1.0] + [0.0] * 2047]),
+        ],
+        ids=["non-finite", "unnormalized", "overflowing", "bad-length", "oversize"],
+    )
+    def test_stack_rejects_as_the_initializer(self, dims, rows):
+        with pytest.raises(ValueError) as one:
+            StateVector(dims, rows[-1])
+        with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
+            StateVector.stack(dims, rows)
 
 
 class TestTrustedStates:
