@@ -418,7 +418,10 @@ def _check_states(det, single, ancilla, psi, env_unitary, pair, sg_outcome, tole
         return _mass(outcome_distribution(Circuit(states, steps), {"m": click}))
 
     b = {"lhs": bracket(single)}
-    extended = [qcore.tensor_product(a, s) for a, s in zip(ancilla, single)]
+    extended = StateVector.stack(
+        ancilla[0].factor_dims + single[0].factor_dims,
+        [np.kron(a.amplitudes, s.amplitudes) for a, s in zip(ancilla, single)],
+    )
     b["rhs"] = bracket(extended, (Measure(ancilla[0].num_factors, "m", det),))
     b["click"], b["no_click"], b["later"], b["before"] = np.zeros((4, rows))
     for shape in {state.factor_dims for state in psi}:
@@ -509,7 +512,7 @@ def _check_a5(lam, det, unitaries, tolerance, rules) -> list[VerificationReport]
     def click(states) -> list[float]:
         return _mass(outcome_distribution(Circuit(states, steps), {"m": "click"})).tolist()
 
-    pairs = [qcore.spin_pair_state(x) for x in lam]
+    pairs = qcore.spin_pair_states(lam)
     a_lam = _branches(_stack(pairs), 1, None)[0][0].tolist()
     up, down = (click([StateVector((2,), v)] * len(lam)) for v in (qcore.UP, qcore.DOWN))
     reports = []

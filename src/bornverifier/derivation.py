@@ -75,14 +75,11 @@ def verify_envariance(
     amps = np.array([t[:, 0] + t[:, 1] for t in terms])
     norms = np.linalg.norm(amps, axis=(2, 3), keepdims=True)
     amps = amps / np.where(norms > 0.0, norms, np.nan)
-    if not np.all(np.abs(np.linalg.norm(amps, axis=(2, 3)) - 1.0) <= qcore.NORM_TOL):
-        raise ValueError("envariance states must normalize to unit vectors")
+    for states in amps:
+        qcore._checked((2, _ENV_DIM), states.reshape(trials, -1))
     clicks = [_det.click_probabilities(det, states) for states in amps]
     worst_prob = float(np.max(np.abs(clicks[0] - clicks[1])))
-    unitaries = np.array([
-        qcore.envariance_unitary(s[:, 0], s[:, 1], t[:, 0], t[:, 1])
-        for s, t in zip(sources, targets)
-    ])
+    unitaries = qcore.envariance_unitaries(sources, targets)
     mapped = circuits.apply_unitaries(amps[0], (1,), unitaries)
     residuals = np.linalg.norm(mapped - amps[1], axis=(1, 2))
     worst_map = float(np.max(residuals))
@@ -103,7 +100,7 @@ def verify_lemma1(
     tolerance: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Convexity along segments, replayed through the four-spin
-    construction.
+    construction (a batch of one of ``_lemma1``).
 
     (a) the four-spin state carries the interpolated polarization,
     (b) the relabelling unitary maps it onto |uu> (x) the correlated
@@ -112,71 +109,67 @@ def verify_lemma1(
         the endpoint responses,
     (d) the interpolated response lies between the endpoint values.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    psi0 = qcore.purify(p0)
-    psi1 = qcore.purify(p1)
-    up_pair = qcore.basis_state((2, 2), (0, 0))
-    down_pair = qcore.basis_state((2, 2), (1, 1))
-    amps = math.sqrt(1.0 - lam) * np.kron(
-        psi0.amplitudes, up_pair.amplitudes
-    ) + math.sqrt(lam) * np.kron(psi1.amplitudes, down_pair.amplitudes)
-    big = StateVector.from_amplitudes((2, 2, 2, 2), amps)
+    return _lemma1([(det, p0, p1, lam)], tolerance)[0]
 
-    p_mid = BlochVector.from_array(
-        (1.0 - lam) * p0.as_array() + lam * p1.as_array()
-    )
-    dev_a = float(
-        np.max(np.abs(qcore.bloch_polarization(big, 0).as_array() - p_mid.as_array()))
-    )
 
-    src1 = np.kron(psi0.amplitudes, qcore.UP)
-    src2 = np.kron(psi1.amplitudes, qcore.DOWN)
-    target1 = np.zeros(8, dtype=complex)
-    target1[0] = 1.0  # |uuu>
-    target2 = np.zeros(8, dtype=complex)
-    target2[1] = 1.0  # |uud>
-    v = qcore.envariance_unitary(src1, src2, target1, target2)
-    relabelled = circuits.apply_unitary(big, (0, 1, 2), v)
-    expected = math.sqrt(1.0 - lam) * _basis8_16(0) + math.sqrt(lam) * _basis8_16(3)
-    dev_b = float(np.linalg.norm(relabelled.amplitudes - expected))
+def _lemma1(instances, tolerance: float) -> list[VerificationReport]:
+    """``verify_lemma1`` on N (det, p0, p1, lam) instances at once: the
+    states and the relabelling unitaries are built in stacks, and each
+    detector is probed on its own instance."""
+    dets, p0, p1, lams = zip(*instances)
+    pairs = qcore.spin_pair_states(lams)
+    n = len(instances)
+    lam = np.array(lams)[:, None]
+    c0, c1 = np.sqrt(1.0 - lam), np.sqrt(lam)
+    ends = np.array([_stacked(a, b) for a, b in zip(p0, p1)])
+    mids = (1.0 - lam) * ends[:, 0] + lam * ends[:, 1]
+    psi0, psi1 = qcore.purify_batch(ends.reshape(-1, 3)).reshape(n, 2, 4).transpose(1, 0, 2)
 
-    pair = qcore.spin_pair_state(lam)
-    a_lam = next(
-        r for r in circuits.sg_measure(pair, 1) if r.outcome == "u"
-    ).probability
-    f0, f1, f_mid = _det.probe_fclick(det, _stacked(p0, p1, p_mid)).tolist()
-    dev_c = abs(f_mid - (a_lam * f0 + (1.0 - a_lam) * f1))
-    dev_big = abs(_det.click_probability(det, big, 0) - f_mid)
+    # The four-spin state sqrt(1-lam) |psi0>|uu> + sqrt(lam) |psi1>|dd>.
+    amps = np.zeros((n, 4, 4), dtype=complex)
+    amps[:, :, 0], amps[:, :, 3] = c0 * psi0, c1 * psi1
+    amps = amps.reshape(n, 16)
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    bigs = StateVector.stack((2,) * 4, amps)
 
-    low, high = min(f0, f1), max(f0, f1)
-    dev_d = max(0.0, low - f_mid, f_mid - high)
+    # The relabelling maps |psi0>|u> and |psi1>|d> on spins 0-2 onto
+    # |uuu> and |uud>.
+    sources = np.zeros((n, 4, 2, 2), dtype=complex)
+    sources[:, :, 0, 0], sources[:, :, 1, 1] = psi0, psi1
+    targets = np.broadcast_to(np.eye(8)[:, :2], (n, 8, 2))
+    relabel = qcore.envariance_unitaries(sources.reshape(n, 8, 2), targets)
+    relabelled = circuits.apply_unitaries(amps.reshape(n, 2, 2, 2, 2), (0, 1, 2), relabel)
+    expected = np.zeros((n, 16))
+    expected[:, 0], expected[:, 3] = c0[:, 0], c1[:, 0]
+    dev_b = np.linalg.norm(relabelled.reshape(n, 16) - expected, axis=1).tolist()
 
-    worst = max(dev_a, dev_b, dev_c, dev_big, dev_d)
-    return VerificationReport.from_deviation(
-        "lemma1",
-        f"lambda={lam:.6g}",
-        worst,
-        tolerance,
-        (
-            ("polarization_deviation", dev_a),
-            ("relabelling_residual", dev_b),
-            ("mixture_deviation", dev_c),
-            ("four_spin_probe_deviation", dev_big),
-            ("betweenness_violation", dev_d),
-            ("a_lambda", a_lam),
-        ),
-    )
+    reports = []
+    for i, (det, big, pair) in enumerate(zip(dets, bigs, pairs)):
+        dev_a = float(np.max(np.abs(qcore.bloch_polarization(big, 0).as_array() - mids[i])))
+        a_lam = next(r for r in circuits.sg_measure(pair, 1) if r.outcome == "u").probability
+        f0, f1, f_mid = _det.probe_fclick(det, np.array([*ends[i], mids[i]])).tolist()
+        dev_c = abs(f_mid - (a_lam * f0 + (1.0 - a_lam) * f1))
+        dev_big = abs(_det.click_probability(det, big, 0) - f_mid)
+        dev_d = max(0.0, min(f0, f1) - f_mid, f_mid - max(f0, f1))
+        reports.append(VerificationReport.from_deviation(
+            "lemma1",
+            f"lambda={lams[i]:.6g}",
+            max(dev_a, dev_b[i], dev_c, dev_big, dev_d),
+            tolerance,
+            (
+                ("polarization_deviation", dev_a),
+                ("relabelling_residual", dev_b[i]),
+                ("mixture_deviation", dev_c),
+                ("four_spin_probe_deviation", dev_big),
+                ("betweenness_violation", dev_d),
+                ("a_lambda", a_lam),
+            ),
+        ))
+    return reports
 
 
 def _stacked(*points: BlochVector) -> np.ndarray:
     return np.array([p.as_array() for p in points])
-
-
-def _basis8_16(index: int) -> np.ndarray:
-    v = np.zeros(16, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def verify_lemma2(
@@ -485,7 +478,7 @@ def run_full_suite(
 
     def lemmas12(name1: str, name2: str) -> list[VerificationReport]:
         instances = _segments(qcore.as_rng(children[2]), 30, lambda rng: float(rng.uniform()))
-        lemma1_runs = [verify_lemma1(det, p0, p1, x, tolerance) for det, p0, p1, x in instances]
+        lemma1_runs = _lemma1(instances, tolerance)
         lemma2_runs = [verify_lemma2(det, p0, p1, tolerance) for det, p0, p1, _ in instances]
         return [
             merge_reports(name1, "instances=30", tolerance, lemma1_runs),

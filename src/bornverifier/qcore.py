@@ -31,8 +31,6 @@ PHYSICAL_SLACK = 1e-9
 NORM_TOL = 1e-6
 # Grid spacing error, relative to max(dx, 1): decimal grid coordinates differ by rounding.
 GRID_SPACING_TOL = 1e-9
-# Gram-Schmidt residual: ~1e-15 for a dependent vector, >= 1/sqrt(1024) for some other.
-BASIS_TOL = 1e-7
 # A gap, component or vector this short gives no direction: it is rounding, not signal.
 DEGENERACY_TOL = 1e-12
 # Least eigenvalue of a modified product: A^(-1/2) would amplify rounding a millionfold.
@@ -132,9 +130,10 @@ def _checked(factor_dims, rows) -> tuple[tuple[int, ...], np.ndarray]:
         raise DimensionError(f"total dimension {total} exceeds the maximum {MAX_TOTAL_DIM}")
     rows = np.array(rows, dtype=complex)
     rows.setflags(write=False)
-    if rows.ndim != 2 or rows.shape[1] != total:
-        length = rows.shape[1] if rows.ndim == 2 else rows.size
-        raise ValueError(f"amplitude length {length} does not match factor dims {dims}")
+    if rows.ndim != 2:
+        raise ValueError(f"expected (N, {total}) amplitude rows for dims {dims}, got shape {rows.shape}")
+    if rows.shape[1] != total:
+        raise ValueError(f"amplitude length {rows.shape[1]} does not match factor dims {dims}")
     parts = rows.view(float)
     if not np.isfinite(parts).all():
         raise ValueError("amplitudes must be finite")
@@ -247,54 +246,45 @@ def fix_global_phase(v: np.ndarray) -> np.ndarray:
     return np.array(v, copy=True)
 
 
-def gram_schmidt_complete(vectors: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    """Extend a list of orthonormal vectors to a full orthonormal basis,
-    scanning standard basis vectors in index order."""
-    basis = [np.asarray(v, dtype=complex) for v in vectors]
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        cand = np.zeros(dim, dtype=complex)
-        cand[i] = 1.0
-        for u in basis:
-            cand = cand - (np.conj(u) @ cand) * u
-        norm = np.linalg.norm(cand)
-        if norm > BASIS_TOL:
-            basis.append(cand / norm)
-    if len(basis) != dim:
-        raise ValueError("could not complete the basis; inputs not orthonormal?")
-    return basis
-
-
 def envariance_unitary(
     b1p: np.ndarray,
     b2p: np.ndarray,
     b1pp: np.ndarray,
     b2pp: np.ndarray,
 ) -> np.ndarray:
-    """Unitary on the environment mapping {b1', b2'} onto {b1'', b2''}.
+    """Unitary on the environment mapping {b1', b2'} onto {b1'', b2''}
+    (a batch of one of ``envariance_unitaries``)."""
+    vectors = [np.asarray(v, dtype=complex) for v in (b1p, b2p, b1pp, b2pp)]
+    if any(v.shape != vectors[0].shape or v.ndim != 1 for v in vectors):
+        raise ValueError("all environment vectors must have equal dimension")
+    columns = np.stack(vectors, axis=1)[None]
+    return envariance_unitaries(columns[:, :, :2], columns[:, :, 2:])[0]
 
-    Both input pairs must be orthonormal.  The completion is the
-    Gram-Schmidt extension of each pair over standard basis vectors in
-    index order, then U = sum_k |b''_k><b'_k| over the full bases.
+
+def envariance_unitaries(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(N, d, d) unitaries, row k mapping the orthonormal pair of
+    ``sources[k]`` onto that of ``targets[k]``; both are (N, d, 2) stacks
+    of pairs as columns.
+
+    Each pair b1, b2 is completed to a basis Q by one complete QR of
+    [b1 b2 | 1], the first two columns of Q phase-fixed from R's
+    diagonal back onto b1 and b2; then U = Q_target Q_source^dagger.
     """
-    src = [np.asarray(b1p, dtype=complex), np.asarray(b2p, dtype=complex)]
-    dst = [np.asarray(b1pp, dtype=complex), np.asarray(b2pp, dtype=complex)]
-    dim = src[0].size
-    for pair in (src, dst):
-        if pair[0].size != dim or pair[1].size != dim:
-            raise ValueError("all environment vectors must have equal dimension")
-        for v in pair:
-            if not abs(np.linalg.norm(v) - 1.0) <= MODEL_TOL:
-                raise ValueError("environment vectors must be unit vectors")
-        if not abs(np.conj(pair[0]) @ pair[1]) <= MODEL_TOL:
-            raise ValueError("environment vector pairs must be orthogonal")
-    src_basis = gram_schmidt_complete(src, dim)
-    dst_basis = gram_schmidt_complete(dst, dim)
-    u = np.zeros((dim, dim), dtype=complex)
-    for s, t in zip(src_basis, dst_basis):
-        u += np.outer(t, np.conj(s))
-    return u
+    sources, targets = (np.asarray(p, dtype=complex) for p in (sources, targets))
+    if sources.shape != targets.shape or sources.ndim != 3 or sources.shape[2] != 2:
+        raise ValueError("all environment vectors must have equal dimension")
+    pairs = np.stack([sources, targets])
+    if not np.all(np.abs(np.linalg.norm(pairs, axis=2) - 1.0) <= MODEL_TOL):
+        raise ValueError("environment vectors must be unit vectors")
+    overlaps = np.einsum("tki,tki->tk", pairs[..., 0].conj(), pairs[..., 1])
+    if not np.all(np.abs(overlaps) <= MODEL_TOL):
+        raise ValueError("environment vector pairs must be orthogonal")
+    dim = pairs.shape[2]
+    identity = np.broadcast_to(np.eye(dim), pairs.shape[:2] + (dim, dim))
+    q, r = np.linalg.qr(np.concatenate([pairs, identity], axis=3), mode="complete")
+    diag = np.diagonal(r[..., :2], axis1=2, axis2=3)
+    q[..., :2] *= (diag / np.abs(diag))[:, :, None, :]
+    return q[1] @ q[0].conj().swapaxes(1, 2)
 
 
 def purify(p: BlochVector) -> StateVector:
@@ -441,13 +431,20 @@ def basis_state(factor_dims: Sequence[int], indices: Sequence[int]) -> StateVect
 
 
 def spin_pair_state(lam: float) -> StateVector:
-    """Two-spin state sqrt(1-lam)|uu> + sqrt(lam)|dd> for lam in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = math.sqrt(1.0 - lam)
-    amps[3] = math.sqrt(lam)
-    return StateVector((2, 2), amps)
+    """Two-spin state sqrt(1-lam)|uu> + sqrt(lam)|dd> for lam in [0, 1]
+    (a batch of one of ``spin_pair_states``)."""
+    return spin_pair_states([lam])[0]
+
+
+def spin_pair_states(lams: Sequence[float]) -> list[StateVector]:
+    """``spin_pair_state`` of each weight, checked as one stack."""
+    for lam in lams:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+    amps = np.zeros((len(lams), 4), dtype=complex)
+    amps[:, 0] = [math.sqrt(1.0 - lam) for lam in lams]
+    amps[:, 3] = [math.sqrt(lam) for lam in lams]
+    return StateVector.stack((2, 2), amps)
 
 
 def bell_state() -> StateVector:

@@ -31,6 +31,12 @@ class TestEnvariance:
         det = detectors.random_ancilla_detector(np.random.default_rng(3))
         assert verify_envariance(det, trials=50, seed=4).passed
 
+    def test_mapping_is_orthonormal_to_rounding(self):
+        # A completion that loses orthogonality shows at this seed: the
+        # mapping residual was 1.38e-14, about 60 ulps.
+        (report,) = run_full_suite(seed=1234, subset="envariance")
+        assert report.max_deviation <= 2e-15
+
 
 class TestLemma1:
     def test_endpoint_weights(self):
@@ -60,6 +66,13 @@ class TestLemma1:
         det = detectors.sg_up_detector()
         with pytest.raises(ValueError):
             verify_lemma1(det, BlochVector(0, 0, 0), BlochVector(0, 0, 1), 1.5)
+
+    def test_stack_matches_per_instance_runs(self):
+        # Both detector families and several ancilla shapes in one stack.
+        rng = np.random.default_rng(29)
+        instances = derivation._segments(rng, 30, lambda rng: float(rng.uniform()))
+        stacked = derivation._lemma1(instances, 1e-9)
+        assert [r.to_dict() for r in stacked] == [verify_lemma1(*x).to_dict() for x in instances]
 
 
 class TestLemma2:
@@ -227,7 +240,7 @@ class TestFullSuite:
         def boom(*args, **kwargs):
             raise AssertionError("a skipped family ran")
 
-        for name in ("verify_envariance", "verify_lemma1", "verify_lemma3_dyadic",
+        for name in ("verify_envariance", "verify_lemma1", "_lemma1", "verify_lemma3_dyadic",
                      "verify_theorem1", "verify_theorem2", "_identity_reports"):
             monkeypatch.setattr(derivation, name, boom)
         reports = run_full_suite(seed=42, subset="isospin")

@@ -22,6 +22,7 @@ from bornverifier.qcore import (
 
 UP = StateVector((2,), [1, 0])
 DOWN = StateVector((2,), [0, 1])
+_E3 = np.eye(3, dtype=complex)
 
 
 def partial_trace_oracle(psi: StateVector, keep: int) -> np.ndarray:
@@ -158,6 +159,36 @@ class TestEnvarianceUnitary:
         e0, e1 = np.eye(2, dtype=complex)
         with pytest.raises(ValueError):
             envariance_unitary(e0, e0, e0, e1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_stack_rows_match_successive_calls(self, dim):
+        rng = np.random.default_rng(dim)
+        sources, targets = (
+            qcore.haar_unitaries(rng.standard_normal((6, 2, dim, dim)))[:, :, :2] for _ in range(2)
+        )
+        stacked = qcore.envariance_unitaries(sources, targets)
+        for u, src, dst in zip(stacked, sources, targets):
+            np.testing.assert_array_equal(u, envariance_unitary(*src.T, *dst.T))
+            np.testing.assert_allclose(u @ src, dst, atol=2e-15)
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=2e-15)
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            ((_E3[0], 2.0 * _E3[1], _E3[0], _E3[1]), "unit vectors"),
+            ((_E3[0], _E3[0], _E3[0], _E3[1]), "pairs must be orthogonal"),
+            ((_E3[0], _E3[1], _E3[2], _E3[2]), "pairs must be orthogonal"),
+            ((_E3[0], _E3[1], _E3[0, :2], _E3[1, :2]), "must have equal dimension"),
+        ],
+        ids=["unnormalized", "non-orthogonal-source", "non-orthogonal-target", "unequal-dimensions"],
+    )
+    def test_stack_rejects_as_one_call(self, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            envariance_unitary(*vectors)
+        with pytest.raises(ValueError, match=message):
+            qcore.envariance_unitaries(
+                np.stack(vectors[:2], axis=1)[None], np.stack(vectors[2:], axis=1)[None]
+            )
 
 
 class TestPurify:
@@ -300,6 +331,18 @@ class TestStackedBuilds:
             StateVector(dims, rows[-1])
         with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
             StateVector.stack(dims, rows)
+
+    def test_stack_of_the_wrong_rank_names_its_shape(self):
+        message = "expected (N, 2) amplitude rows for dims (2,), got shape (2,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StateVector.stack((2,), [1, 0])
+
+    def test_spin_pairs_match_successive_builds(self):
+        weights = [0.0, 0.3, 0.5, 1.0]
+        for state, lam in zip(qcore.spin_pair_states(weights), weights):
+            np.testing.assert_array_equal(state.amplitudes, spin_pair_state(lam).amplitudes)
+        with pytest.raises(ValueError, match=r"^mixing weight must lie in \[0, 1\], got 1.5$"):
+            qcore.spin_pair_states([0.3, 1.5])
 
 
 class TestTrustedStates:

@@ -79,13 +79,6 @@ def _grid_spacing_tol(x):
         return not _raises(lambda: coordinate.load_wavefunction(path))
 
 
-def _basis_tol(x):
-    # The residual of e0 against u has norm about x.  Skipped, the next
-    # candidate e1 leaves (-x, 1, 0); taken, e0 leaves about (x, -1, 0).
-    u = np.array([math.sqrt(1.0 - x * x), x, 0.0])
-    return qcore.gram_schmidt_complete([u], 3)[1][1].real > 0.0
-
-
 def _degeneracy_tol(x):
     # A first component at or below the threshold is passed over as the
     # phase anchor, so the second is made real.
@@ -134,7 +127,6 @@ PROBES = {
     "PHYSICAL_SLACK": _physical_slack,
     "NORM_TOL": _norm_tol,
     "GRID_SPACING_TOL": _grid_spacing_tol,
-    "BASIS_TOL": _basis_tol,
     "DEGENERACY_TOL": _degeneracy_tol,
     "POSITIVE_FLOOR": _positive_floor,
     "ZERO_WEIGHT": _zero_weight,
