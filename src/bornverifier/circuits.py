@@ -18,7 +18,7 @@ brackets through a rule: the derivation suite uses the default,
 the alternative rules.  ``check_identity_states`` checks six identities
 on one instance and ``check_identity_a5_decomposition`` the seventh;
 ``sweep_identities`` checks all seven on random instances for both,
-one batch per detector family and shape.
+in one batch whatever the detectors' families.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class Gate:
 class Measure:
     """Measurement step; ``detector`` None means the reference
     Stern-Gerlach apparatus, otherwise a black-box click detector, or a
-    sequence of N detectors of one family and shape, one per row of a
-    batched walk."""
+    sequence of N detectors of any families, one per row of a batched
+    walk."""
 
     wire: int
     label: str
@@ -547,12 +547,11 @@ def sweep_identities(
 
     Each instance draws the raw numbers of a random detector, states and
     unitaries, and its reading ``rule.for_instance(rng)``, in this stream
-    order; then all are built in stacks of equal shape.  The instances
-    whose detectors share a family and shape are checked as one batch:
-    the six state identities, and the decomposition at each instance's
-    random weight.  Returns the worst deviation of each identity, and
-    ``born_deviation``: the worst distance between the reading of the
-    single-spin click and the click itself."""
+    order; then all are built in stacks of equal shape, and all instances
+    are checked as one batch: the six state identities, and the
+    decomposition at each instance's random weight.  Returns the worst
+    deviation of each identity, and ``born_deviation``: the worst distance
+    between the reading of the single-spin click and the click itself."""
     det_draws, state_draws, unitary_draws, rest = [], [], [], []
     for _ in range(instances):
         det_draws.append(_det.draw_detector(rng))
@@ -563,27 +562,18 @@ def sweep_identities(
         unitary_draws += [rng.standard_normal((2, d, d)) for d in (env, 2)]  # u_env, u_spin
         rest.append((sg_outcome, float(rng.uniform()), rule.for_instance(rng)))
     dets = _det.build_detectors(det_draws)
-    states = qcore.build_states(state_draws)
-    unitaries = qcore.build_unitaries(unitary_draws)
-    groups: dict[tuple, list[tuple]] = {}
-    for i, (det, (sg_outcome, lam, reading)) in enumerate(zip(dets, rest)):
-        psi, pair, single, ancilla = states[4 * i : 4 * i + 4]
-        u_env, u_spin = unitaries[2 * i : 2 * i + 2]
-        groups.setdefault((type(det), getattr(det, "ancilla_dim", 0)), []).append(
-            (det, single, ancilla, psi, u_env, pair, sg_outcome, u_spin, lam, reading)
-        )
+    states, unitaries = qcore.build_states(state_draws), qcore.build_unitaries(unitary_draws)
+    psi, pair, single, ancilla = (states[k::4] for k in range(4))
+    u_env, u_spin = unitaries[::2], unitaries[1::2]
+    sg_outcome, lam, readings = zip(*rest)
+    checked = _check_states(dets, single, ancilla, psi, u_env, pair, sg_outcome, tolerance, readings)
+    a5 = _check_a5(lam, dets, (np.stack(u_spin),), tolerance, readings)
     worst = dict.fromkeys(IDENTITY_NAMES, 0.0)
     born_deviation = 0.0
-    for group in groups.values():
-        det, single, ancilla, psi, u_env, pair, sg_outcome, u_spin, lam, readings = zip(*group)
-        checked = _check_states(
-            det, single, ancilla, psi, u_env, pair, sg_outcome, tolerance, readings
-        )
-        a5 = _check_a5(lam, det, (np.stack(u_spin),), tolerance, readings)
-        for reports, reading in zip((r + [a] for r, a in zip(checked, a5)), readings):
-            for report in reports:
-                name = report.name.removeprefix("identity:")
-                worst[name] = max(worst[name], report.max_deviation)
-            click = dict(reports[0].details)["lhs"]  # a1-extension: the click of ``single``
-            born_deviation = max(born_deviation, abs(reading.compared(click) - click))
+    for reports, reading in zip((r + [a] for r, a in zip(checked, a5)), readings):
+        for report in reports:
+            name = report.name.removeprefix("identity:")
+            worst[name] = max(worst[name], report.max_deviation)
+        click = dict(reports[0].details)["lhs"]  # a1-extension: the click of ``single``
+        born_deviation = max(born_deviation, abs(reading.compared(click) - click))
     return worst, born_deviation

@@ -57,17 +57,22 @@ class TomographyEntry:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $BORNVERIFIER_SEED or 42)")
-    parser.add_argument("--tolerance", type=float, default=qcore.DEFAULT_TOL, help="absolute tolerance for checks")
+    parser.add_argument("--seed", type=_at_least(0), default=None, help="RNG seed (default: $BORNVERIFIER_SEED or 42)")
+    parser.add_argument("--tolerance", type=_at_least(0.0, float), default=qcore.DEFAULT_TOL, help="absolute tolerance for checks")
     parser.add_argument("--out", type=str, default=None, help="write the JSON report here instead of stdout")
     parser.add_argument("--csv", type=str, default=None, help="also write a CSV summary here")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low, convert=int):
+    """A flag's type: ``convert(text)``, finite and at least ``low``."""
+    def parse(text: str):
+        try:
+            if low <= (value := convert(text)) < math.inf:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a finite {convert.__name__} >= {low}, got {text!r}")
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suite")
     _add_common_flags(verify)
     verify.add_argument("--subset", type=str, default=None, help="keep only reports whose name contains this")
-    verify.add_argument("--depth", type=_positive_int, default=derivation.DEFAULT_DYADIC_DEPTH, help="dyadic profile depth")
+    verify.add_argument("--depth", type=_at_least(1), default=derivation.DEFAULT_DYADIC_DEPTH, help="dyadic profile depth")
     verify.add_argument(
         "--wavefunction",
         action="append",
@@ -112,8 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(os.environ.get(_SEED_ENV, "42"))
+        return args.seed
+    try:
+        return _at_least(0)(os.environ.get(_SEED_ENV, "42"))
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"${_SEED_ENV} {exc}") from exc
 
 
 def _emit(doc: ReportDocument, args) -> None:
@@ -140,6 +148,8 @@ def cmd_verify(args) -> int:
         depth=args.depth,
         wavefunctions=extra,
     )
+    if args.subset is not None and not reports:
+        raise _UsageError(f"--subset {args.subset!r} matches no report")
     doc = ReportDocument(
         version=__version__, seed=seed, tolerance=args.tolerance, reports=tuple(reports)
     )

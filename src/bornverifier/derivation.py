@@ -47,21 +47,16 @@ def verify_envariance(
     have equal click probability, and the constructed environment
     unitary maps one onto the other."""
     rng = qcore.as_rng(seed)
-    weights, spins, sources, targets = [], [], [], []
+    # The loop only draws; trial 0 is the exact-equality case, trial 1 has c2 = 0.
+    thetas, zs, sources, targets = [math.pi / 4, 0.0][:trials], [], [], []
     for trial in range(trials):
-        if trial == 0:
-            theta = math.pi / 4  # identical bases, exact-equality case
-        elif trial == 1:
-            theta = 0.0  # product state, c2 = 0
-        else:
-            theta = rng.uniform(0.0, math.pi / 2)
-        weights.append((math.cos(theta), math.sin(theta)))
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        a1 = qcore.fix_global_phase(z / np.linalg.norm(z))
-        spins.append((a1, np.array([-np.conj(a1[1]), np.conj(a1[0])])))
+        if trial > 1:
+            thetas.append(rng.uniform(0.0, math.pi / 2))
+        zs.append(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         sources.append(rng.standard_normal((2, _ENV_DIM, _ENV_DIM)))
         if trial:  # trial 0 maps the source pair onto itself
             targets.append(rng.standard_normal((2, _ENV_DIM, _ENV_DIM)))
+    a1 = qcore.fix_global_phase(np.array(zs) / np.linalg.norm(zs, axis=1, keepdims=True))
     # The environment pairs b1, b2: the first two columns of Haar unitaries.
     sources, targets = (
         qcore.haar_unitaries(np.array(g))[:, :, :2] for g in (sources, sources[:1] + targets)
@@ -69,8 +64,8 @@ def verify_envariance(
     # psi' and psi'', c1 |a1>|b1> + c2 |a2>|b2> over the source and the
     # target environment pairs: two (trials, 2, env) stacks, each row
     # normalized and checked as ``StateVector.from_amplitudes`` would.
-    c = np.array(weights)[:, :, None, None]
-    a = np.array(spins)[:, :, :, None]
+    c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)[:, :, None, None]
+    a = np.stack([a1, np.stack([-a1[:, 1].conj(), a1[:, 0].conj()], axis=1)], axis=1)[..., None]
     terms = [c * (a * b.transpose(0, 2, 1)[:, :, None, :]) for b in (sources, targets)]
     amps = np.array([t[:, 0] + t[:, 1] for t in terms])
     norms = np.linalg.norm(amps, axis=(2, 3), keepdims=True)
@@ -114,8 +109,9 @@ def verify_lemma1(
 
 def _lemma1(instances, tolerance: float) -> list[VerificationReport]:
     """``verify_lemma1`` on N (det, p0, p1, lam) instances at once: the
-    states and the relabelling unitaries are built in stacks, and each
-    detector is probed on its own instance."""
+    states and the relabelling unitaries are built in stacks, and the
+    oracle is asked twice, for the ends and midpoints of every segment
+    and for every four-spin state, each detector on its own rows."""
     dets, p0, p1, lams = zip(*instances)
     pairs = qcore.spin_pair_states(lams)
     n = len(instances)
@@ -143,13 +139,15 @@ def _lemma1(instances, tolerance: float) -> list[VerificationReport]:
     expected[:, 0], expected[:, 3] = c0[:, 0], c1[:, 0]
     dev_b = np.linalg.norm(relabelled.reshape(n, 16) - expected, axis=1).tolist()
 
+    points = np.concatenate([ends, mids[:, None]], axis=1).reshape(3 * n, 3)
+    probes = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(n, 3)
+    f_big = _det.click_probabilities(dets, amps.reshape(n, 2, 8)).tolist()
     reports = []
-    for i, (det, big, pair) in enumerate(zip(dets, bigs, pairs)):
+    for i, (big, pair, (f0, f1, f_mid)) in enumerate(zip(bigs, pairs, probes.tolist())):
         dev_a = float(np.max(np.abs(qcore.bloch_polarization(big, 0).as_array() - mids[i])))
         a_lam = next(r for r in circuits.sg_measure(pair, 1) if r.outcome == "u").probability
-        f0, f1, f_mid = _det.probe_fclick(det, np.array([*ends[i], mids[i]])).tolist()
         dev_c = abs(f_mid - (a_lam * f0 + (1.0 - a_lam) * f1))
-        dev_big = abs(_det.click_probability(det, big, 0) - f_mid)
+        dev_big = abs(f_big[i] - f_mid)
         dev_d = max(0.0, min(f0, f1) - f_mid, f_mid - max(f0, f1))
         reports.append(VerificationReport.from_deviation(
             "lemma1",
@@ -294,23 +292,14 @@ def verify_theorem1(
     # once; the probes themselves go through the oracle.
     predicted = points @ resp.alpha + resp.beta
     dev_points = float(np.max(np.abs(_det.probe_fclick(det, points) - predicted)))
-    dev_mixed = 0.0
-    for _ in range(5):
-        k = int(rng.integers(2, 5))
-        weights = rng.uniform(size=k)
-        weights /= weights.sum()
-        members = StateVector.stack((2, 2), qcore.random_amplitudes((2, 2), k, rng))
-        ensemble = list(zip(weights.tolist(), members))
-        mean_p = BlochVector.from_array(
-            sum(w * qcore.bloch_polarization(s, 0).as_array() for w, s in ensemble)
-        )
-        dev_mixed = max(
-            dev_mixed,
-            abs(
-                _det.mixed_click_probability(ensemble, det)
-                - (mean_p.as_array() @ resp.alpha + resp.beta)
-            ),
-        )
+
+    def mixture_prediction(weights: np.ndarray, members: np.ndarray) -> float:
+        """alpha . p + beta at the mixture's mean polarization p."""
+        states = zip(weights.tolist(), StateVector.stack((2, 2), members))
+        mean_p = sum(w * qcore.bloch_polarization(s, 0).as_array() for w, s in states)
+        return mean_p @ resp.alpha + resp.beta
+
+    dev_mixed = _mixture_deviation(det, rng, 5, (2, 2), mixture_prediction)
     return VerificationReport.from_deviation(
         name,
         f"points={len(points)}",
@@ -323,6 +312,24 @@ def verify_theorem1(
             ("beta", resp.beta),
         ),
     )
+
+
+def _mixture_deviation(det: Detector, rng, count: int, dims: tuple[int, ...], predict) -> float:
+    """Worst gap, over ``count`` random mixtures of states of ``dims``,
+    between the law-of-total-probability click chance and
+    ``predict(weights, members)``.  Each mixture draws its size, its
+    weights and its members in this stream order; then all members are
+    probed in one call, spin factor 0 first."""
+    mixtures = []
+    for _ in range(count):
+        k = int(rng.integers(2, 5))
+        weights = rng.uniform(size=k)
+        mixtures.append((weights / weights.sum(), qcore.random_amplitudes(dims, k, rng)))
+    members = np.concatenate([m for _, m in mixtures])
+    clicks = _det.click_probabilities(det, members.reshape(len(members), 2, -1))
+    ends = np.cumsum([len(w) for w, _ in mixtures[:-1]])
+    per_mixture = zip(mixtures, np.split(clicks, ends))
+    return max(abs(float(w @ c) - predict(w, m)) for (w, m), c in per_mixture)
 
 
 def verify_theorem2(
@@ -364,17 +371,13 @@ def verify_theorem2(
     predicted = span * np.abs(states @ np.conj(phi_up)) ** 2 + p_min
     oracle = _det.click_probabilities(det, states[:, :, None])
     dev_pure = float(np.max(np.abs(oracle - predicted), initial=0.0))
-    dev_mixed = 0.0
-    for _ in range(20):
-        k = int(rng.integers(2, 5))
-        weights = rng.uniform(size=k)
-        weights /= weights.sum()
-        members = qcore.random_amplitudes((2,), k, rng)
+
+    def mixture_prediction(weights: np.ndarray, members: np.ndarray) -> float:
+        """The pure-state rule at the mixture's density matrix."""
         rho = np.einsum("k,ki,kj->ij", weights, members, members.conj())
-        predicted = span * float((np.conj(phi_up) @ rho @ phi_up).real) + p_min
-        ensemble = list(zip(weights.tolist(), StateVector.stack((2,), members)))
-        oracle = _det.mixed_click_probability(ensemble, det)
-        dev_mixed = max(dev_mixed, abs(oracle - predicted))
+        return span * float((np.conj(phi_up) @ rho @ phi_up).real) + p_min
+
+    dev_mixed = _mixture_deviation(det, rng, 20, (2,), mixture_prediction)
 
     resp_down = _det.extract_affine(_det.complement_detector(det))
     dev_complement = max(

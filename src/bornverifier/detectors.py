@@ -170,25 +170,34 @@ def click_probabilities(det: Detector | Sequence[Detector], amps: np.ndarray) ->
 
     ``amps`` has shape (N, 2, rest): axis 1 is the measured spin and
     axis 2 runs over every other factor.  ``det`` is one detector for
-    every row, or N detectors of one family and shape, one per row.  An
-    effect detector gives sum_r <a_r|E|a_r>; an ancilla detector is
-    simulated exactly, as the squared norm of its projected spin+ancilla
-    amplitudes.
+    every row, or N detectors of any families, one per row.  An effect
+    detector gives sum_r <a_r|E|a_r>; an ancilla detector is simulated
+    exactly, as the squared norm of its projected spin+ancilla
+    amplitudes.  Rows of a sequence are grouped by family and shape, and
+    each group takes the lone detector's formula with one matrix per row.
     """
     if isinstance(det, EffectDetector):
         p = np.einsum("nir,ij,njr->n", amps.conj(), det.effect, amps).real
     elif isinstance(det, AncillaDetector):
         projected = np.einsum("ki,nir->nkr", det.click_map, amps)
         p = np.einsum("nkr,nkr->n", projected.conj(), projected).real
-    elif isinstance(det, Sequence) and all(isinstance(d, EffectDetector) for d in det):
-        effects = np.stack([d.effect for d in det])
-        p = np.einsum("nir,nij,njr->n", amps.conj(), effects, amps).real
-    elif isinstance(det, Sequence) and all(isinstance(d, AncillaDetector) for d in det):
-        projected = np.stack([d.click_map for d in det]) @ amps
-        p = np.einsum("nkr,nkr->n", projected.conj(), projected).real
+    elif isinstance(det, Sequence) and all(isinstance(d, Detector) for d in det):
+        # An effect's key is 0, an ancilla detector's its ancilla dimension.
+        groups = qcore.in_stacks(range(len(det)), lambda i: getattr(det[i], "ancilla_dim", 0),
+                                 lambda rows: _group_clicks([det[i] for i in rows], amps[rows]))
+        p = np.array(groups, dtype=float)
     else:
-        raise TypeError("not a detector, nor a sequence of detectors of one family")
+        raise TypeError("not a detector, nor a sequence of detectors")
     return np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip, without its call overhead
+
+
+def _group_clicks(dets: list[Detector], amps: np.ndarray) -> np.ndarray:
+    """Unclipped click probabilities of rows whose detectors share a
+    family and shape."""
+    if isinstance(dets[0], EffectDetector):
+        return np.einsum("nir,nij,njr->n", amps.conj(), np.stack([d.effect for d in dets]), amps).real
+    projected = np.einsum("nki,nir->nkr", np.stack([d.click_map for d in dets]), amps)
+    return np.einsum("nkr,nkr->n", projected.conj(), projected).real
 
 
 def equivalent_effect(det: Detector) -> np.ndarray:
@@ -213,12 +222,13 @@ def complement_detector(det: Detector) -> Detector:
     )
 
 
-def probe_fclick(det: Detector, p):
+def probe_fclick(det: Detector | Sequence[Detector], p):
     """Click probability at a Bloch point, probed through the canonical
     purification (purification independence is tested, not assumed).
 
     ``p`` is a BlochVector, giving a float, or an (N, 3) array of
-    points, giving an array of N probabilities.
+    points, giving an array of N probabilities; ``det`` is taken as by
+    ``click_probabilities``.
     """
     if isinstance(p, BlochVector):
         return float(probe_fclick(det, p.as_array()[None])[0])

@@ -233,17 +233,17 @@ def eig2x2_hermitian(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v1 /= np.linalg.norm(v1)
         v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
         vecs = np.column_stack([v1, v2])
-    vecs = np.column_stack([fix_global_phase(vecs[:, 0]), fix_global_phase(vecs[:, 1])])
+    vecs = fix_global_phase(vecs.T).T
     return np.array([mu1, mu2]), vecs
 
 
 def fix_global_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first component above ``DEGENERACY_TOL`` is
-    real positive."""
-    for x in v:
-        if abs(x) > DEGENERACY_TOL:
-            return v * (np.conj(x) / abs(x))
-    return np.array(v, copy=True)
+    """Rotate a vector, or each row of a stack, so that its first
+    component above ``DEGENERACY_TOL`` is real positive."""
+    above = np.abs(v) > DEGENERACY_TOL
+    anchor = np.take_along_axis(v, np.argmax(above, axis=-1)[..., None], axis=-1)
+    anchor = np.where(above.any(axis=-1, keepdims=True), anchor, 1.0)
+    return v * (anchor.conj() / np.abs(anchor))
 
 
 def envariance_unitary(

@@ -8,6 +8,7 @@ produce byte-identical documents.
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import dataclass
 
 
@@ -106,13 +107,13 @@ def _write_json(obj, out) -> None:
     elif isinstance(obj, float):
         out.write(format_float(obj))
     elif isinstance(obj, str):
-        out.write(_json_string(obj))
+        out.write(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         out.write("{")
         for i, key in enumerate(sorted(obj)):
             if i:
                 out.write(", ")
-            out.write(_json_string(str(key)))
+            out.write(json.dumps(str(key), ensure_ascii=False))
             out.write(": ")
             _write_json(obj[key], out)
         out.write("}")
@@ -125,20 +126,6 @@ def _write_json(obj, out) -> None:
         out.write("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to canonical JSON")
-
-
-def _json_string(s: str) -> str:
-    escapes = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-    chunks = ['"']
-    for ch in s:
-        if ch in escapes:
-            chunks.append(escapes[ch])
-        elif ord(ch) < 0x20:
-            chunks.append(f"\\u{ord(ch):04x}")
-        else:
-            chunks.append(ch)
-    chunks.append('"')
-    return "".join(chunks)
 
 
 def csv_summary(doc: ReportDocument) -> str:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bornverifier import cli, derivation, detectors
+from bornverifier import cli, derivation, detectors, reporting
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,6 +115,27 @@ class TestVerify:
     def test_zero_depth_exits_2_at_the_flag(self, capsys):
         assert run_cli("verify", "--subset", "lemma3", "--depth", "0") == 2
         assert "--depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tolerance", "inf"), ("--tolerance", "-inf"), ("--tolerance", "nan"),
+         ("--tolerance", "-1"), ("--tolerance", "x"), ("--seed", "-5"), ("--seed", "1.5"),
+         ("--seed", "abc")],
+    )
+    def test_bad_number_exits_2_at_the_flag(self, flag, value, capsys):
+        assert run_cli("verify", "--subset", "lemma2", flag, value) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "", "4.0"])
+    def test_bad_seed_variable_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("BORNVERIFIER_SEED", value)
+        assert run_cli("verify", "--subset", "lemma2") == 2
+        assert capsys.readouterr().err.startswith("error: $BORNVERIFIER_SEED")
+
+    def test_unmatched_subset_exits_2(self, capsys):
+        assert run_cli("verify", "--subset", "nosuch") == 2
+        assert capsys.readouterr().err == "error: --subset 'nosuch' matches no report\n"
 
     def test_internal_failure_exits_3(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -266,3 +287,13 @@ class TestDeterminism:
         run_cli("verify", "--seed", "42", "--subset", "identity", "--out", str(a))
         run_cli("verify", "--seed", "42", "--subset", "identity", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['say "hi"', "back\\slash", "\x00\x08\t\n\x0c\r\x1f\x7f", "ünïcödé λ → ∞ \U0001f600", ""],
+    )
+    def test_strings_round_trip_through_json(self, text):
+        document = reporting.canonical_json({text: [text]})
+        assert json.loads(document) == {text: [text]}
+        assert not any(ord(c) < 0x20 for c in document[:-1])  # control characters escaped
+        assert all(c in document for c in text if ord(c) > 0x7F)  # non-ASCII written as is

@@ -402,6 +402,28 @@ class TestBatchedOracle:
             scalar = [click_probability(det, s, 0) for s in states]
             np.testing.assert_allclose(batched, scalar, atol=1e-12)
 
+    @pytest.mark.parametrize("rest", [2, 3, 8])
+    def test_mixed_families_give_each_row_its_lone_value(self, rest):
+        rng = np.random.default_rng(42)
+        makers = [
+            random_effect_detector,
+            lambda r: random_ancilla_detector(r, 2),
+            lambda r: random_ancilla_detector(r, 4),
+        ]
+        dets = [makers[k](rng) for k in rng.permutation(np.arange(15) % 3)]
+        dets[3] = dets[0]  # a shared detector serves two rows
+        amps = qcore.random_amplitudes((2, rest), len(dets), rng).reshape(len(dets), 2, rest)
+        mixed = click_probabilities(dets, amps)
+        assert mixed.shape == (len(dets),)
+        for i, det in enumerate(dets):
+            assert mixed[i] == click_probabilities(det, amps)[i]
+
+    @pytest.mark.parametrize("intruder", ["detector", np.eye(2), None])
+    def test_sequence_with_a_non_detector_rejected(self, intruder):
+        amps = qcore.random_amplitudes((2, 2), 2, 43).reshape(2, 2, 2)
+        with pytest.raises(TypeError):
+            click_probabilities([sg_up_detector(), intruder], amps)
+
     def test_bad_point_arrays_rejected(self):
         det = sg_up_detector()
         with pytest.raises(ValueError):
