@@ -46,6 +46,8 @@ def verify_envariance(
     """Environment-assisted invariance: two states sharing Schmidt data
     have equal click probability, and the constructed environment
     unitary maps one onto the other."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = qcore.as_rng(seed)
     # The loop only draws; trial 0 is the exact-equality case, trial 1 has c2 = 0.
     thetas, zs, sources, targets = [math.pi / 4, 0.0][:trials], [], [], []
@@ -111,7 +113,8 @@ def _lemma1(instances, tolerance: float) -> list[VerificationReport]:
     """``verify_lemma1`` on N (det, p0, p1, lam) instances at once: the
     states and the relabelling unitaries are built in stacks, and the
     oracle is asked twice, for the ends and midpoints of every segment
-    and for every four-spin state, each detector on its own rows."""
+    and for every four-spin state, each detector on its own rows; every
+    a_lambda comes from one reference measurement of the stacked pairs."""
     dets, p0, p1, lams = zip(*instances)
     pairs = qcore.spin_pair_states(lams)
     n = len(instances)
@@ -142,10 +145,10 @@ def _lemma1(instances, tolerance: float) -> list[VerificationReport]:
     points = np.concatenate([ends, mids[:, None]], axis=1).reshape(3 * n, 3)
     probes = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(n, 3)
     f_big = _det.click_probabilities(dets, amps.reshape(n, 2, 8)).tolist()
+    a_lams = circuits._branches(circuits._stack(pairs), 1, None)[0][0].tolist()  # outcome "u"
     reports = []
-    for i, (big, pair, (f0, f1, f_mid)) in enumerate(zip(bigs, pairs, probes.tolist())):
+    for i, (big, a_lam, (f0, f1, f_mid)) in enumerate(zip(bigs, a_lams, probes.tolist())):
         dev_a = float(np.max(np.abs(qcore.bloch_polarization(big, 0).as_array() - mids[i])))
-        a_lam = next(r for r in circuits.sg_measure(pair, 1) if r.outcome == "u").probability
         dev_c = abs(f_mid - (a_lam * f0 + (1.0 - a_lam) * f1))
         dev_big = abs(f_big[i] - f_mid)
         dev_d = max(0.0, min(f0, f1) - f_mid, f_mid - max(f0, f1))

@@ -68,6 +68,13 @@ class EffectDetector(_DerivedData):
         m.setflags(write=False)
         object.__setattr__(self, "effect", m)
 
+    _model = property(lambda self: self.effect)  # what the family's formula takes
+
+    @staticmethod
+    def _clicks(effect: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """The family's one formula, unclipped: sum_r <a_r|E|a_r> per row."""
+        return np.einsum("nir,nir->n", amps.conj(), effect @ amps).real
+
 
 @dataclass(frozen=True)
 class AncillaDetector(_DerivedData):
@@ -99,6 +106,14 @@ class AncillaDetector(_DerivedData):
         """(2m, 2) map (1 (x) P) U restricted to ancilla input |0>: it
         takes the spin amplitudes to the projected spin+ancilla ones."""
         return np.kron(IDENTITY_2, self.projector) @ self.coupling[:, :: self.ancilla_dim]
+
+    _model = property(lambda self: self.click_map)  # what the family's formula takes
+
+    @staticmethod
+    def _clicks(click_map: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """The family's one formula, unclipped: |M a|^2 per row."""
+        projected = click_map @ amps
+        return np.einsum("nkr,nkr->n", projected.conj(), projected).real
 
 
 Detector = EffectDetector | AncillaDetector
@@ -173,31 +188,20 @@ def click_probabilities(det: Detector | Sequence[Detector], amps: np.ndarray) ->
     every row, or N detectors of any families, one per row.  An effect
     detector gives sum_r <a_r|E|a_r>; an ancilla detector is simulated
     exactly, as the squared norm of its projected spin+ancilla
-    amplitudes.  Rows of a sequence are grouped by family and shape, and
-    each group takes the lone detector's formula with one matrix per row.
+    amplitudes.  A family's one formula takes its model matrix alone or
+    stacked one per row, as rows of a sequence are stacked by family and
+    shape, so a row's value never depends on its batch.
     """
-    if isinstance(det, EffectDetector):
-        p = np.einsum("nir,ij,njr->n", amps.conj(), det.effect, amps).real
-    elif isinstance(det, AncillaDetector):
-        projected = np.einsum("ki,nir->nkr", det.click_map, amps)
-        p = np.einsum("nkr,nkr->n", projected.conj(), projected).real
+    if isinstance(det, Detector):
+        p = det._clicks(det._model, amps)
     elif isinstance(det, Sequence) and all(isinstance(d, Detector) for d in det):
-        # An effect's key is 0, an ancilla detector's its ancilla dimension.
-        groups = qcore.in_stacks(range(len(det)), lambda i: getattr(det[i], "ancilla_dim", 0),
-                                 lambda rows: _group_clicks([det[i] for i in rows], amps[rows]))
-        p = np.array(groups, dtype=float)
+        p = np.array(qcore.in_stacks(
+            range(len(det)), lambda i: (type(det[i]), det[i]._model.shape),
+            lambda rows: det[rows[0]]._clicks(np.stack([det[i]._model for i in rows]), amps[rows]),
+        ), dtype=float)
     else:
         raise TypeError("not a detector, nor a sequence of detectors")
     return np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip, without its call overhead
-
-
-def _group_clicks(dets: list[Detector], amps: np.ndarray) -> np.ndarray:
-    """Unclipped click probabilities of rows whose detectors share a
-    family and shape."""
-    if isinstance(dets[0], EffectDetector):
-        return np.einsum("nir,nij,njr->n", amps.conj(), np.stack([d.effect for d in dets]), amps).real
-    projected = np.einsum("nki,nir->nkr", np.stack([d.click_map for d in dets]), amps)
-    return np.einsum("nkr,nkr->n", projected.conj(), projected).real
 
 
 def equivalent_effect(det: Detector) -> np.ndarray:

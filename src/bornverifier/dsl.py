@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -103,39 +103,19 @@ class ExperimentSpec:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExperimentSpec):
             return NotImplemented
-        return (
-            self.wires == other.wires
-            and self.prepare == other.prepare
-            and self.steps == other.steps
-            and self.queries == other.queries
-            and _dict_equal(self.states, other.states)
-            and _dict_equal(self.unitaries, other.unitaries)
-            and _detectors_equal(self.detectors, other.detectors)
-        )
+        return _equal(self, other)
 
 
-def _dict_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
-    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
-
-
-def _detectors_equal(a: dict[str, Detector], b: dict[str, Detector]) -> bool:
-    if a.keys() != b.keys():
-        return False
-    for key in a:
-        da, db = a[key], b[key]
-        if type(da) is not type(db):
-            return False
-        if isinstance(da, EffectDetector):
-            if not np.array_equal(da.effect, db.effect):
-                return False
-        else:
-            if da.ancilla_dim != db.ancilla_dim:
-                return False
-            if not np.array_equal(da.coupling, db.coupling):
-                return False
-            if not np.array_equal(da.projector, db.projector):
-                return False
-    return True
+def _equal(a, b) -> bool:
+    """Structural equality: dataclasses field by field, dicts entry by
+    entry, arrays by ``np.array_equal``, anything else by ``==``."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 # --- lexer -----------------------------------------------------------------

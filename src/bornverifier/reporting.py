@@ -129,19 +129,17 @@ def _write_json(obj, out) -> None:
 
 
 def csv_summary(doc: ReportDocument) -> str:
-    """One line per report: name, kind, passed, max deviation, tolerance."""
-    lines = ["name,kind,passed,max_deviation,tolerance"]
+    """One row per report: name, kind, passed, max deviation (a battery's
+    worst identity deviation), tolerance."""
+    import csv  # here, so that importing the package stays as cheap as it was
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["name", "kind", "passed", "max_deviation", "tolerance"])
     for report in doc.reports:
         d = report.to_dict()
-        lines.append(
-            ",".join(
-                [
-                    d.get("name", ""),
-                    d.get("kind", ""),
-                    "true" if d.get("passed") else "false",
-                    format_float(d.get("max_deviation", 0.0)),
-                    format_float(d.get("tolerance", 0.0)),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        worst = d.get("max_deviation", max(d.get("deviations", {}).values(), default=0.0))
+        passed = "true" if d.get("passed") else "false"
+        tolerance = format_float(d.get("tolerance", 0.0))
+        writer.writerow([d.get("name", ""), d.get("kind", ""), passed, format_float(worst), tolerance])
+    return out.getvalue()

@@ -416,6 +416,21 @@ class TestBatchedWalk:
         swept = circuits.sweep_identities(np.random.default_rng(seed), 20, rule=rule)
         assert swept == (worst, born_deviation)
 
+    def test_rows_walk_as_their_batches_of_one(self):
+        # Bit for bit, for both families: a detector, a gate, then the
+        # reference apparatus on a stack of single spins.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            det = detectors.random_detector(rng)
+            states = [qcore.random_state((2,), rng) for _ in range(64)]
+            steps = (Measure(0, "m", det), Gate((0,), qcore.random_unitary(2, rng)), Measure(0, "s"))
+            stacked = circuits.outcome_distribution(Circuit(states, steps))
+            for i, psi in enumerate(states):
+                alone = circuits.outcome_distribution(Circuit(psi, steps))
+                assert list(alone) == list(stacked)
+                for key, values in alone.items():
+                    assert values[0] == stacked[key][i], (type(det).__name__, i, key)
+
     def test_ended_rows_next_to_live_rows(self):
         # Row 0: |uu>, whose "d" branch has zero probability, measured by a
         # detector that never clicks; row 1 is live everywhere.

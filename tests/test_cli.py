@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 from pathlib import Path
@@ -76,6 +78,21 @@ class TestVerify:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "name,kind,passed,max_deviation,tolerance"
         assert len(lines) >= 2
+
+    def test_csv_quotes_a_name_with_a_comma_or_quote(self, tmp_path):
+        wf_path = tmp_path / 'a,b "q".txt'
+        wf_path.write_text("\n".join(f"{i * 0.005:.6f} 1.0" for i in range(200)) + "\n")
+        csv_path = tmp_path / "summary.csv"
+        run_cli(
+            "verify", "--subset", "isospin", "--wavefunction", str(wf_path),
+            "--out", str(tmp_path / "report.json"), "--csv", str(csv_path),
+        )
+        text = csv_path.read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [5] * len(rows)
+        assert 'isospin-born[a,b "q".txt]' in [row[0] for row in rows]
+        # A name without a comma or quote is written as it is.
+        assert "\nisospin-born[gaussian],verification,true," in text
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "report.json"
@@ -238,6 +255,14 @@ class TestCounterexamples:
         battery = doc["reports"][0]
         assert battery["identities"]["a5-decomposition"] == "fail"
         assert battery["deviations"]["a5-decomposition"] > 1e-2
+
+    def test_csv_row_carries_the_worst_identity_deviation(self, tmp_path):
+        out, csv_path = tmp_path / "battery.json", tmp_path / "battery.csv"
+        run_cli("counterexamples", "cubic3", "--out", str(out), "--csv", str(csv_path))
+        battery = json.loads(out.read_text())["reports"][0]
+        (row,) = list(csv.reader(io.StringIO(csv_path.read_text())))[1:]
+        assert row[:3] == ["counterexample:cubic3", "battery", "false"]
+        assert float(row[3]) == max(battery["deviations"].values()) > 1e-2
 
     def test_modified_rule_operator_flag(self, tmp_path):
         out = tmp_path / "battery.json"

@@ -31,6 +31,10 @@ class TestEnvariance:
         det = detectors.random_ancilla_detector(np.random.default_rng(3))
         assert verify_envariance(det, trials=50, seed=4).passed
 
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_envariance(detectors.sg_up_detector(), trials=0)
+
     def test_mapping_is_orthonormal_to_rounding(self):
         # A completion that loses orthogonality shows at this seed: the
         # mapping residual was 1.38e-14, about 60 ulps.

@@ -402,8 +402,10 @@ class TestBatchedOracle:
             scalar = [click_probability(det, s, 0) for s in states]
             np.testing.assert_allclose(batched, scalar, atol=1e-12)
 
-    @pytest.mark.parametrize("rest", [2, 3, 8])
+    @pytest.mark.parametrize("rest", [1, 2, 3, 8])
     def test_mixed_families_give_each_row_its_lone_value(self, rest):
+        # Bit for bit: a row's value does not depend on its batch, alone,
+        # among rows of its own detector or in a stack of mixed families.
         rng = np.random.default_rng(42)
         makers = [
             random_effect_detector,
@@ -417,6 +419,7 @@ class TestBatchedOracle:
         assert mixed.shape == (len(dets),)
         for i, det in enumerate(dets):
             assert mixed[i] == click_probabilities(det, amps)[i]
+            assert mixed[i] == click_probabilities(det, amps[i : i + 1])[0]
 
     @pytest.mark.parametrize("intruder", ["detector", np.eye(2), None])
     def test_sequence_with_a_non_detector_rejected(self, intruder):

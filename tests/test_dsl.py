@@ -364,6 +364,30 @@ class TestPrint:
         assert positions == sorted(positions)
 
 
+class TestEquality:
+    SOURCE = PAIR_SOURCE + f"detector A = ancilla 2 {CNOT_ANCILLA}\ndetector E = effect [[1, 0], [0, 0]]\n"
+
+    def test_equal_whatever_the_detector_caches_hold(self):
+        spec, again = parse(self.SOURCE), parse(self.SOURCE)
+        for det in spec.detectors.values():
+            detectors.extract_affine(det)
+            assert det.kraus_pair
+        assert spec == again
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("projector [[1, 0], [0, 0]]", "projector [[0, 0], [0, 1]]"),
+            ("effect [[1, 0], [0, 0]]", "effect [[0, 0], [0, 1]]"),
+            ("effect [[1, 0], [0, 0]]", f"ancilla 2 {CNOT_ANCILLA}"),
+            ("sqrt(0.75)*|uu> + sqrt(0.25)*|dd>", "sqrt(0.25)*|uu> + sqrt(0.75)*|dd>"),
+            ("query up : first = u", "query up : first = d"),
+        ],
+    )
+    def test_one_changed_entry_makes_specs_unequal(self, old, new):
+        assert parse(self.SOURCE.replace(old, new)) != parse(self.SOURCE)
+
+
 class TestGoldenCorpus:
     FILES = sorted(GOLDEN.glob("*.qexp"))
 
