@@ -216,6 +216,8 @@ def verify_lemma3_dyadic(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if n_random < 0:
+        raise ValueError("n_random must be >= 0")
     rng = qcore.as_rng(seed)
     f0, f1 = _det.probe_fclick(det, _stacked(p0, p1)).tolist()
     delta = f1 - f0
@@ -282,6 +284,8 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Affine response: tomography prediction matches the probed click
     probability across the ball, on the poles, and on mixtures."""
+    if n_points < 0:
+        raise ValueError("n_points must be >= 0")
     rng = qcore.as_rng(seed)
     resp = _det.extract_affine(det)
     poles = [

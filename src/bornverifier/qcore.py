@@ -293,6 +293,9 @@ def purify(p: BlochVector) -> StateVector:
     return StateVector((2, 2), purify_batch(p.as_array()[None])[0])
 
 
+_SIGNS = np.array([[1.0], [-1.0]])  # the +- in c1^2, c2^2 = (1 +- |p|)/2 and a2's minus
+
+
 def purify_batch(points) -> np.ndarray:
     """Canonical two-spin purifications of an (N, 3) array of Bloch
     points, returned as (N, 4) amplitude rows over (spin, environment).
@@ -314,33 +317,30 @@ def purify_batch(points) -> np.ndarray:
     transverse = np.hypot(px, py)
     radius = np.hypot(pz, transverse)
     inside = radius <= 1.0 + PHYSICAL_SLACK  # also false for non-finite components
-    if not np.all(inside):
+    if not inside.all():
         raise ValueError(f"|p| = {radius[~inside][0]} lies outside the Bloch ball")
     north = pz >= 0.0
     big = radius + np.abs(pz)
-    # (cos t, sin t) is (big, transverse) / scale in the north and
+    # Rows (cos t, sin t) are (big, transverse) / scale in the north and
     # (transverse, big) / scale in the south.
     scale = np.sqrt(2.0 * radius * big)
     on_axis = transverse <= 2.0 * DEGENERACY_TOL
-    cos_t = np.where(north, big, transverse)
-    sin_t = np.where(north, transverse, big)
+    cs = np.where(north, (big, transverse), (transverse, big))
     phase = (px + 1j * py) / np.where(on_axis, 1.0, transverse)
-    if np.any(on_axis):
+    if on_axis.any():
         upper = north[on_axis] | (radius[on_axis] <= 2.0 * DEGENERACY_TOL)
-        cos_t[on_axis] = upper
-        sin_t[on_axis] = ~upper
+        cs[:, on_axis] = upper, ~upper
         scale[on_axis] = 1.0
         phase[on_axis] = np.where(upper, -1.0, 1.0)
-    cos_t /= scale
-    sin_t /= scale
-    # Clipping c1 to 1 on the boundary slack of the ball plays the
-    # part of normalizing the amplitudes.
-    c1 = np.sqrt(np.clip(0.5 + 0.5 * radius, 0.0, 1.0))
-    c2 = np.sqrt(np.clip(0.5 - 0.5 * radius, 0.0, 1.0))
-    # kron(a1, UP) + kron(a2, DOWN) in big-endian order.
-    return np.stack(
-        [c1 * cos_t, c2 * sin_t, (c1 * sin_t) * phase, -(c2 * cos_t) * phase], axis=1
-    )
+    cs /= scale
+    # Rows c1, c2.  Clipping c1 to 1 on the boundary slack of the ball
+    # plays the part of normalizing the amplitudes.
+    c = np.sqrt(np.minimum(np.maximum(0.5 + 0.5 * radius * _SIGNS, 0.0), 1.0))
+    # kron(a1, UP) + kron(a2, DOWN) in big-endian order, written as columns.
+    out = np.empty((len(pts), 4), dtype=complex)
+    out.T[:2] = c * cs
+    out.T[2:] = (c * cs[::-1] * _SIGNS) * phase
+    return out
 
 
 def random_state(factor_dims: Sequence[int], rng) -> StateVector:

@@ -143,6 +143,14 @@ class TestLemma3:
         assert (f0 - f0) / (f1 - f0) == 0.0
         assert (f1 - f0) / (f1 - f0) == 1.0
 
+    def test_sample_count_checked(self):
+        # Zero random points still leaves the exhaustive dyadic grid to check.
+        det, ends = detectors.sg_up_detector(), (BlochVector(0, 0, -1), BlochVector(0, 0, 1))
+        with pytest.raises(ValueError, match="n_random must be >= 0"):
+            verify_lemma3_dyadic(det, *ends, depth=4, n_random=-1)
+        profile, report = verify_lemma3_dyadic(det, *ends, depth=4, n_random=0)
+        assert report.passed and profile.samples == ()
+
 
 class TestTheorem1:
     def test_projective_detector(self):
@@ -159,6 +167,14 @@ class TestTheorem1:
     def test_random_ancilla_model(self):
         det = detectors.random_ancilla_detector(np.random.default_rng(21))
         assert verify_theorem1(det, n_points=50, seed=22).passed
+
+    def test_point_count_checked(self):
+        # Zero random points still leaves the six poles and the mixtures.
+        det = detectors.sg_up_detector()
+        with pytest.raises(ValueError, match="n_points must be >= 0"):
+            verify_theorem1(det, n_points=-1)
+        report = verify_theorem1(det, n_points=0)
+        assert report.passed and report.inputs == "points=6"
 
 
 class TestMixtures:

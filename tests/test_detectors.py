@@ -343,6 +343,13 @@ def _probe_points(rng):
     return points
 
 
+# Edge cases of the closed-form purification (the center, the z axis and
+# points within the degeneracy threshold of it), then the ball's slack.
+_EDGE_POINTS = [[0, 0, 0], [1e-13, 0, 0], [0, 0, -1e-13], [0, 0, 1], [0, 0, -1]] + [
+    [1e-13, 0, -1], [0, 1e-13, 1], [1e-13, 0, -0.5], [0.6, 0, -0.8]
+] + [[0, 0, 1 + 1e-10], [0, 0, -1 - 1e-10], [0.6, -0.8 - 5e-10, 0]]
+
+
 class TestDetectorDraws:
     @pytest.mark.parametrize(
         "draw, make",
@@ -387,6 +394,18 @@ class TestBatchedOracle:
             assert np.max(np.abs(batched - plain)) < 1e-12
             assert np.max(np.abs(scalar - plain)) < 1e-12
 
+    @pytest.mark.parametrize("make", [random_effect_detector, random_ancilla_detector])
+    def test_probe_rows_are_their_batches_of_one(self, make):
+        # Bit for bit: a probe does not depend on its batch, and a
+        # BlochVector probe is a batch of one of the same path.
+        rng = np.random.default_rng(32)
+        det = make(rng)
+        points = np.vstack([_probe_points(rng), _EDGE_POINTS])
+        batched = probe_fclick(det, points)
+        for k, p in enumerate(points):
+            assert probe_fclick(det, BlochVector.from_array(p)) == batched[k], p
+            assert probe_fclick(det, points[k : k + 1])[0] == batched[k], p
+
     @pytest.mark.parametrize("det", [sg_up_detector(), cnot_click_detector()])
     def test_batches_of_zero_and_one(self, det):
         assert probe_fclick(det, np.empty((0, 3))).shape == (0,)
@@ -429,11 +448,11 @@ class TestBatchedOracle:
 
     def test_bad_point_arrays_rejected(self):
         det = sg_up_detector()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected an \(N, 3\) array of Bloch points, got shape \(3,\)$"):
             probe_fclick(det, np.zeros(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\|p\| = 1\.5 lies outside the Bloch ball$"):
             probe_fclick(det, np.array([[0.0, 0.0, 1.5]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\|p\| = nan lies outside the Bloch ball$"):
             probe_fclick(det, np.array([[np.nan, 0.0, 0.0]]))
 
 

@@ -23,6 +23,15 @@ from bornverifier.qcore import (
 UP = StateVector((2,), [1, 0])
 DOWN = StateVector((2,), [0, 1])
 _E3 = np.eye(3, dtype=complex)
+# Edge cases of the closed-form purification: the center, the z axis and
+# points within the degeneracy threshold of it, in both hemispheres.
+_EDGE_POINTS = [[0, 0, 0], [1e-13, 0, 0], [0, 0, -1e-13], [0, 0, 1], [0, 0, -1]] + [
+    [1e-13, 0, -1], [0, 1e-13, 1], [1e-13, 0, -0.5], [0.6, 0, -0.8]
+]
+# Points just outside the unit sphere within the ball's slack, negative poles, signed zeros.
+_SLACK_POINTS = [[0, 0, 1 + 1e-10], [0, 0, -1 - 1e-10], [0.6, -0.8 - 5e-10, 0]] + [
+    [-1, 0, 0], [0, -1, 0], [-0.0, 0.5, -0.0], [0.5, -0.0, -0.3]
+]
 
 
 def partial_trace_oracle(psi: StateVector, keep: int) -> np.ndarray:
@@ -232,8 +241,7 @@ class TestPurify:
         points = np.array(
             [qcore.random_bloch(rng).as_array() for _ in range(50)]
             + [qcore.random_bloch(rng, surface=True).as_array() for _ in range(50)]
-            + [[0, 0, 0], [1e-13, 0, 0], [0, 0, -1e-13], [0, 0, 1], [0, 0, -1]]
-            + [[1e-13, 0, -1], [0, 1e-13, 1], [1e-13, 0, -0.5], [0.6, 0, -0.8]]
+            + _EDGE_POINTS
         )
         for p, row in zip(points, qcore.purify_batch(points)):
             eigvals, eigvecs = qcore.eig2x2_hermitian(
@@ -251,6 +259,36 @@ class TestPurify:
             np.testing.assert_allclose(
                 tens @ tens.conj().T, qcore.density_from_bloch(BlochVector.from_array(p)), atol=1e-12
             )
+
+    def test_rows_are_their_batches_of_one(self):
+        # Bit for bit, sign bits included: a row does not depend on its
+        # batch, and purify is a batch of one of the same path.
+        rng = np.random.default_rng(24)
+        points = np.array(
+            [qcore.random_bloch(rng).as_array() for _ in range(20)] + _EDGE_POINTS + _SLACK_POINTS
+        )
+        rows = qcore.purify_batch(points)
+        assert rows.shape == (len(points), 4)
+        for k, p in enumerate(points):
+            one = qcore.purify_batch(points[k : k + 1])[0]
+            for alone in (one, purify(BlochVector.from_array(p)).amplitudes):
+                assert np.array_equal(rows[k], alone) and rows[k].tobytes() == alone.tobytes(), p
+        assert qcore.purify_batch(np.empty((0, 3))).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (np.zeros(3), "expected an (N, 3) array of Bloch points, got shape (3,)"),
+            ([[0.0, 0.0]], "expected an (N, 3) array of Bloch points, got shape (1, 2)"),
+            ([[0.0, 0.0, 0.5], [1.0, 1.0, 0.0]], "|p| = 1.4142135623730951 lies outside the Bloch ball"),
+            ([[0.0, 0.0, -1.0 - 2e-9]], "|p| = 1.000000002 lies outside the Bloch ball"),
+            ([[0.0, np.nan, 0.0]], "|p| = nan lies outside the Bloch ball"),
+            ([[np.inf, 0.0, 0.0]], "|p| = inf lies outside the Bloch ball"),
+        ],
+    )
+    def test_bad_points_keep_their_messages(self, points, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qcore.purify_batch(points)
 
 
 class TestRandomState:
