@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -82,6 +83,25 @@ class Measure:
     @property
     def outcomes(self) -> tuple[str, str]:
         return SG_OUTCOMES if self.detector is None else DETECTOR_OUTCOMES
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """The (2, N, 2, 2) operators of both outcomes, one pair per row,
+        or (2, 1, 2, 2) for every row alike; built once per measurement."""
+        if self.detector is None:
+            return _PROJECTORS
+        if _per_row(self.detector):
+            return _det.kraus_pairs(self.detector)
+        return np.array(self.detector.kraus_pair)[:, None]
+
+    def on_rows(self, index: Sequence[int]) -> "Measure":
+        """This measurement on the listed rows of its batch: a detector
+        sequence and its Kraus stack are picked row by row."""
+        if not _per_row(self.detector):
+            return self
+        picked = Measure(self.wire, self.label, [self.detector[i] for i in index])
+        picked.__dict__["kraus"] = self.kraus[:, index]
+        return picked
 
 
 Step = Gate | Measure
@@ -167,12 +187,6 @@ def _per_row(detector) -> bool:
     return not (detector is None or isinstance(detector, Detector))
 
 
-def _rows(detector, index: Sequence[int]):
-    """The detector of the listed rows: a sequence is picked row by row,
-    one detector or the reference apparatus serves every row."""
-    return [detector[i] for i in index] if _per_row(detector) else detector
-
-
 def _stack(states: Sequence[StateVector]) -> np.ndarray:
     """(N, *factor_dims) tensor of N states with equal factor dims."""
     return np.array([s.amplitudes for s in states]).reshape((len(states),) + states[0].factor_dims)
@@ -207,28 +221,22 @@ def apply_unitary(psi: StateVector, wires: Sequence[int], matrix: np.ndarray) ->
     return StateVector._trusted(psi.factor_dims, out[0].reshape(-1))
 
 
-def _branches(tens: np.ndarray, wire: int, detector) -> tuple[np.ndarray, np.ndarray]:
+def _branches(tens: np.ndarray, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
     """Both outcome branches of one measurement of N stacked states: the
     (2, N) branch probabilities of the two outcomes, 0 where a branch has
     zero probability, and their (2, N, *factor_dims) post tensors, each
     divided by its own norm (arbitrary on the rows of a zero branch).
 
-    The reference apparatus (``detector`` None) projects the measured
-    spin on up and down, and a branch's probability is its squared norm.
-    A detector's probabilities come from its oracle, and its branches from
-    ``kraus_pair``, the principal square roots of the ground-truth
+    The reference apparatus (no detector) projects the measured spin on
+    up and down, and a branch's probability is its squared norm.  A
+    detector's probabilities come from its oracle, and its branches from
+    ``measure.kraus``, the principal square roots of the ground-truth
     effect: probabilities of later steps never depend on that choice, it
     only keeps mid-circuit evaluation well defined."""
-    rows = len(tens)
-    moved, back = _to_front(tens, (wire + 1,))
+    rows, detector = len(tens), measure.detector
+    moved, back = _to_front(tens, (measure.wire + 1,))
     amps = moved.reshape(rows, 2, -1)  # the measured spin first
-    if detector is None:
-        kraus = _PROJECTORS
-    elif _per_row(detector):
-        kraus = np.stack([d.kraus_pair for d in detector], axis=1)
-    else:
-        kraus = np.array(detector.kraus_pair)[:, None]
-    branches = kraus @ amps
+    branches = measure.kraus @ amps
     # Squared norms summed as numpy's one-dimensional vdot sums them, so a
     # row's value does not depend on the batch it is in.
     flat = branches.reshape(2, rows, -1)
@@ -245,31 +253,30 @@ def _branches(tens: np.ndarray, wire: int, detector) -> tuple[np.ndarray, np.nda
     return np.where(live, np.minimum(raw, 1.0), 0.0), np.ascontiguousarray(posts) / scale
 
 
-def _records(psi: StateVector, outcomes, probs, posts) -> list[MeasurementRecord]:
-    """The records of a batch of one measured state."""
+def _records(psi: StateVector, measure: Measure) -> list[MeasurementRecord]:
+    """The records of one measured state: a batch of one of the walk's
+    measurement."""
+    qcore._check_spin_factor(psi, measure.wire)
+    probs, posts = _branches(psi.as_tensor()[None], measure)
     return [
         MeasurementRecord(outcome, float(p), StateVector._trusted(psi.factor_dims, post[0].ravel()))
         if p > 0.0
         else MeasurementRecord(outcome, 0.0, None)
-        for outcome, p, post in zip(outcomes, probs[:, 0], posts)
+        for outcome, p, post in zip(measure.outcomes, probs[:, 0], posts)
     ]
 
 
 def sg_measure(psi: StateVector, wire: int) -> list[MeasurementRecord]:
     """Ground-truth vertical-projection measurement: branch probabilities
     are the squared norms of the two projected components, and the post
-    state keeps the measured spin collapsed on its outcome (a batch of one
-    of the walk's measurement)."""
-    qcore._check_spin_factor(psi, wire)
-    return _records(psi, SG_OUTCOMES, *_branches(psi.as_tensor()[None], wire, None))
+    state keeps the measured spin collapsed on its outcome."""
+    return _records(psi, Measure(wire, "s"))
 
 
 def detector_measure(psi: StateVector, wire: int, det: Detector) -> list[MeasurementRecord]:
     """Click/no-click branches for a black-box detector: probabilities from
-    the detector oracle, post states from ``kraus_pair`` (a batch of one
-    of the walk's measurement)."""
-    qcore._check_spin_factor(psi, wire)
-    return _records(psi, DETECTOR_OUTCOMES, *_branches(psi.as_tensor()[None], wire, det))
+    the detector oracle, post states from ``kraus_pair``."""
+    return _records(psi, Measure(wire, "m", det))
 
 
 def outcome_distribution(
@@ -300,7 +307,7 @@ def outcome_distribution(
                 matrix = step.matrix if step.matrix.ndim == 2 else step.matrix[rows]
                 tens = apply_unitaries(tens, step.wires, matrix)
                 continue
-            probs, posts = _branches(tens, step.wire, _rows(step.detector, rows))
+            probs, posts = _branches(tens, step if len(rows) == total else step.on_rows(rows))
             weights = weight * probs
             for k, outcome in enumerate(step.outcomes):
                 if fixed.get(step.label, outcome) != outcome:
@@ -405,11 +412,13 @@ _DETAILS = (
 )
 
 
-def _check_states(det, single, ancilla, psi, env_unitary, pair, sg_outcome, tolerance, rules):
+def _check_states(det, single, ancilla, psi, env_unitary, pair, sg_outcome, rules):
     """``check_identity_states`` on N rows at once: the arguments are
     sequences of N values, except ``det``, which is one detector, None,
     or one detector per row.  Each distinct circuit is walked once, the
-    ``psi`` circuits once per environment dimension."""
+    ``psi`` circuits once per environment dimension.  Returns the (6, N)
+    deviations of the six identities, in ``IDENTITY_NAMES`` order, and the
+    (N,) arrays of the brackets they read, by name."""
     rows = len(single)
     probe = Measure(0, "m", det)
     click, no_click = probe.outcomes
@@ -418,16 +427,14 @@ def _check_states(det, single, ancilla, psi, env_unitary, pair, sg_outcome, tole
         return _mass(outcome_distribution(Circuit(states, steps), {"m": click}))
 
     b = {"lhs": bracket(single)}
-    extended = StateVector.stack(
-        ancilla[0].factor_dims + single[0].factor_dims,
-        [np.kron(a.amplitudes, s.amplitudes) for a, s in zip(ancilla, single)],
-    )
+    outer = _stack(ancilla).reshape(rows, -1, 1) * _stack(single).reshape(rows, 1, -1)
+    extended = StateVector.stack(ancilla[0].factor_dims + single[0].factor_dims, outer.reshape(rows, -1))
     b["rhs"] = bracket(extended, (Measure(ancilla[0].num_factors, "m", det),))
     b["click"], b["no_click"], b["later"], b["before"] = np.zeros((4, rows))
     for shape in {state.factor_dims for state in psi}:
         index = [i for i, state in enumerate(psi) if state.factor_dims == shape]
         states = [psi[i] for i in index]
-        probe_rows = Measure(0, "m", _rows(det, index))
+        probe_rows = probe.on_rows(index)
         gate = Gate((1,), np.stack([env_unitary[i] for i in index]))
         measured = outcome_distribution(Circuit(states, (probe_rows,)))
         b["click"][index], b["no_click"][index] = _mass(measured, click), _mass(measured, no_click)
@@ -437,39 +444,29 @@ def _check_states(det, single, ancilla, psi, env_unitary, pair, sg_outcome, tole
     both = outcome_distribution(Circuit(pair, (Measure(1, "s"), probe)), {"m": click})
     b["unread"], b["joint_up"], b["joint_down"] = _mass(both), _mass(both, "u"), _mass(both, "d")
     chosen = np.array([SG_OUTCOMES.index(o) for o in sg_outcome])
-    probs, posts = _branches(_stack(pair), 1, None)
+    probs, posts = _branches(_stack(pair), Measure(1, "s"))
     b["marginal"], b["conditional"] = probs[chosen, np.arange(rows)], np.zeros(rows)
     live = np.flatnonzero(b["marginal"])
     if live.size:
-        shape = pair[0].factor_dims
-        recorded = [StateVector._trusted(shape, posts[chosen[i], i].ravel()) for i in live]
-        b["conditional"][live] = bracket(recorded, (Measure(0, "m", _rows(det, live)),))
+        recorded = posts[chosen[live], live].reshape(live.size, -1)
+        recorded = StateVector.stack(pair[0].factor_dims, recorded)
+        b["conditional"][live] = bracket(recorded, (probe.on_rows(live),))
 
-    reports = []
-    for i, row in enumerate(zip(*(v.tolist() for v in b.values()))):
-        r = dict(zip(b, row))
-        c, s = rules[i].compared, rules[i].combined
-        joint = r["joint_up"] if sg_outcome[i] == "u" else r["joint_down"]
+    deviations = []
+    for row, rule, outcome in zip(zip(*(v.tolist() for v in b.values())), rules, sg_outcome):
+        r, c, s = dict(zip(b, row)), rule.compared, rule.combined
+        joint = r["joint_up"] if outcome == "u" else r["joint_down"]
         product = abs(s(joint) - s(r["marginal"]) * s(r["conditional"]))
         additivity = abs(s(r["unread"]) - (s(r["joint_up"]) + s(r["joint_down"])))
-        deviations = (
+        deviations.append((
             abs(c(r["lhs"]) - c(r["rhs"])),
             abs(s(r["click"]) + s(r["no_click"]) - 1.0),
             max(product, additivity),
             abs(c(r["click"]) - c(r["later"])),
             abs(c(r["click"]) - c(r["before"])),
             abs(c(r["alone"]) - c(r["unread"])),
-        )
-        psi_dims, pair_dims = f"dims={psi[i].factor_dims}", f"dims={pair[i].factor_dims}"
-        inputs = (f"dims={single[i].factor_dims}+{ancilla[i].factor_dims}", psi_dims,
-                  f"{pair_dims} a={sg_outcome[i]}", psi_dims, psi_dims, pair_dims)
-        reports.append([
-            VerificationReport.from_deviation(
-                f"identity:{name}", shown, deviation, tolerance, tuple((k, r[k]) for k in keys)
-            )
-            for name, shown, deviation, keys in zip(IDENTITY_NAMES, inputs, deviations, _DETAILS)
-        ])
-    return reports
+        ))
+    return np.array(deviations).T, b
 
 
 def check_identity_states(
@@ -500,30 +497,33 @@ def check_identity_states(
         unchanged.
     """
     instance = (single, ancilla, psi, env_unitary, pair, sg_outcome)
-    return _check_states(det, *([x] for x in instance), tolerance, [rule])[0]
+    deviations, b = _check_states(det, *([x] for x in instance), [rule])
+    psi_dims, pair_dims = f"dims={psi.factor_dims}", f"dims={pair.factor_dims}"
+    inputs = (f"dims={single.factor_dims}+{ancilla.factor_dims}", psi_dims,
+              f"{pair_dims} a={sg_outcome}", psi_dims, psi_dims, pair_dims)
+    return [
+        VerificationReport.from_deviation(
+            f"identity:{name}", shown, deviation, tolerance, tuple((k, float(b[k][0])) for k in keys)
+        )
+        for name, shown, deviation, keys in zip(IDENTITY_NAMES, inputs, deviations[:, 0], _DETAILS)
+    ]
 
 
-def _check_a5(lam, det, unitaries, tolerance, rules) -> list[VerificationReport]:
+def _check_a5(lam, det, unitaries, rules) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """``check_identity_a5_decomposition`` on N rows at once: ``lam`` and
     ``rules`` hold N values, ``det`` is one detector or one per row, and
-    each of ``unitaries`` is a 2x2 matrix or an (N, 2, 2) stack."""
+    each of ``unitaries`` is a 2x2 matrix or an (N, 2, 2) stack.  Returns
+    the (N,) deviations and the (N,) arrays of the brackets they read."""
     steps = tuple(Gate((0,), u) for u in unitaries) + (Measure(0, "m", det),)
 
-    def click(states) -> list[float]:
-        return _mass(outcome_distribution(Circuit(states, steps), {"m": "click"})).tolist()
+    def click(states) -> np.ndarray:
+        return _mass(outcome_distribution(Circuit(states, steps), {"m": "click"}))
 
     pairs = qcore.spin_pair_states(lam)
-    a_lam = _branches(_stack(pairs), 1, None)[0][0].tolist()
-    up, down = (click([StateVector((2,), v)] * len(lam)) for v in (qcore.UP, qcore.DOWN))
-    reports = []
-    for x, lhs, a, u, d, rule in zip(lam, click(pairs), a_lam, up, down, rules):
-        s = rule.combined
-        deviation = abs(s(lhs) - (s(a) * s(u) + s(1.0 - a) * s(d)))
-        details = (("lhs", lhs), ("a_lambda", a), ("up", u), ("down", d))
-        reports.append(VerificationReport.from_deviation(
-            "identity:a5-decomposition", f"lambda={x}", deviation, tolerance, details
-        ))
-    return reports
+    b = {"lhs": click(pairs), "a_lambda": _branches(_stack(pairs), Measure(1, "s"))[0][0]}
+    b["up"], b["down"] = (click([StateVector((2,), v)] * len(lam)) for v in (qcore.UP, qcore.DOWN))
+    rows = zip(*(v.tolist() for v in b.values()), (rule.combined for rule in rules))
+    return np.array([abs(s(lhs) - (s(a) * s(u) + s(1.0 - a) * s(d))) for lhs, a, u, d, s in rows]), b
 
 
 def check_identity_a5_decomposition(
@@ -537,12 +537,14 @@ def check_identity_a5_decomposition(
     conditionals on the collapsed single-spin states.  Each bracket
     applies the 2x2 ``unitaries`` to spin 0 and then asks ``det`` for a
     click on it."""
-    return _check_a5([lam], det, unitaries, tolerance, [rule])[0]
+    deviation, b = _check_a5([lam], det, unitaries, [rule])
+    details = tuple((k, float(v[0])) for k, v in b.items())
+    return VerificationReport.from_deviation(
+        "identity:a5-decomposition", f"lambda={lam}", deviation[0], tolerance, details
+    )
 
 
-def sweep_identities(
-    rng, instances: int, tolerance: float = DEFAULT_TOL, rule=BORN
-) -> tuple[dict[str, float], float]:
+def sweep_identities(rng, instances: int, rule=BORN) -> tuple[dict[str, float], dict[str, int], float]:
     """The seven identities on ``instances`` random instances from ``rng``.
 
     Each instance draws the raw numbers of a random detector, states and
@@ -550,15 +552,18 @@ def sweep_identities(
     order; then all are built in stacks of equal shape, and all instances
     are checked as one batch: the six state identities, and the
     decomposition at each instance's random weight.  Returns the worst
-    deviation of each identity, and ``born_deviation``: the worst distance
+    deviation of each identity, the index of the instance that reached
+    it (the first, on a tie), and ``born_deviation``: the worst distance
     between the reading of the single-spin click and the click itself."""
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     det_draws, state_draws, unitary_draws, rest = [], [], [], []
     for _ in range(instances):
         det_draws.append(_det.draw_detector(rng))
-        env = int(rng.choice([2, 3, 4]))
+        env = (2, 3, 4)[rng.integers(3)]  # the stream of rng.choice, without its overhead
         for dims in ((2, env), (2, 2), (2,), (2,)):  # psi, pair, single, ancilla
             state_draws.append((dims, rng.standard_normal((2, math.prod(dims)))))
-        sg_outcome = str(rng.choice(SG_OUTCOMES))
+        sg_outcome = SG_OUTCOMES[rng.integers(2)]
         unitary_draws += [rng.standard_normal((2, d, d)) for d in (env, 2)]  # u_env, u_spin
         rest.append((sg_outcome, float(rng.uniform()), rule.for_instance(rng)))
     dets = _det.build_detectors(det_draws)
@@ -566,14 +571,9 @@ def sweep_identities(
     psi, pair, single, ancilla = (states[k::4] for k in range(4))
     u_env, u_spin = unitaries[::2], unitaries[1::2]
     sg_outcome, lam, readings = zip(*rest)
-    checked = _check_states(dets, single, ancilla, psi, u_env, pair, sg_outcome, tolerance, readings)
-    a5 = _check_a5(lam, dets, (np.stack(u_spin),), tolerance, readings)
-    worst = dict.fromkeys(IDENTITY_NAMES, 0.0)
-    born_deviation = 0.0
-    for reports, reading in zip((r + [a] for r, a in zip(checked, a5)), readings):
-        for report in reports:
-            name = report.name.removeprefix("identity:")
-            worst[name] = max(worst[name], report.max_deviation)
-        click = dict(reports[0].details)["lhs"]  # a1-extension: the click of ``single``
-        born_deviation = max(born_deviation, abs(reading.compared(click) - click))
-    return worst, born_deviation
+    deviations, b = _check_states(dets, single, ancilla, psi, u_env, pair, sg_outcome, readings)
+    deviations = np.vstack([deviations, _check_a5(lam, dets, (np.stack(u_spin),), readings)[0]])
+    worst = dict(zip(IDENTITY_NAMES, deviations.max(axis=1).tolist()))
+    worst_instance = dict(zip(IDENTITY_NAMES, deviations.argmax(axis=1).tolist()))
+    born_deviation = max(abs(r.compared(p) - p) for p, r in zip(b["lhs"].tolist(), readings))
+    return worst, worst_instance, born_deviation

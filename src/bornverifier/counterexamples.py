@@ -204,7 +204,7 @@ def run_battery(
         return _modified_battery(rule, seed, tolerance)
 
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0xBA7)))
-    deviations, born_deviation = circuits.sweep_identities(rng, 20, tolerance, rule)
+    deviations, _, born_deviation = circuits.sweep_identities(rng, 20, rule)
     witness = circuits.check_identity_a5_decomposition(
         0.3, tilted_projector(math.pi / 3), (), tolerance, rule.for_instance(rng)
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import circuits, coordinate, detectors as _det, qcore
 from .detectors import Detector
-from .qcore import DEFAULT_TOL, DEGENERACY_TOL, FLAT_SEGMENT_THRESHOLD, BlochVector, StateVector
+from .qcore import DEFAULT_TOL, DEGENERACY_TOL, FLAT_SEGMENT_THRESHOLD, BlochVector
 from .reporting import VerificationReport, merge_reports
 
 DEFAULT_SEED = 42
@@ -25,6 +25,8 @@ DEFAULT_DYADIC_DEPTH = 20
 # probes per segment; beyond it the bound is checked on sampled points.
 _EXHAUSTIVE_DYADIC_DEPTH = 10
 _ENV_DIM = 4
+# Theorem 1's fixed probes, the six poles of the Bloch ball.
+_POLES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,18 @@ def verify_lemma1(
         the endpoint responses,
     (d) the interpolated response lies between the endpoint values.
     """
-    return _lemma1([(det, p0, p1, lam)], tolerance)[0]
+    worst, details = _lemma1([(det, p0, p1, lam)])
+    shown = tuple((key, float(values[0])) for key, values in details.items())
+    return VerificationReport.from_deviation("lemma1", f"lambda={lam:.6g}", worst[0], tolerance, shown)
 
 
-def _lemma1(instances, tolerance: float) -> list[VerificationReport]:
+def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """``verify_lemma1`` on N (det, p0, p1, lam) instances at once: the
     states and the relabelling unitaries are built in stacks, and the
     oracle is asked twice, for the ends and midpoints of every segment
     and for every four-spin state, each detector on its own rows; every
-    a_lambda comes from one reference measurement of the stacked pairs."""
+    a_lambda comes from one reference measurement of the stacked pairs.
+    Returns the (N,) deviations and the (N,) arrays of their details."""
     dets, p0, p1, lams = zip(*instances)
     pairs = qcore.spin_pair_states(lams)
     n = len(instances)
@@ -129,7 +134,7 @@ def _lemma1(instances, tolerance: float) -> list[VerificationReport]:
     amps[:, :, 0], amps[:, :, 3] = c0 * psi0, c1 * psi1
     amps = amps.reshape(n, 16)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    bigs = StateVector.stack((2,) * 4, amps)
+    qcore._checked((2,) * 4, amps)
 
     # The relabelling maps |psi0>|u> and |psi1>|d> on spins 0-2 onto
     # |uuu> and |uud>.
@@ -140,33 +145,20 @@ def _lemma1(instances, tolerance: float) -> list[VerificationReport]:
     relabelled = circuits.apply_unitaries(amps.reshape(n, 2, 2, 2, 2), (0, 1, 2), relabel)
     expected = np.zeros((n, 16))
     expected[:, 0], expected[:, 3] = c0[:, 0], c1[:, 0]
-    dev_b = np.linalg.norm(relabelled.reshape(n, 16) - expected, axis=1).tolist()
 
     points = np.concatenate([ends, mids[:, None]], axis=1).reshape(3 * n, 3)
-    probes = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(n, 3)
-    f_big = _det.click_probabilities(dets, amps.reshape(n, 2, 8)).tolist()
-    a_lams = circuits._branches(circuits._stack(pairs), 1, None)[0][0].tolist()  # outcome "u"
-    reports = []
-    for i, (big, a_lam, (f0, f1, f_mid)) in enumerate(zip(bigs, a_lams, probes.tolist())):
-        dev_a = float(np.max(np.abs(qcore.bloch_polarization(big, 0).as_array() - mids[i])))
-        dev_c = abs(f_mid - (a_lam * f0 + (1.0 - a_lam) * f1))
-        dev_big = abs(f_big[i] - f_mid)
-        dev_d = max(0.0, min(f0, f1) - f_mid, f_mid - max(f0, f1))
-        reports.append(VerificationReport.from_deviation(
-            "lemma1",
-            f"lambda={lams[i]:.6g}",
-            max(dev_a, dev_b[i], dev_c, dev_big, dev_d),
-            tolerance,
-            (
-                ("polarization_deviation", dev_a),
-                ("relabelling_residual", dev_b[i]),
-                ("mixture_deviation", dev_c),
-                ("four_spin_probe_deviation", dev_big),
-                ("betweenness_violation", dev_d),
-                ("a_lambda", a_lam),
-            ),
-        ))
-    return reports
+    f0, f1, f_mid = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(n, 3).T
+    f_big = _det.click_probabilities(dets, amps.reshape(n, 2, 8))
+    a_lam = circuits._branches(circuits._stack(pairs), circuits.Measure(1, "s"))[0][0]  # outcome "u"
+    low, high = np.minimum(f0, f1), np.maximum(f0, f1)
+    details = {
+        "polarization_deviation": np.abs(qcore.bloch_polarizations(amps.reshape(n, 2, 8)) - mids).max(1),
+        "relabelling_residual": np.linalg.norm(relabelled.reshape(n, 16) - expected, axis=1),
+        "mixture_deviation": np.abs(f_mid - (a_lam * f0 + (1.0 - a_lam) * f1)),
+        "four_spin_probe_deviation": np.abs(f_big - f_mid),
+        "betweenness_violation": np.maximum(low - f_mid, f_mid - high).clip(0.0),
+    }
+    return np.max(list(details.values()), axis=0), details | {"a_lambda": a_lam}
 
 
 def _stacked(*points: BlochVector) -> np.ndarray:
@@ -179,21 +171,25 @@ def verify_lemma2(
     p1: BlochVector,
     tolerance: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Midpoint identity, plus the balanced-pair branch weight 1/2."""
-    mid = BlochVector.from_array(0.5 * (p0.as_array() + p1.as_array()))
-    f_mid, f0, f1 = _det.probe_fclick(det, _stacked(mid, p0, p1)).tolist()
-    dev_mid = abs(f_mid - 0.5 * (f0 + f1))
-    a_half = next(
-        r for r in circuits.sg_measure(qcore.bell_state(), 1) if r.outcome == "u"
-    ).probability
-    dev_half = abs(a_half - 0.5)
-    return VerificationReport.from_deviation(
-        "lemma2",
-        "midpoint",
-        max(dev_mid, dev_half),
-        tolerance,
-        (("midpoint_deviation", dev_mid), ("balanced_weight", a_half)),
-    )
+    """Midpoint identity, plus the balanced-pair branch weight 1/2 (a
+    batch of one of ``_lemma2``)."""
+    worst, details = _lemma2([(det, p0, p1)])
+    shown = tuple((key, float(values[0])) for key, values in details.items())
+    return VerificationReport.from_deviation("lemma2", "midpoint", worst[0], tolerance, shown)
+
+
+def _lemma2(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``verify_lemma2`` on N (det, p0, p1, ...) instances at once: every
+    midpoint and end is probed in one call, and the balanced weight is
+    measured once.  Returns the (N,) deviations and their details."""
+    dets, p0, p1 = list(zip(*instances))[:3]
+    ends = np.array([_stacked(a, b) for a, b in zip(p0, p1)])
+    points = np.concatenate([0.5 * (ends[:, :1] + ends[:, 1:]), ends], axis=1).reshape(-1, 3)
+    f_mid, f0, f1 = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(-1, 3).T
+    a_half = circuits.sg_measure(qcore.bell_state(), 1)[0].probability  # outcome "u"
+    dev_mid = np.abs(f_mid - 0.5 * (f0 + f1))
+    details = {"midpoint_deviation": dev_mid, "balanced_weight": np.full(len(dets), a_half)}
+    return np.maximum(dev_mid, abs(a_half - 0.5)), details
 
 
 def verify_lemma3_dyadic(
@@ -288,23 +284,21 @@ def verify_theorem1(
         raise ValueError("n_points must be >= 0")
     rng = qcore.as_rng(seed)
     resp = _det.extract_affine(det)
-    poles = [
-        BlochVector(*v)
-        for v in [
-            (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-        ]
-    ]
-    points = _stacked(*poles, *(qcore.random_bloch(rng) for _ in range(n_points)))
+    # ``qcore.random_bloch``'s points, in its stream order, built in one pass.
+    draws = [(rng.standard_normal(3), rng.uniform()) for _ in range(n_points)]
+    directions = np.array([g for g, _ in draws]).reshape(-1, 3)
+    norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])  # as np.linalg.norm sums
+    radii = np.array([u ** (1.0 / 3.0) for _, u in draws])  # Python's pow: numpy's may round apart
+    points = np.concatenate([_POLES, radii[:, None] * (directions / norms[:, None])])
     # The affine prediction alpha . p + beta, evaluated for all points at
     # once; the probes themselves go through the oracle.
     predicted = points @ resp.alpha + resp.beta
     dev_points = float(np.max(np.abs(_det.probe_fclick(det, points) - predicted)))
 
-    def mixture_prediction(weights: np.ndarray, members: np.ndarray) -> float:
-        """alpha . p + beta at the mixture's mean polarization p."""
-        states = zip(weights.tolist(), StateVector.stack((2, 2), members))
-        mean_p = sum(w * qcore.bloch_polarization(s, 0).as_array() for w, s in states)
-        return mean_p @ resp.alpha + resp.beta
+    def mixture_prediction(weights: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """alpha . p + beta at each mixture's mean polarization p."""
+        polarizations = qcore.bloch_polarizations(members.reshape(-1, 2, 2))
+        return np.add.reduceat(weights[:, None] * polarizations, starts) @ resp.alpha + resp.beta
 
     dev_mixed = _mixture_deviation(det, rng, 5, (2, 2), mixture_prediction)
     return VerificationReport.from_deviation(
@@ -323,20 +317,23 @@ def verify_theorem1(
 
 def _mixture_deviation(det: Detector, rng, count: int, dims: tuple[int, ...], predict) -> float:
     """Worst gap, over ``count`` random mixtures of states of ``dims``,
-    between the law-of-total-probability click chance and
-    ``predict(weights, members)``.  Each mixture draws its size, its
-    weights and its members in this stream order; then all members are
-    probed in one call, spin factor 0 first."""
-    mixtures = []
+    between the law-of-total-probability click chance and the
+    prediction.  Each mixture draws its size, its weights and its members
+    in this stream order; then all members are probed in one call, spin
+    factor 0 first, and ``predict(weights, members, starts)`` predicts
+    every mixture in one pass over the concatenated members, mixture k
+    starting at row ``starts[k]``."""
+    weights, members = [], []
     for _ in range(count):
         k = int(rng.integers(2, 5))
-        weights = rng.uniform(size=k)
-        mixtures.append((weights / weights.sum(), qcore.random_amplitudes(dims, k, rng)))
-    members = np.concatenate([m for _, m in mixtures])
+        w = rng.uniform(size=k)
+        weights.append(w / w.sum())
+        members.append(qcore.random_amplitudes(dims, k, rng))
+    starts = np.cumsum([0] + [len(w) for w in weights[:-1]])
+    weights, members = np.concatenate(weights), np.concatenate(members)
     clicks = _det.click_probabilities(det, members.reshape(len(members), 2, -1))
-    ends = np.cumsum([len(w) for w, _ in mixtures[:-1]])
-    per_mixture = zip(mixtures, np.split(clicks, ends))
-    return max(abs(float(w @ c) - predict(w, m)) for (w, m), c in per_mixture)
+    law = np.add.reduceat(weights * clicks, starts)
+    return float(np.max(np.abs(law - predict(weights, members, starts))))
 
 
 def verify_theorem2(
@@ -379,10 +376,11 @@ def verify_theorem2(
     oracle = _det.click_probabilities(det, states[:, :, None])
     dev_pure = float(np.max(np.abs(oracle - predicted), initial=0.0))
 
-    def mixture_prediction(weights: np.ndarray, members: np.ndarray) -> float:
-        """The pure-state rule at the mixture's density matrix."""
-        rho = np.einsum("k,ki,kj->ij", weights, members, members.conj())
-        return span * float((np.conj(phi_up) @ rho @ phi_up).real) + p_min
+    def mixture_prediction(weights: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The pure-state rule at each mixture's density matrix: its
+        members' squared overlaps with phi_up, weighted."""
+        overlaps = np.abs(members @ np.conj(phi_up)) ** 2
+        return span * np.add.reduceat(weights * overlaps, starts) + p_min
 
     dev_mixed = _mixture_deviation(det, rng, 20, (2,), mixture_prediction)
 
@@ -446,16 +444,11 @@ def _segments(rng, count: int, extra) -> list[tuple]:
 def _identity_reports(seed: int, tolerance: float, instances: int) -> list[VerificationReport]:
     """Random-instance sweep of the seven bracket identities."""
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0x1D)))
-    worst, _ = circuits.sweep_identities(rng, instances, tolerance)
+    worst, _, _ = circuits.sweep_identities(rng, instances)
+    inputs, details = f"instances={instances}", (("instances", float(instances)),)
     return [
-        VerificationReport.from_deviation(
-            f"identity:{name}",
-            f"instances={instances}",
-            deviation,
-            tolerance,
-            (("instances", float(instances)),),
-        )
-        for name, deviation in sorted(worst.items())
+        VerificationReport.from_deviation(f"identity:{name}", inputs, worst[name], tolerance, details)
+        for name in sorted(worst)
     ]
 
 
@@ -488,11 +481,9 @@ def run_full_suite(
 
     def lemmas12(name1: str, name2: str) -> list[VerificationReport]:
         instances = _segments(qcore.as_rng(children[2]), 30, lambda rng: float(rng.uniform()))
-        lemma1_runs = _lemma1(instances, tolerance)
-        lemma2_runs = [verify_lemma2(det, p0, p1, tolerance) for det, p0, p1, _ in instances]
         return [
-            merge_reports(name1, "instances=30", tolerance, lemma1_runs),
-            merge_reports(name2, "instances=30", tolerance, lemma2_runs),
+            merge_reports(name1, "instances=30", tolerance, _lemma1(instances)[0]),
+            merge_reports(name2, "instances=30", tolerance, _lemma2(instances)[0]),
         ]
 
     def lemma3(name: str) -> list[VerificationReport]:
@@ -503,7 +494,7 @@ def run_full_suite(
             )[1]
             for det, p0, p1, s in instances
         ]
-        return [merge_reports(name, "segments=3", tolerance, runs)]
+        return [merge_reports(name, "segments=3", tolerance, [r.max_deviation for r in runs])]
 
     families = [
         (tuple(f"identity:{name}" for name in circuits.IDENTITY_NAMES), identities),

@@ -46,9 +46,8 @@ class _DerivedData:
     def kraus_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Principal square roots of the ground-truth effect E and of
         1 - E: the measurement operators of the circuit evaluator's
-        post-measurement states."""
-        effect = equivalent_effect(self)
-        return _hermitian_sqrt(effect), _hermitian_sqrt(IDENTITY_2 - effect)
+        post-measurement states (a batch of one of ``kraus_pairs``)."""
+        return tuple(kraus_pairs([self])[:, 0])
 
 
 @dataclass(frozen=True)
@@ -167,17 +166,7 @@ class PovmEffect:
 def click_probability(det: Detector, psi: StateVector, spin_factor: int = 0) -> float:
     """Probability that the detector clicks on the given spin factor (a
     batch of one of ``click_probabilities``)."""
-    return float(click_probabilities(det, _spin_amplitudes(psi, spin_factor)[None])[0])
-
-
-def _spin_amplitudes(psi: StateVector, spin_factor: int) -> np.ndarray:
-    """(2, rest) amplitudes: the measured spin first, every other factor
-    flattened."""
-    qcore._check_spin_factor(psi, spin_factor)
-    tens = psi.as_tensor()
-    if spin_factor:
-        tens = np.moveaxis(tens, spin_factor, 0)
-    return tens.reshape(2, -1)
+    return float(click_probabilities(det, qcore._spin_first(psi, spin_factor)[None])[0])
 
 
 def click_probabilities(det: Detector | Sequence[Detector], amps: np.ndarray) -> np.ndarray:
@@ -202,6 +191,22 @@ def click_probabilities(det: Detector | Sequence[Detector], amps: np.ndarray) ->
     else:
         raise TypeError("not a detector, nor a sequence of detectors")
     return np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip, without its call overhead
+
+
+def kraus_pairs(dets: Sequence[Detector]) -> np.ndarray:
+    """The (2, N, 2, 2) Kraus pairs of N detectors, stacked by outcome.
+    The pairs that no detector holds yet come from one batched square
+    root, and each is kept on its detector as its ``kraus_pair``."""
+    missing = [d for d in dets if "kraus_pair" not in vars(d)]
+    if missing:
+        effects = np.array([equivalent_effect(d) for d in missing])
+        eigvals, eigvecs = np.linalg.eigh(np.stack([effects, IDENTITY_2 - effects]))  # principal roots
+        roots = (eigvecs * np.sqrt(eigvals.clip(0.0))[..., None, :]) @ eigvecs.conj().swapaxes(2, 3)
+        for det, first, second in zip(missing, *roots):
+            vars(det)["kraus_pair"] = (first, second)
+        if len(missing) == len(dets):
+            return roots
+    return np.array([d.kraus_pair for d in dets]).transpose(1, 0, 2, 3).copy()
 
 
 def equivalent_effect(det: Detector) -> np.ndarray:
@@ -358,7 +363,7 @@ def mixed_click_probability(
         raise ValueError("ensemble weights must be non-negative and sum to 1")
     if len({psi.factor_dims for _, psi in ensemble}) > 1:
         raise ValueError("ensemble members must share their factor dimensions")
-    amps = np.stack([_spin_amplitudes(psi, spin_factor) for _, psi in ensemble])
+    amps = np.stack([qcore._spin_first(psi, spin_factor) for _, psi in ensemble])
     return float(weights @ click_probabilities(det, amps))
 
 
@@ -386,7 +391,7 @@ def draw_detector(rng, family: str | None = None, ancilla_dim: int | None = None
     if family == "effect":
         basis = rng.standard_normal((2, 2, 2))
         return 0, (basis,), rng.uniform(0.0, 1.0, size=2)
-    m = int(ancilla_dim) if ancilla_dim else int(rng.choice([2, 4]))
+    m = int(ancilla_dim) if ancilla_dim else (2, 4)[rng.integers(2)]  # rng.choice's stream
     coupling = rng.standard_normal((2, 2 * m, 2 * m))
     rank = int(rng.integers(1, m))
     return m, (coupling, rng.standard_normal((2, m, m))), rank
@@ -423,7 +428,3 @@ def random_detector(rng) -> Detector:
     """Even mix of the two ground-truth families."""
     return build_detectors([draw_detector(rng)])[0]
 
-
-def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(m)
-    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T

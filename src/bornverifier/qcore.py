@@ -181,19 +181,28 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
 def reduced_density(psi: StateVector, spin_factor: int = 0) -> np.ndarray:
     """Reduced 2x2 density matrix of one spin factor (partial trace over
     the rest)."""
-    _check_spin_factor(psi, spin_factor)
-    tens = psi.as_tensor()
-    moved = np.moveaxis(tens, spin_factor, 0).reshape(2, -1)
+    moved = _spin_first(psi, spin_factor)
     return moved @ moved.conj().T
 
 
 def bloch_polarization(psi: StateVector, spin_factor: int = 0) -> BlochVector:
-    """Pauli expectation values of the designated spin factor."""
-    rho = reduced_density(psi, spin_factor)
-    px = float(2.0 * rho[0, 1].real)
-    py = float(-2.0 * rho[0, 1].imag)
-    pz = float((rho[0, 0] - rho[1, 1]).real)
-    return BlochVector(px, py, pz)
+    """Pauli expectation values of the designated spin factor (a batch of
+    one of ``bloch_polarizations``)."""
+    return BlochVector.from_array(bloch_polarizations(_spin_first(psi, spin_factor)[None])[0])
+
+
+def bloch_polarizations(amps: np.ndarray) -> np.ndarray:
+    """(N, 3) Pauli expectation values of the spin on axis 1 of (N, 2,
+    rest) stacked amplitudes."""
+    rho = amps @ amps.conj().swapaxes(1, 2)
+    off = rho[:, 0, 1]
+    return np.stack([2.0 * off.real, -2.0 * off.imag, (rho[:, 0, 0] - rho[:, 1, 1]).real], axis=1)
+
+
+def _spin_first(psi: StateVector, spin_factor: int) -> np.ndarray:
+    """(2, rest) amplitudes: the designated spin first, the rest flattened."""
+    _check_spin_factor(psi, spin_factor)
+    return np.moveaxis(psi.as_tensor(), spin_factor, 0).reshape(2, -1)
 
 
 def density_from_bloch(p: BlochVector) -> np.ndarray:

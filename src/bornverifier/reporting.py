@@ -57,12 +57,11 @@ class VerificationReport:
         }
 
 
-def merge_reports(
-    name: str, inputs: str, tolerance: float, reports: list[VerificationReport]
-) -> VerificationReport:
-    """Aggregate many instance reports into one (worst deviation wins)."""
-    worst = max((r.max_deviation for r in reports), default=0.0)
-    details = (("instances", float(len(reports))),)
+def merge_reports(name: str, inputs: str, tolerance: float, deviations) -> VerificationReport:
+    """Aggregate the deviations of many instances into one report (worst
+    deviation wins)."""
+    worst = max(deviations, default=0.0)
+    details = (("instances", float(len(deviations))),)
     return VerificationReport.from_deviation(name, inputs, worst, tolerance, details)
 
 

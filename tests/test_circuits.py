@@ -350,6 +350,24 @@ class TestBatchedWalk:
         lam = float(rng.uniform())
         return (det, single, ancilla, psi, u_env, pair, sg_outcome), (u_spin, lam, rule.for_instance(rng))
 
+    @staticmethod
+    def table(drawn):
+        """The (7, N) deviation table and the single-spin clicks of drawn
+        instances, checked in one batch per detector family and shape."""
+        groups = {}
+        for k, (states, _) in enumerate(drawn):
+            groups.setdefault((type(states[0]), getattr(states[0], "ancilla_dim", 0)), []).append(k)
+        table, brackets = np.zeros((7, len(drawn))), [None] * len(drawn)
+        for index in groups.values():
+            columns = list(zip(*(drawn[k][0] for k in index)))
+            u_spin, lam, readings = zip(*(drawn[k][1] for k in index))
+            states, b = circuits._check_states(*columns, readings)
+            a5, b5 = circuits._check_a5(lam, columns[0], (np.stack(u_spin),), readings)
+            table[:, index] = np.vstack([states, a5])
+            for column, k in enumerate(index):
+                brackets[k] = ({key: v[column] for key, v in b.items()}, {key: v[column] for key, v in b5.items()})
+        return table, brackets, len(groups)
+
     @pytest.mark.parametrize("seed", [42, 7, 1234])
     @pytest.mark.parametrize("rule_name", ["born", "cubic3", "random1"])
     def test_grouped_sweep_matches_per_instance_checks(self, seed, rule_name):
@@ -363,28 +381,24 @@ class TestBatchedWalk:
             for states, (u_spin, lam, reading) in drawn
         ]
 
-        groups = {}
-        for k, (states, _) in enumerate(drawn):
-            groups.setdefault((type(states[0]), getattr(states[0], "ancilla_dim", 0)), []).append(k)
-        assert len(groups) == 3
-        for index in groups.values():
-            columns = list(zip(*(drawn[k][0] for k in index)))
-            u_spin, lam, readings = zip(*(drawn[k][1] for k in index))
-            states = circuits._check_states(*columns, 1e-9, readings)
-            a5 = circuits._check_a5(lam, columns[0], (np.stack(u_spin),), 1e-9, readings)
-            for k, grouped in zip(index, (r + [a] for r, a in zip(states, a5))):
-                for one, many in zip(single[k], grouped, strict=True):
-                    assert (many.name, many.inputs) == (one.name, one.inputs)
-                    assert many.max_deviation == pytest.approx(one.max_deviation, abs=1e-14)
-                    assert [key for key, _ in many.details] == [key for key, _ in one.details]
-                    for (key, value), (_, expected) in zip(many.details, one.details):
-                        assert value == pytest.approx(expected, abs=1e-14), (one.name, key)
+        # Each column of the table is its instance's batch of one.
+        table, brackets, groups = self.table(drawn)
+        assert groups == 3
+        for k, reports in enumerate(single):
+            for row, (one, deviation) in enumerate(zip(reports, table[:, k], strict=True)):
+                assert deviation == pytest.approx(one.max_deviation, abs=1e-14), one.name
+                read = brackets[k][row == 6]  # the decomposition reads its own brackets
+                for key, expected in one.details:
+                    assert read[key] == pytest.approx(expected, abs=1e-14), (one.name, key)
 
-        worst, born_deviation = circuits.sweep_identities(np.random.default_rng(seed), instances, rule=rule)
-        for name in circuits.IDENTITY_NAMES:
-            expected = max(r.max_deviation for reports in single for r in reports
-                           if r.name == f"identity:{name}")
-            assert worst[name] == pytest.approx(expected, abs=1e-14), name
+        worst, worst_instance, born_deviation = circuits.sweep_identities(
+            np.random.default_rng(seed), instances, rule=rule
+        )
+        for row, name in enumerate(circuits.IDENTITY_NAMES):
+            deviations = [reports[row].max_deviation for reports in single]
+            assert worst[name] == pytest.approx(max(deviations), abs=1e-14), name
+            # The argmax names an instance whose batch of one reaches the worst.
+            assert deviations[worst_instance[name]] == pytest.approx(max(deviations), abs=1e-14), name
         clicks = [(dict(reports[0].details)["lhs"], d[1][2]) for reports, d in zip(single, drawn)]
         expected_born = max(abs(reading.compared(click) - click) for click, reading in clicks)
         assert born_deviation == pytest.approx(expected_born, abs=1e-14)
@@ -396,25 +410,29 @@ class TestBatchedWalk:
         # and unitaries while drawing: the same groups and the same checks.
         rule = cx.rule_by_name(rule_name, seed=seed)
         rng = np.random.default_rng(seed)
-        groups = {}
-        for states, extra in (self.draw(rng, rule) for _ in range(20)):
-            key = (type(states[0]), getattr(states[0], "ancilla_dim", 0))
-            groups.setdefault(key, []).append(states + extra)
-        worst = dict.fromkeys(circuits.IDENTITY_NAMES, 0.0)
-        born_deviation = 0.0
-        for group in groups.values():
-            *columns, u_spin, lam, readings = zip(*group)
-            states = circuits._check_states(*columns, 1e-9, readings)
-            a5 = circuits._check_a5(lam, columns[0], (np.stack(u_spin),), 1e-9, readings)
-            for reports, reading in zip((r + [a] for r, a in zip(states, a5)), readings):
-                for report in reports:
-                    name = report.name.removeprefix("identity:")
-                    worst[name] = max(worst[name], report.max_deviation)
-                click = dict(reports[0].details)["lhs"]
-                born_deviation = max(born_deviation, abs(reading.compared(click) - click))
+        drawn = [self.draw(rng, rule) for _ in range(20)]
+        table, brackets, _ = self.table(drawn)
+        names = circuits.IDENTITY_NAMES
+        clicks = [(float(states["lhs"]), extra[2]) for (states, _), (_, extra) in zip(brackets, drawn)]
+        expected = (
+            dict(zip(names, table.max(axis=1).tolist())),
+            dict(zip(names, table.argmax(axis=1).tolist())),
+            max(abs(reading.compared(click) - click) for click, reading in clicks),
+        )
+        assert circuits.sweep_identities(np.random.default_rng(seed), 20, rule=rule) == expected
 
-        swept = circuits.sweep_identities(np.random.default_rng(seed), 20, rule=rule)
-        assert swept == (worst, born_deviation)
+    def test_sweep_needs_an_instance(self):
+        with pytest.raises(ValueError, match="instances must be >= 1"):
+            circuits.sweep_identities(np.random.default_rng(0), 0)
+
+    @pytest.mark.parametrize("options", [(2, 3, 4), ("u", "d"), (2, 4)])
+    def test_indexed_draws_keep_the_stream_of_choice(self, options):
+        # The sweep and ``draw_detector`` index by ``integers(n)`` where
+        # they once called ``choice``: the same values and the same stream.
+        chosen, indexed = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(1000):
+            assert options[indexed.integers(len(options))] == chosen.choice(options)
+        assert indexed.uniform() == chosen.uniform()
 
     def test_rows_walk_as_their_batches_of_one(self):
         # Bit for bit, for both families: a detector, a gate, then the

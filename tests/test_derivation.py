@@ -75,8 +75,11 @@ class TestLemma1:
         # Both detector families and several ancilla shapes in one stack.
         rng = np.random.default_rng(29)
         instances = derivation._segments(rng, 30, lambda rng: float(rng.uniform()))
-        stacked = derivation._lemma1(instances, 1e-9)
-        assert [r.to_dict() for r in stacked] == [verify_lemma1(*x).to_dict() for x in instances]
+        deviations, details = derivation._lemma1(instances)
+        for i, x in enumerate(instances):
+            alone = verify_lemma1(*x)
+            assert deviations[i] == alone.max_deviation
+            assert [(key, values[i]) for key, values in details.items()] == list(alone.details)
 
 
 class TestLemma2:
@@ -100,6 +103,19 @@ class TestLemma2:
             assert verify_lemma2(
                 det, qcore.random_bloch(rng), qcore.random_bloch(rng)
             ).passed
+
+    def test_stack_matches_per_instance_runs(self, monkeypatch):
+        # Both detector families in one stack, probed in one oracle call.
+        instances = derivation._segments(np.random.default_rng(31), 30, lambda rng: None)
+        calls = []
+        real = detectors.probe_fclick
+        monkeypatch.setattr(detectors, "probe_fclick", lambda d, p: calls.append(len(p)) or real(d, p))
+        deviations, details = derivation._lemma2(instances)
+        assert calls == [90]
+        for i, (det, p0, p1, _) in enumerate(instances):
+            alone = verify_lemma2(det, p0, p1)
+            assert deviations[i] == alone.max_deviation
+            assert [(key, values[i]) for key, values in details.items()] == list(alone.details)
 
 
 class TestLemma3:
@@ -176,16 +192,30 @@ class TestTheorem1:
         report = verify_theorem1(det, n_points=0)
         assert report.passed and report.inputs == "points=6"
 
+    def test_points_are_random_bloch_draws(self, monkeypatch):
+        # Drawn in ``random_bloch``'s stream order and built in one array
+        # pass: its points, bit for bit.
+        probed = []
+        real = detectors.probe_fclick
+        monkeypatch.setattr(detectors, "probe_fclick", lambda d, p: probed.append(p) or real(d, p))
+        rng = np.random.default_rng(24)
+        verify_theorem1(detectors.sg_up_detector(), n_points=2000, seed=rng)
+        expected_rng = np.random.default_rng(24)
+        expected = [qcore.random_bloch(expected_rng).as_array() for _ in range(2000)]
+        poles = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+        assert probed[1].tobytes() == np.array(poles + expected, dtype=float).tobytes()
+
 
 class TestMixtures:
     @pytest.mark.parametrize("count, dims", [(5, (2, 2)), (20, (2,))])
     def test_one_probe_matches_the_per_mixture_loop(self, count, dims, monkeypatch):
         # The theorems' mixtures: drawn in the stream order of one loop over
-        # them (size, weights, members), then probed in one oracle call.
+        # them (size, weights, members), then probed in one oracle call and
+        # predicted in one pass; each prediction here is the first weight.
         det = detectors.random_detector(np.random.default_rng(29))
 
-        def predict(weights, members):
-            return float(weights @ np.arange(len(weights))) / 10
+        def predict(weights, members, starts):
+            return weights[starts]
 
         def loop(rng):
             deviations = []
@@ -195,7 +225,7 @@ class TestMixtures:
                 weights /= weights.sum()
                 members = qcore.StateVector.stack(dims, qcore.random_amplitudes(dims, k, rng))
                 click = detectors.mixed_click_probability(list(zip(weights.tolist(), members)), det)
-                deviations.append(abs(click - predict(weights, None)))
+                deviations.append(abs(click - predict(weights, None, 0)))
             return max(deviations)
 
         batched_rng, loop_rng = np.random.default_rng(30), np.random.default_rng(30)
@@ -208,6 +238,26 @@ class TestMixtures:
         assert len(batches) == 1 and 2 * count <= batches[0] <= 4 * count
         assert deviation == pytest.approx(loop(loop_rng), abs=1e-15)
         assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("verify, dims", [(verify_theorem1, (2, 2)), (verify_theorem2, (2,))])
+    def test_one_pass_predictions_match_each_mixture(self, verify, dims, monkeypatch):
+        # Each theorem predicts all its mixtures in one pass.  For a click
+        # of 0.8 |u><u| + 0.1, both predictions are 0.8 <u|rho|u> + 0.1 at
+        # each mixture's reduced density matrix rho of spin 0.
+        det = detectors.EffectDetector(np.diag([0.9, 0.1]))
+        predictors = []
+        real = derivation._mixture_deviation
+        monkeypatch.setattr(derivation, "_mixture_deviation", lambda *a: predictors.append(a[-1]) or real(*a))
+        verify(det, seed=34)
+        rng = np.random.default_rng(35)
+        sizes = [2, 3, 4, 2]
+        weights = [w / w.sum() for w in (rng.uniform(size=k) for k in sizes)]
+        members = [qcore.random_amplitudes(dims, k, rng) for k in sizes]
+        starts = np.cumsum([0] + sizes[:-1])
+        predicted = predictors[0](np.concatenate(weights), np.concatenate(members), starts)
+        for w, m, value in zip(weights, members, predicted, strict=True):
+            up = (np.abs(m.reshape(len(m), 2, -1)[:, 0]) ** 2).sum(axis=1)
+            assert value == pytest.approx(0.8 * float(w @ up) + 0.1, abs=1e-14)
 
 
 class TestTheorem2:

@@ -375,6 +375,43 @@ class TestDetectorDraws:
                     np.testing.assert_array_equal(getattr(det, name), getattr(expected, name))
 
 
+class TestKrausPairs:
+    @staticmethod
+    def fresh_detectors():
+        """The battery's named detectors (sg-up, sigma-x, constant-half,
+        never, always, noisy, cnot-up) and 300 random ones of both
+        families, built afresh, so that none holds its Kraus pair yet."""
+        named = [det for name, det in derivation.standard_battery(0) if "random" not in name]
+        rng = np.random.default_rng(41)
+        return named + detectors.build_detectors([detectors.draw_detector(rng) for _ in range(300)])
+
+    @staticmethod
+    def principal_sqrt(m):
+        """One matrix's square root by its own eigh, as each detector once took it."""
+        eigvals, eigvecs = np.linalg.eigh(m)
+        return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+
+    def test_stack_equals_each_detectors_pair_bit_for_bit(self):
+        stacked = detectors.kraus_pairs(self.fresh_detectors())
+        alone = self.fresh_detectors()
+        assert stacked.shape == (2, len(alone), 2, 2)
+        for k, det in enumerate(alone):
+            effect = equivalent_effect(det)
+            reference = (self.principal_sqrt(effect), self.principal_sqrt(np.eye(2) - effect))
+            for outcome in range(2):
+                assert stacked[outcome, k].tobytes() == det.kraus_pair[outcome].tobytes()
+                assert det.kraus_pair[outcome].tobytes() == reference[outcome].tobytes()
+
+    def test_stack_keeps_each_pair_on_its_detector(self):
+        dets = self.fresh_detectors()
+        first = detectors.kraus_pairs(dets[::2])  # half of them hold their pairs now
+        assert [("kraus_pair" in vars(det)) for det in dets[:4]] == [True, False, True, False]
+        stacked = detectors.kraus_pairs(dets)
+        assert stacked[:, ::2].tobytes() == first.tobytes()
+        for k, det in enumerate(dets):
+            assert stacked[:, k].tobytes() == np.array(det.kraus_pair).tobytes()
+
+
 class TestBatchedOracle:
     @pytest.mark.parametrize("make", [random_effect_detector, random_ancilla_detector])
     def test_batch_scalar_and_plain_trace_agree(self, make):

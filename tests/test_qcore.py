@@ -383,6 +383,15 @@ class TestStackedBuilds:
             qcore.spin_pair_states([0.3, 1.5])
 
 
+    def test_polarization_rows_match_one_state_at_a_time(self):
+        amps = qcore.random_amplitudes((2, 2, 3), 50, np.random.default_rng(27))
+        rows = qcore.bloch_polarizations(amps.reshape(50, 2, 6))
+        for row, psi in zip(rows, StateVector.stack((2, 2, 3), amps)):
+            rho = reduced_density(psi, 0)
+            expected = [2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
+            assert row.tobytes() == np.array(expected).tobytes()
+
+
 class TestTrustedStates:
     def test_operations_return_frozen_valid_states(self):
         psi = random_state((2, 3), 22)
