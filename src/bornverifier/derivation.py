@@ -26,7 +26,9 @@ DEFAULT_DYADIC_DEPTH = 20
 _EXHAUSTIVE_DYADIC_DEPTH = 10
 _ENV_DIM = 4
 # Theorem 1's fixed probes, the six poles of the Bloch ball.
-_POLES = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+_POLES = tuple(
+    BlochVector(*v) for v in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+)
 
 
 @dataclass(frozen=True)
@@ -284,12 +286,7 @@ def verify_theorem1(
         raise ValueError("n_points must be >= 0")
     rng = qcore.as_rng(seed)
     resp = _det.extract_affine(det)
-    # ``qcore.random_bloch``'s points, in its stream order, built in one pass.
-    draws = [(rng.standard_normal(3), rng.uniform()) for _ in range(n_points)]
-    directions = np.array([g for g, _ in draws]).reshape(-1, 3)
-    norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])  # as np.linalg.norm sums
-    radii = np.array([u ** (1.0 / 3.0) for _, u in draws])  # Python's pow: numpy's may round apart
-    points = np.concatenate([_POLES, radii[:, None] * (directions / norms[:, None])])
+    points = _stacked(*_POLES, *(qcore.random_bloch(rng) for _ in range(n_points)))
     # The affine prediction alpha . p + beta, evaluated for all points at
     # once; the probes themselves go through the oracle.
     predicted = points @ resp.alpha + resp.beta

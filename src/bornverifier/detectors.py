@@ -39,8 +39,9 @@ _REFERENCE_POINTS = np.array(
 
 class _DerivedData:
     """Data derived from a detector's hidden model, computed on first use
-    and stored on the instance itself, so it lives and dies with the
-    detector and is never shared between two detectors."""
+    (alone, or in a batch with other detectors) and stored on the instance
+    itself as its own arrays, so it lives and dies with the detector and
+    is never shared between two detectors."""
 
     @cached_property
     def kraus_pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,18 +195,17 @@ def click_probabilities(det: Detector | Sequence[Detector], amps: np.ndarray) ->
 
 
 def kraus_pairs(dets: Sequence[Detector]) -> np.ndarray:
-    """The (2, N, 2, 2) Kraus pairs of N detectors, stacked by outcome.
-    The pairs that no detector holds yet come from one batched square
-    root, and each is kept on its detector as its ``kraus_pair``."""
+    """The (2, N, 2, 2) Kraus pairs of N detectors, stacked by outcome in
+    a fresh array.  The pairs that no detector holds yet come from one
+    batched square root, and each detector keeps its own copy of its pair
+    as its ``kraus_pair``."""
     missing = [d for d in dets if "kraus_pair" not in vars(d)]
     if missing:
         effects = np.array([equivalent_effect(d) for d in missing])
         eigvals, eigvecs = np.linalg.eigh(np.stack([effects, IDENTITY_2 - effects]))  # principal roots
         roots = (eigvecs * np.sqrt(eigvals.clip(0.0))[..., None, :]) @ eigvecs.conj().swapaxes(2, 3)
         for det, first, second in zip(missing, *roots):
-            vars(det)["kraus_pair"] = (first, second)
-        if len(missing) == len(dets):
-            return roots
+            vars(det)["kraus_pair"] = (first.copy(), second.copy())
     return np.array([d.kraus_pair for d in dets]).transpose(1, 0, 2, 3).copy()
 
 

@@ -192,19 +192,6 @@ class TestTheorem1:
         report = verify_theorem1(det, n_points=0)
         assert report.passed and report.inputs == "points=6"
 
-    def test_points_are_random_bloch_draws(self, monkeypatch):
-        # Drawn in ``random_bloch``'s stream order and built in one array
-        # pass: its points, bit for bit.
-        probed = []
-        real = detectors.probe_fclick
-        monkeypatch.setattr(detectors, "probe_fclick", lambda d, p: probed.append(p) or real(d, p))
-        rng = np.random.default_rng(24)
-        verify_theorem1(detectors.sg_up_detector(), n_points=2000, seed=rng)
-        expected_rng = np.random.default_rng(24)
-        expected = [qcore.random_bloch(expected_rng).as_array() for _ in range(2000)]
-        poles = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-        assert probed[1].tobytes() == np.array(poles + expected, dtype=float).tobytes()
-
 
 class TestMixtures:
     @pytest.mark.parametrize("count, dims", [(5, (2, 2)), (20, (2,))])

@@ -411,6 +411,17 @@ class TestKrausPairs:
         for k, det in enumerate(dets):
             assert stacked[:, k].tobytes() == np.array(det.kraus_pair).tobytes()
 
+    def test_pairs_share_no_memory(self):
+        # Each detector's pair is its own allocation, not a view into the
+        # batch, and every returned stack is fresh.
+        dets = self.fresh_detectors()[:20]
+        stacked = detectors.kraus_pairs(dets)
+        restacked = detectors.kraus_pairs(dets)
+        for m in (m for det in dets for m in det.kraus_pair):
+            assert m.flags.owndata
+            assert not np.shares_memory(m, stacked) and not np.shares_memory(m, restacked)
+        assert not np.shares_memory(stacked, restacked)
+
 
 class TestBatchedOracle:
     @pytest.mark.parametrize("make", [random_effect_detector, random_ancilla_detector])
