@@ -90,17 +90,21 @@ class Measure:
         or (2, 1, 2, 2) for every row alike; built once per measurement."""
         if self.detector is None:
             return _PROJECTORS
-        if _per_row(self.detector):
-            return _det.kraus_pairs(self.detector)
-        return np.array(self.detector.kraus_pair)[:, None]
+        return _det.kraus_pairs(self.detector if _per_row(self.detector) else [self.detector])
+
+    @cached_property
+    def models(self) -> _det.ModelStacks:
+        """A detector sequence's ``ModelStacks``, built once per measurement."""
+        return _det.ModelStacks.of(self.detector)
 
     def on_rows(self, index: Sequence[int]) -> "Measure":
         """This measurement on the listed rows of its batch: a detector
-        sequence and its Kraus stack are picked row by row."""
+        sequence, its Kraus stack and model stacks are picked row by row."""
         if not _per_row(self.detector):
             return self
         picked = Measure(self.wire, self.label, [self.detector[i] for i in index])
         picked.__dict__["kraus"] = self.kraus[:, index]
+        picked.__dict__["models"] = self.models.on_rows(index)
         return picked
 
 
@@ -244,7 +248,7 @@ def _branches(tens: np.ndarray, measure: Measure) -> tuple[np.ndarray, np.ndarra
     if detector is None:
         raw = squared
     else:
-        click = _det.click_probabilities(detector, amps)
+        click = _det.click_probabilities(measure.models if _per_row(detector) else detector, amps)
         raw = np.array([click, 1.0 - click])
     live = raw > ZERO_BRANCH
     scale = np.sqrt(np.where(live, squared, 1.0)).reshape((2, rows) + (1,) * (tens.ndim - 1))

@@ -316,18 +316,18 @@ def _mixture_deviation(det: Detector, rng, count: int, dims: tuple[int, ...], pr
     """Worst gap, over ``count`` random mixtures of states of ``dims``,
     between the law-of-total-probability click chance and the
     prediction.  Each mixture draws its size, its weights and its members
-    in this stream order; then all members are probed in one call, spin
-    factor 0 first, and ``predict(weights, members, starts)`` predicts
-    every mixture in one pass over the concatenated members, mixture k
-    starting at row ``starts[k]``."""
-    weights, members = [], []
+    in this stream order; then all members are normalized in one call
+    and probed in one call, spin factor 0 first, and ``predict(weights,
+    members, starts)`` predicts every mixture in one pass over the
+    concatenated members, mixture k starting at row ``starts[k]``."""
+    weights, gaussians = [], []
     for _ in range(count):
         k = int(rng.integers(2, 5))
         w = rng.uniform(size=k)
         weights.append(w / w.sum())
-        members.append(qcore.random_amplitudes(dims, k, rng))
+        gaussians.append(rng.standard_normal((k, 2, math.prod(dims))))  # random_amplitudes' stream
     starts = np.cumsum([0] + [len(w) for w in weights[:-1]])
-    weights, members = np.concatenate(weights), np.concatenate(members)
+    weights, members = np.concatenate(weights), qcore.normalized_amplitudes(np.concatenate(gaussians))
     clicks = _det.click_probabilities(det, members.reshape(len(members), 2, -1))
     law = np.add.reduceat(weights * clicks, starts)
     return float(np.max(np.abs(law - predict(weights, members, starts))))

@@ -39,9 +39,9 @@ _REFERENCE_POINTS = np.array(
 
 class _DerivedData:
     """Data derived from a detector's hidden model, computed on first use
-    (alone, or in a batch with other detectors) and stored on the instance
-    itself as its own arrays, so it lives and dies with the detector and
-    is never shared between two detectors."""
+    or at a stacked build (alone, or in a batch with other detectors) and
+    stored on the instance itself as its own arrays, so it lives and dies
+    with the detector and is never shared between two detectors."""
 
     @cached_property
     def kraus_pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -49,6 +49,14 @@ class _DerivedData:
         1 - E: the measurement operators of the circuit evaluator's
         post-measurement states (a batch of one of ``kraus_pairs``)."""
         return tuple(kraus_pairs([self])[:, 0])
+
+    def _hold(self, **fields) -> "Detector":
+        """Store a checked model, each array the detector's own, read-only."""
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(fields)
+        return self
 
 
 @dataclass(frozen=True)
@@ -59,14 +67,26 @@ class EffectDetector(_DerivedData):
 
     def __post_init__(self):
         m = np.array(self.effect, dtype=complex)
-        if m.shape != (2, 2):
+        self._check(m[None])
+        self._hold(effect=m)
+
+    @staticmethod
+    def _check(effects: np.ndarray) -> None:
+        """The family's checks, on an (N, 2, 2) stack of effects."""
+        if effects.shape[1:] != (2, 2):
             raise ValueError("effect must be a 2x2 matrix")
-        qcore.check_matrix(m, "effect", "Hermitian")
-        eigvals = np.linalg.eigvalsh(m)
-        if eigvals[0] < -MODEL_TOL or eigvals[-1] > 1.0 + MODEL_TOL:
-            raise ValueError(f"effect eigenvalues {eigvals} outside [0, 1]")
-        m.setflags(write=False)
-        object.__setattr__(self, "effect", m)
+        qcore.check_matrix(effects, "effect", "Hermitian")
+        eigvals = np.linalg.eigvalsh(effects)
+        for k, (low, high) in enumerate(eigvals.tolist()):  # floats: cheaper for a batch of one
+            if low < -MODEL_TOL or high > 1.0 + MODEL_TOL:
+                raise ValueError(f"effect eigenvalues {eigvals[k]} outside [0, 1]")
+
+    @classmethod
+    def stack(cls, effects: np.ndarray) -> list["EffectDetector"]:
+        """Detectors of an (N, 2, 2) stack of effects, checked as one."""
+        effects = np.asarray(effects, dtype=complex)
+        cls._check(effects)
+        return [object.__new__(cls)._hold(effect=e.copy()) for e in effects]
 
     _model = property(lambda self: self.effect)  # what the family's formula takes
 
@@ -89,23 +109,40 @@ class AncillaDetector(_DerivedData):
         m = int(self.ancilla_dim)
         coupling = np.array(self.coupling, dtype=complex)
         projector = np.array(self.projector, dtype=complex)
-        if coupling.shape != (2 * m, 2 * m):
+        self._check(m, coupling[None], projector[None])
+        self._hold(ancilla_dim=m, coupling=coupling, projector=projector)
+
+    @staticmethod
+    def _check(m: int, couplings: np.ndarray, projectors: np.ndarray) -> None:
+        """The family's checks, on stacks of N couplings and N projectors."""
+        if couplings.shape[1:] != (2 * m, 2 * m):
             raise ValueError("coupling must act on the spin+ancilla space")
-        qcore.check_matrix(coupling, "coupling", "unitary")
-        if projector.shape != (m, m):
+        qcore.check_matrix(couplings, "coupling", "unitary")
+        if projectors.shape[1:] != (m, m):
             raise ValueError("projector must act on the ancilla space")
-        qcore.check_matrix(projector, "projector", "Hermitian", "idempotent")
-        coupling.setflags(write=False)
-        projector.setflags(write=False)
-        object.__setattr__(self, "ancilla_dim", m)
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "projector", projector)
+        qcore.check_matrix(projectors, "projector", "Hermitian", "idempotent")
+
+    @classmethod
+    def stack(cls, m: int, couplings: np.ndarray, projectors: np.ndarray) -> list["AncillaDetector"]:
+        """Detectors of N couplings and N projectors, checked as one, with click maps."""
+        m, couplings, projectors = int(m), np.asarray(couplings, dtype=complex), np.asarray(projectors, dtype=complex)
+        cls._check(m, couplings, projectors)
+        return [object.__new__(cls)._hold(ancilla_dim=m, coupling=u.copy(), projector=p.copy(), click_map=c.copy())
+                for u, p, c in zip(couplings, projectors, cls._click_maps(couplings, projectors))]
+
+    @staticmethod
+    def _click_maps(couplings: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+        """(N, 2m, 2) click maps (1 (x) P) U of a stack, U restricted to
+        ancilla input |0>: P applied to each half of U's two columns."""
+        n, size = couplings.shape[:2]
+        halves = couplings[:, :, :: size // 2].reshape(n, 2, size // 2, 2)
+        return (projectors[:, None] @ halves).reshape(n, size, 2)
 
     @cached_property
     def click_map(self) -> np.ndarray:
-        """(2m, 2) map (1 (x) P) U restricted to ancilla input |0>: it
-        takes the spin amplitudes to the projected spin+ancilla ones."""
-        return np.kron(IDENTITY_2, self.projector) @ self.coupling[:, :: self.ancilla_dim]
+        """(2m, 2) map (1 (x) P) U, ancilla input |0>, from spin amplitudes to
+        projected spin+ancilla ones (a batch of one of ``_click_maps``)."""
+        return self._click_maps(self.coupling[None], self.projector[None])[0]
 
     _model = property(lambda self: self.click_map)  # what the family's formula takes
 
@@ -117,6 +154,32 @@ class AncillaDetector(_DerivedData):
 
 
 Detector = EffectDetector | AncillaDetector
+
+
+@dataclass(frozen=True)
+class ModelStacks:
+    """A detector sequence's models stacked by family and shape: per stack
+    the family, each row's slot in the stack (-1 off it) and the models."""
+
+    groups: tuple[tuple[type, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, dets: Sequence[Detector]) -> "ModelStacks":
+        rows: dict[tuple, list[int]] = {}
+        for i, det in enumerate(dets):
+            if not isinstance(det, Detector):
+                raise TypeError("not a detector, nor a sequence of detectors")
+            rows.setdefault((type(det), det._model.shape), []).append(i)
+        groups = []
+        for (family, _), index in rows.items():
+            slot = np.full(len(dets), -1)
+            slot[index] = np.arange(len(index))
+            groups.append((family, slot, np.stack([dets[i]._model for i in index])))
+        return cls(tuple(groups))
+
+    def on_rows(self, index: Sequence[int]) -> "ModelStacks":
+        """The stacks of the listed rows, in the order of ``index``."""
+        return ModelStacks(tuple((family, slot[index], models) for family, slot, models in self.groups))
 
 
 @dataclass(frozen=True)
@@ -170,27 +233,25 @@ def click_probability(det: Detector, psi: StateVector, spin_factor: int = 0) -> 
     return float(click_probabilities(det, qcore._spin_first(psi, spin_factor)[None])[0])
 
 
-def click_probabilities(det: Detector | Sequence[Detector], amps: np.ndarray) -> np.ndarray:
+def click_probabilities(det: Detector | Sequence[Detector] | ModelStacks, amps: np.ndarray) -> np.ndarray:
     """Click probabilities of N stacked states.
 
     ``amps`` has shape (N, 2, rest): axis 1 is the measured spin and
     axis 2 runs over every other factor.  ``det`` is one detector for
-    every row, or N detectors of any families, one per row.  An effect
-    detector gives sum_r <a_r|E|a_r>; an ancilla detector is simulated
-    exactly, as the squared norm of its projected spin+ancilla
-    amplitudes.  A family's one formula takes its model matrix alone or
-    stacked one per row, as rows of a sequence are stacked by family and
-    shape, so a row's value never depends on its batch.
+    every row, or N detectors of any families, one per row, or their
+    ``ModelStacks``.  An effect detector gives sum_r <a_r|E|a_r>; an
+    ancilla detector is simulated exactly, as the squared norm of its
+    projected spin+ancilla amplitudes.  A family's one formula takes its
+    model matrix alone or stacked one per row, so a row's value never
+    depends on its batch.
     """
     if isinstance(det, Detector):
         p = det._clicks(det._model, amps)
-    elif isinstance(det, Sequence) and all(isinstance(d, Detector) for d in det):
-        p = np.array(qcore.in_stacks(
-            range(len(det)), lambda i: (type(det[i]), det[i]._model.shape),
-            lambda rows: det[rows[0]]._clicks(np.stack([det[i]._model for i in rows]), amps[rows]),
-        ), dtype=float)
     else:
-        raise TypeError("not a detector, nor a sequence of detectors")
+        p = np.empty(len(amps))
+        for family, slot, models in (det if isinstance(det, ModelStacks) else ModelStacks.of(det)).groups:
+            rows = np.flatnonzero(slot >= 0)
+            p[rows] = family._clicks(models[slot[rows]], amps[rows])
     return np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip, without its call overhead
 
 
@@ -206,7 +267,7 @@ def kraus_pairs(dets: Sequence[Detector]) -> np.ndarray:
         roots = (eigvecs * np.sqrt(eigvals.clip(0.0))[..., None, :]) @ eigvecs.conj().swapaxes(2, 3)
         for det, first, second in zip(missing, *roots):
             vars(det)["kraus_pair"] = (first.copy(), second.copy())
-    return np.array([d.kraus_pair for d in dets]).transpose(1, 0, 2, 3).copy()
+    return np.array([d.kraus_pair for d in dets]).reshape(-1, 2, 2, 2).transpose(1, 0, 2, 3).copy()
 
 
 def equivalent_effect(det: Detector) -> np.ndarray:
@@ -385,33 +446,40 @@ def draw_detector(rng, family: str | None = None, ancilla_dim: int | None = None
     """The raw numbers of a random detector in stream order: its ancilla
     dimension (0 for an effect), the Gaussians of its Haar unitaries, and
     the effect's eigenvalues, uniform in [0, 1], or the rank of its random
-    projector.  No ``family`` ("effect" or "ancilla") is an even mix."""
+    projector.  No ``family`` ("effect" or "ancilla") is an even mix, no
+    ``ancilla_dim`` (at least 2) an even mix of 2 and 4."""
+    if family not in (None, "effect", "ancilla"):
+        raise ValueError(f"family must be 'effect', 'ancilla' or None, got {family!r}")
+    if ancilla_dim is not None and int(ancilla_dim) < 2:
+        raise ValueError(f"ancilla_dim must be >= 2, got {ancilla_dim!r}")
     rng = qcore.as_rng(rng)
     family = family or ("effect" if rng.uniform() < 0.5 else "ancilla")
     if family == "effect":
         basis = rng.standard_normal((2, 2, 2))
         return 0, (basis,), rng.uniform(0.0, 1.0, size=2)
-    m = int(ancilla_dim) if ancilla_dim else (2, 4)[rng.integers(2)]  # rng.choice's stream
+    m = int(ancilla_dim) if ancilla_dim is not None else (2, 4)[rng.integers(2)]  # rng.choice's stream
     coupling = rng.standard_normal((2, 2 * m, 2 * m))
     rank = int(rng.integers(1, m))
     return m, (coupling, rng.standard_normal((2, m, m))), rank
 
 
 def build_detectors(draws: Sequence[tuple]) -> list[Detector]:
-    """The detectors of ``draw_detector`` draws: the unitaries of all
-    draws in one ``haar_unitaries`` call per dimension, then each detector
-    through its checked initializer."""
+    """The detectors of ``draw_detector`` draws: the unitaries of all draws
+    in one ``haar_unitaries`` call per dimension, then the models of each
+    family, ancilla dimension and rank as one ``stack`` of the family."""
     unitaries = iter(qcore.build_unitaries([g for _, gaussians, _ in draws for g in gaussians]))
-    built: list[Detector] = []
-    for m, _, spectrum in draws:
+    drawn = [(m, spectrum, *(next(unitaries) for _ in gaussians)) for m, gaussians, spectrum in draws]
+
+    def build(stack: list[tuple]) -> list[Detector]:
+        m, rank = stack[0][:2]  # an effect's "rank" is its spectrum
+        w = np.array([d[2] for d in stack])
         if not m:
-            w = next(unitaries)
-            built.append(EffectDetector(w @ np.diag(spectrum) @ w.conj().T))
-            continue
-        coupling, basis = next(unitaries), next(unitaries)
-        projector = basis[:, :spectrum] @ basis[:, :spectrum].conj().T
-        built.append(AncillaDetector(m, coupling, projector))
-    return built
+            spectra = np.array([d[1] for d in stack])[:, None, :]
+            return EffectDetector.stack((w * spectra) @ w.conj().swapaxes(1, 2))  # bit for bit w diag(s) w^dagger
+        basis = np.array([d[3][:, :rank] for d in stack])
+        return AncillaDetector.stack(m, w, basis @ basis.conj().swapaxes(1, 2))
+
+    return qcore.in_stacks(drawn, lambda d: (d[0], d[1] if d[0] else 0), build)
 
 
 def random_effect_detector(rng) -> EffectDetector:

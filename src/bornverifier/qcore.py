@@ -426,19 +426,6 @@ def as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def basis_state(factor_dims: Sequence[int], indices: Sequence[int]) -> StateVector:
-    """Computational basis state |i_0 i_1 ...> for the given factor list."""
-    dims = tuple(int(d) for d in factor_dims)
-    amps = np.zeros(math.prod(dims), dtype=complex)
-    flat = 0
-    for d, i in zip(dims, indices):
-        if not 0 <= i < d:
-            raise ValueError(f"basis index {i} out of range for dimension {d}")
-        flat = flat * d + i
-    amps[flat] = 1.0
-    return StateVector(dims, amps)
-
-
 def spin_pair_state(lam: float) -> StateVector:
     """Two-spin state sqrt(1-lam)|uu> + sqrt(lam)|dd> for lam in [0, 1]
     (a batch of one of ``spin_pair_states``)."""
@@ -473,11 +460,11 @@ def matrix_is(m: np.ndarray, prop: str) -> bool:
     stack, is "Hermitian", "unitary" or "idempotent" to within
     ``MODEL_TOL``: the one check of every model matrix.  Entries so large
     that the defect overflows, or non-finite ones, fail it without a
-    numpy warning."""
+    numpy warning; an empty stack passes."""
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.max(np.abs(_MATRIX_DEFECTS[prop](m)))
+        defect = np.abs(_MATRIX_DEFECTS[prop](m)).max(initial=0.0)  # the method skips np.max's dispatch
     return bool(defect <= MODEL_TOL)  # false for NaN
 
 

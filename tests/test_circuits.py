@@ -368,6 +368,29 @@ class TestBatchedWalk:
                 brackets[k] = ({key: v[column] for key, v in b.items()}, {key: v[column] for key, v in b5.items()})
         return table, brackets, len(groups)
 
+    @pytest.mark.parametrize("rest", [1, 3, 8])
+    def test_picked_rows_keep_their_lone_clicks(self, rest):
+        # Bit for bit: a row picked from a measurement's model stacks, in
+        # any order, repeated, or picked twice over, gets the value of its
+        # detector alone.
+        rng = np.random.default_rng(48)
+        dets = detectors.build_detectors([detectors.draw_detector(rng) for _ in range(60)])
+        dets[5] = dets[0]  # a shared detector serves two rows
+        amps = qcore.random_amplitudes((2, rest), len(dets), rng).reshape(len(dets), 2, rest)
+        lone = [detectors.click_probabilities(det, amps[i : i + 1])[0] for i, det in enumerate(dets)]
+        measure = Measure(0, "m", dets)
+        assert detectors.click_probabilities(measure.models, amps).tolist() == lone
+        picks = [np.arange(60), np.arange(60)[::-1], rng.permutation(60)[:25],
+                 np.flatnonzero(rng.uniform(size=60) < 0.3), np.array([7, 7, 3, 0, 5]), np.array([], dtype=int)]
+        for index in picks:
+            picked = measure.on_rows(index)
+            assert picked.detector == [dets[i] for i in index]
+            assert picked.kraus.tobytes() == measure.kraus[:, index].tobytes()
+            assert detectors.click_probabilities(picked.models, amps[index]).tolist() == [lone[i] for i in index]
+            positions = np.arange(len(index))[::-2]  # a pick of the pick
+            again = picked.on_rows(positions).models
+            assert detectors.click_probabilities(again, amps[index[positions]]).tolist() == [lone[i] for i in index[positions]]
+
     @pytest.mark.parametrize("seed", [42, 7, 1234])
     @pytest.mark.parametrize("rule_name", ["born", "cubic3", "random1"])
     def test_grouped_sweep_matches_per_instance_checks(self, seed, rule_name):
@@ -455,7 +478,7 @@ class TestBatchedWalk:
         rng = np.random.default_rng(81)
         never = detectors.EffectDetector(np.zeros((2, 2)))
         live = detectors.random_effect_detector(rng)
-        uu = qcore.basis_state((2, 2), (0, 0))
+        uu = StateVector((2, 2), [1, 0, 0, 0])
         other = qcore.random_state((2, 2), rng)
         steps = (Measure(1, "s"), Measure(0, "m", [never, live]))
         distribution = circuits.outcome_distribution(Circuit([uu, other], steps))

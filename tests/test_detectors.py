@@ -374,6 +374,138 @@ class TestDetectorDraws:
                 if hasattr(expected, name):
                     np.testing.assert_array_equal(getattr(det, name), getattr(expected, name))
 
+    @pytest.mark.parametrize("family", ["Effect", "", "ancila"])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(ValueError, match=r"^family must be 'effect', 'ancilla' or None, got "):
+            detectors.draw_detector(np.random.default_rng(0), family)
+
+    @pytest.mark.parametrize("ancilla_dim", [0, 1, -2])
+    def test_ancilla_dim_below_two_rejected(self, ancilla_dim):
+        with pytest.raises(ValueError, match=rf"^ancilla_dim must be >= 2, got {ancilla_dim}$"):
+            random_ancilla_detector(np.random.default_rng(0), ancilla_dim=ancilla_dim)
+        with pytest.raises(ValueError, match="^ancilla_dim must be >= 2"):
+            detectors.draw_detector(np.random.default_rng(0), None, ancilla_dim)
+
+
+def _model_args(det):
+    """A detector's model, as the arguments of its family's initializer."""
+    if isinstance(det, EffectDetector):
+        return (det.effect,)
+    return (det.ancilla_dim, det.coupling, det.projector)
+
+
+def _stacked(models):
+    """The detectors of models of one family and shape, built as one stack."""
+    columns = [np.array(column) for column in zip(*models)]
+    if len(models[0]) == 1:
+        return EffectDetector.stack(*columns)
+    return AncillaDetector.stack(columns[0][0], *columns[1:])
+
+
+def _kron_click_map(det):
+    """(1 (x) P) U restricted to ancilla input |0>, written out with np.kron."""
+    return np.kron(np.eye(2), det.projector) @ det.coupling[:, :: det.ancilla_dim]
+
+
+class TestStackedBuild:
+    FIELDS = ("effect", "ancilla_dim", "coupling", "projector", "click_map")
+
+    @staticmethod
+    def named():
+        """The battery's named detectors: sg-up, sigma-x, constant-half,
+        never, always, noisy and cnot-up."""
+        return [det for name, det in derivation.standard_battery(0) if "random" not in name]
+
+    def assert_same(self, stacked, lone):
+        assert type(stacked) is type(lone)
+        for name in self.FIELDS:
+            if hasattr(lone, name):
+                assert np.asarray(getattr(stacked, name)).tobytes() == np.asarray(getattr(lone, name)).tobytes(), name
+        if isinstance(lone, AncillaDetector):
+            assert lone.click_map.tobytes() == _kron_click_map(lone).tobytes()
+
+    def test_random_stacks_equal_lone_constructors_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        built = detectors.build_detectors([detectors.draw_detector(rng) for _ in range(300)])
+        assert {type(det) for det in built} == {EffectDetector, AncillaDetector}
+        assert {det.ancilla_dim for det in built if isinstance(det, AncillaDetector)} == {2, 4}
+        for det in built:
+            self.assert_same(det, type(det)(*_model_args(det)))
+
+    def test_named_stacks_equal_lone_constructors_bit_for_bit(self):
+        named = self.named()
+        effects = [det for det in named if isinstance(det, EffectDetector)]
+        ancillas = [det for det in named if isinstance(det, AncillaDetector)]
+        for group in (effects, ancillas):
+            for stacked, lone in zip(_stacked([_model_args(det) for det in group]), group, strict=True):
+                self.assert_same(stacked, lone)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (np.array([[np.nan, 0], [0, 0.5]]),),
+            (np.array([[0.5, 0.3], [0.1, 0.5]]),),
+            (np.diag([0.25, 1.5]),),
+            (np.diag([-0.5, 0.75]),),
+            (2, np.diag([1.0, 1.0, 1.0, 2.0]), np.diag([1.0, 0.0])),
+            (2, np.diag([1.0, 1.0, 1.0, np.inf]), np.diag([1.0, 0.0])),
+            (2, np.eye(4), np.diag([1.0, 0.5])),
+            (2, np.eye(4), np.array([[1.0, 1.0], [0.0, 0.0]])),
+            (2, np.eye(4), np.diag([np.nan, 0.0])),
+        ],
+        ids=["effect-nan", "non-hermitian", "eigenvalue-high", "eigenvalue-low", "non-unitary",
+             "coupling-inf", "non-idempotent", "projector-non-hermitian", "projector-nan"],
+    )
+    def test_one_bad_member_raises_the_lone_message(self, bad):
+        family = EffectDetector if len(bad) == 1 else AncillaDetector
+        with pytest.raises(ValueError) as lone:
+            family(*bad)
+        rng = np.random.default_rng(42)
+        good = [_model_args(detectors.random_effect_detector(rng) if len(bad) == 1
+                            else random_ancilla_detector(rng, ancilla_dim=2)) for _ in range(6)]
+        with pytest.raises(ValueError) as stacked:
+            _stacked(good[:3] + [bad] + good[3:])
+        assert str(stacked.value) == str(lone.value)
+
+    def test_stacks_take_real_models_as_complex(self):
+        (effect,) = EffectDetector.stack([np.diag([1.0, 0.0])])
+        (ancilla,) = AncillaDetector.stack(2.0, [cnot_click_detector().coupling.real], [np.diag([1.0, 0.0])])
+        self.assert_same(effect, sg_up_detector())
+        self.assert_same(ancilla, cnot_click_detector())
+
+    def test_eigenvalue_message_names_the_bad_member(self):
+        effects = [det.effect for det in self.named() if isinstance(det, EffectDetector)]
+        with pytest.raises(ValueError, match=r"^effect eigenvalues \[0\. 2\.\] outside \[0, 1\]$"):
+            EffectDetector.stack(np.array(effects + [np.diag([0.0, 2.0])] + effects))
+
+    def test_members_share_no_memory(self):
+        rng = np.random.default_rng(45)
+        built = detectors.build_detectors([detectors.draw_detector(rng) for _ in range(40)])
+        arrays = [(k, getattr(det, name)) for k, det in enumerate(built) for name in self.FIELDS
+                  if isinstance(getattr(det, name, None), np.ndarray)]
+        for k, a in arrays:
+            assert a.flags.owndata and not a.flags.writeable  # a copy, not a view into the stack
+            assert all(not np.shares_memory(a, b) for j, b in arrays if j != k)
+
+    @pytest.mark.parametrize("family", ["effect", "ancilla"])
+    def test_deleted_stacked_detector_is_freed(self, family):
+        rng = np.random.default_rng(46)
+        built = detectors.build_detectors([detectors.draw_detector(rng, family) for _ in range(5)])
+        extract_affine(built[2])
+        circuits.detector_measure(qcore.random_state((2, 2), 47), 0, built[2])
+        ref = weakref.ref(built[2])
+        del built[2]
+        assert ref() is None
+
+    def test_empty_stacks(self):
+        assert detectors.build_detectors([]) == []
+        assert EffectDetector.stack(np.empty((0, 2, 2))) == []
+        assert AncillaDetector.stack(4, np.empty((0, 8, 8)), np.empty((0, 4, 4))) == []
+        assert detectors.kraus_pairs([]).shape == (2, 0, 2, 2)
+        assert click_probabilities([], np.empty((0, 2, 3), dtype=complex)).shape == (0,)
+        stacks = detectors.ModelStacks.of([])
+        assert stacks.groups == () and stacks.on_rows(np.array([], dtype=int)).groups == ()
+
 
 class TestKrausPairs:
     @staticmethod
