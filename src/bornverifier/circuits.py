@@ -107,6 +107,13 @@ class Measure:
         picked.__dict__["models"] = self.models.on_rows(index)
         return picked
 
+    def on_wire(self, wire: int) -> "Measure":
+        """This measurement of another wire, sharing its Kraus and model stacks."""
+        moved = Measure(wire, self.label, self.detector)
+        if _per_row(self.detector):
+            moved.__dict__.update(kraus=self.kraus, models=self.models)
+        return moved
+
 
 Step = Gate | Measure
 
@@ -416,15 +423,14 @@ _DETAILS = (
 )
 
 
-def _check_states(det, single, ancilla, psi, env_unitary, pair, sg_outcome, rules):
-    """``check_identity_states`` on N rows at once: the arguments are
-    sequences of N values, except ``det``, which is one detector, None,
-    or one detector per row.  Each distinct circuit is walked once, the
-    ``psi`` circuits once per environment dimension.  Returns the (6, N)
-    deviations of the six identities, in ``IDENTITY_NAMES`` order, and the
-    (N,) arrays of the brackets they read, by name."""
+def _check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, rules):
+    """``check_identity_states`` on N rows at once: the arguments are N
+    values each, except ``probe``, the ``Measure`` "m" of wire 0 by one
+    detector, None, or one per row.  Each distinct circuit is walked once,
+    the ``psi`` circuits once per environment dimension.  Returns the
+    (6, N) deviations of the six identities, in ``IDENTITY_NAMES`` order,
+    and the (N,) arrays of the brackets they read, by name."""
     rows = len(single)
-    probe = Measure(0, "m", det)
     click, no_click = probe.outcomes
 
     def bracket(states, steps=(probe,)) -> np.ndarray:
@@ -433,7 +439,7 @@ def _check_states(det, single, ancilla, psi, env_unitary, pair, sg_outcome, rule
     b = {"lhs": bracket(single)}
     outer = _stack(ancilla).reshape(rows, -1, 1) * _stack(single).reshape(rows, 1, -1)
     extended = StateVector.stack(ancilla[0].factor_dims + single[0].factor_dims, outer.reshape(rows, -1))
-    b["rhs"] = bracket(extended, (Measure(ancilla[0].num_factors, "m", det),))
+    b["rhs"] = bracket(extended, (probe.on_wire(ancilla[0].num_factors),))
     b["click"], b["no_click"], b["later"], b["before"] = np.zeros((4, rows))
     for shape in {state.factor_dims for state in psi}:
         index = [i for i, state in enumerate(psi) if state.factor_dims == shape]
@@ -501,7 +507,7 @@ def check_identity_states(
         unchanged.
     """
     instance = (single, ancilla, psi, env_unitary, pair, sg_outcome)
-    deviations, b = _check_states(det, *([x] for x in instance), [rule])
+    deviations, b = _check_states(Measure(0, "m", det), *([x] for x in instance), [rule])
     psi_dims, pair_dims = f"dims={psi.factor_dims}", f"dims={pair.factor_dims}"
     inputs = (f"dims={single.factor_dims}+{ancilla.factor_dims}", psi_dims,
               f"{pair_dims} a={sg_outcome}", psi_dims, psi_dims, pair_dims)
@@ -513,12 +519,12 @@ def check_identity_states(
     ]
 
 
-def _check_a5(lam, det, unitaries, rules) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _check_a5(lam, probe, unitaries, rules) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """``check_identity_a5_decomposition`` on N rows at once: ``lam`` and
-    ``rules`` hold N values, ``det`` is one detector or one per row, and
-    each of ``unitaries`` is a 2x2 matrix or an (N, 2, 2) stack.  Returns
-    the (N,) deviations and the (N,) arrays of the brackets they read."""
-    steps = tuple(Gate((0,), u) for u in unitaries) + (Measure(0, "m", det),)
+    ``rules`` hold N values, ``probe`` is the ``Measure`` "m" of wire 0,
+    and each of ``unitaries`` is a 2x2 matrix or an (N, 2, 2) stack.
+    Returns the (N,) deviations and the (N,) arrays of the brackets read."""
+    steps = tuple(Gate((0,), u) for u in unitaries) + (probe,)
 
     def click(states) -> np.ndarray:
         return _mass(outcome_distribution(Circuit(states, steps), {"m": "click"}))
@@ -541,7 +547,7 @@ def check_identity_a5_decomposition(
     conditionals on the collapsed single-spin states.  Each bracket
     applies the 2x2 ``unitaries`` to spin 0 and then asks ``det`` for a
     click on it."""
-    deviation, b = _check_a5([lam], det, unitaries, [rule])
+    deviation, b = _check_a5([lam], Measure(0, "m", det), unitaries, [rule])
     details = tuple((k, float(v[0])) for k, v in b.items())
     return VerificationReport.from_deviation(
         "identity:a5-decomposition", f"lambda={lam}", deviation[0], tolerance, details
@@ -575,8 +581,9 @@ def sweep_identities(rng, instances: int, rule=BORN) -> tuple[dict[str, float], 
     psi, pair, single, ancilla = (states[k::4] for k in range(4))
     u_env, u_spin = unitaries[::2], unitaries[1::2]
     sg_outcome, lam, readings = zip(*rest)
-    deviations, b = _check_states(dets, single, ancilla, psi, u_env, pair, sg_outcome, readings)
-    deviations = np.vstack([deviations, _check_a5(lam, dets, (np.stack(u_spin),), readings)[0]])
+    probe = Measure(0, "m", dets)  # one Kraus stack and one ModelStacks for the whole sweep
+    deviations, b = _check_states(probe, single, ancilla, psi, u_env, pair, sg_outcome, readings)
+    deviations = np.vstack([deviations, _check_a5(lam, probe, (np.stack(u_spin),), readings)[0]])
     worst = dict(zip(IDENTITY_NAMES, deviations.max(axis=1).tolist()))
     worst_instance = dict(zip(IDENTITY_NAMES, deviations.argmax(axis=1).tolist()))
     born_deviation = max(abs(r.compared(p) - p) for p, r in zip(b["lhs"].tolist(), readings))

@@ -26,9 +26,7 @@ DEFAULT_DYADIC_DEPTH = 20
 _EXHAUSTIVE_DYADIC_DEPTH = 10
 _ENV_DIM = 4
 # Theorem 1's fixed probes, the six poles of the Bloch ball.
-_POLES = tuple(
-    BlochVector(*v) for v in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-)
+_POLES = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -281,56 +279,9 @@ def verify_theorem1(
     name: str = "theorem1",
 ) -> VerificationReport:
     """Affine response: tomography prediction matches the probed click
-    probability across the ball, on the poles, and on mixtures."""
-    if n_points < 0:
-        raise ValueError("n_points must be >= 0")
-    rng = qcore.as_rng(seed)
-    resp = _det.extract_affine(det)
-    points = _stacked(*_POLES, *(qcore.random_bloch(rng) for _ in range(n_points)))
-    # The affine prediction alpha . p + beta, evaluated for all points at
-    # once; the probes themselves go through the oracle.
-    predicted = points @ resp.alpha + resp.beta
-    dev_points = float(np.max(np.abs(_det.probe_fclick(det, points) - predicted)))
-
-    def mixture_prediction(weights: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """alpha . p + beta at each mixture's mean polarization p."""
-        polarizations = qcore.bloch_polarizations(members.reshape(-1, 2, 2))
-        return np.add.reduceat(weights[:, None] * polarizations, starts) @ resp.alpha + resp.beta
-
-    dev_mixed = _mixture_deviation(det, rng, 5, (2, 2), mixture_prediction)
-    return VerificationReport.from_deviation(
-        name,
-        f"points={len(points)}",
-        max(dev_points, dev_mixed),
-        tolerance,
-        (
-            ("pointwise_deviation", dev_points),
-            ("mixture_deviation", dev_mixed),
-            ("alpha_norm", resp.alpha_norm),
-            ("beta", resp.beta),
-        ),
-    )
-
-
-def _mixture_deviation(det: Detector, rng, count: int, dims: tuple[int, ...], predict) -> float:
-    """Worst gap, over ``count`` random mixtures of states of ``dims``,
-    between the law-of-total-probability click chance and the
-    prediction.  Each mixture draws its size, its weights and its members
-    in this stream order; then all members are normalized in one call
-    and probed in one call, spin factor 0 first, and ``predict(weights,
-    members, starts)`` predicts every mixture in one pass over the
-    concatenated members, mixture k starting at row ``starts[k]``."""
-    weights, gaussians = [], []
-    for _ in range(count):
-        k = int(rng.integers(2, 5))
-        w = rng.uniform(size=k)
-        weights.append(w / w.sum())
-        gaussians.append(rng.standard_normal((k, 2, math.prod(dims))))  # random_amplitudes' stream
-    starts = np.cumsum([0] + [len(w) for w in weights[:-1]])
-    weights, members = np.concatenate(weights), qcore.normalized_amplitudes(np.concatenate(gaussians))
-    clicks = _det.click_probabilities(det, members.reshape(len(members), 2, -1))
-    law = np.add.reduceat(weights * clicks, starts)
-    return float(np.max(np.abs(law - predict(weights, members, starts))))
+    probability across the ball, on the poles, and on mixtures (a batch
+    of one of ``_theorems``)."""
+    return _theorems([(det, (name, seed), None)], n_points, 0, tolerance)[0]
 
 
 def verify_theorem2(
@@ -348,62 +299,119 @@ def verify_theorem2(
     oracle on random pure states and mixtures against
     (Pmax - Pmin) |<phi|psi>|^2 + Pmin, which reduces to the squared
     amplitude when Pmax = 1 and Pmin = 0.  The complement outcome must
-    satisfy the mirrored extremal relations.
+    satisfy the mirrored extremal relations.  A batch of one of ``_theorems``.
     """
-    rng = qcore.as_rng(seed)
-    resp = _det.extract_affine(det)
-    p_max = resp.beta + resp.alpha_norm
-    p_min = resp.beta - resp.alpha_norm
-    if resp.alpha_norm > DEGENERACY_TOL:
-        axis = BlochVector.from_array(resp.alpha / resp.alpha_norm)
-    else:
-        axis = BlochVector(0.0, 0.0, 1.0)
-    _, eigvecs = qcore.eig2x2_hermitian(qcore.density_from_bloch(axis))
-    phi_up = eigvecs[:, 0]
-    phi_down = eigvecs[:, 1]
-    dev_orth = abs(np.vdot(phi_up, phi_down))
+    return _theorems([(det, None, (name, seed))], 0, n_states, tolerance)[0]
 
-    extremes = _det.click_probabilities(det, np.stack([phi_up, phi_down])[:, :, None])
-    dev_extremes = float(np.max(np.abs(extremes - [p_max, p_min])))
 
-    ideal = abs(p_max - 1.0) <= tolerance and abs(p_min) <= tolerance
-    span = p_max - p_min
-    states = qcore.random_amplitudes((2,), n_states, rng)
-    predicted = span * np.abs(states @ np.conj(phi_up)) ** 2 + p_min
-    oracle = _det.click_probabilities(det, states[:, :, None])
-    dev_pure = float(np.max(np.abs(oracle - predicted), initial=0.0))
+def _theorems(rows, n_points: int, n_states: int, tolerance: float) -> list[VerificationReport]:
+    """Theorems 1 and 2 as one stacked pass over (det, theorem1, theorem2)
+    ``rows``, each theorem a (report name, seed) or None.
 
-    def mixture_prediction(weights: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """The pure-state rule at each mixture's density matrix: its
-        members' squared overlaps with phi_up, weighted."""
-        overlaps = np.abs(members @ np.conj(phi_up)) ** 2
-        return span * np.add.reduceat(weights * overlaps, starts) + p_min
+    Each report draws from its own seed's stream in its verifier's order:
+    theorem 1 its points, then its mixtures; theorem 2 its pure states,
+    then its mixtures.  The detectors, and the complements of theorem 2's,
+    are tomographed in one probe, and each kind of probe goes to the
+    oracle in one call on rows of one ``ModelStacks``: theorem 1's points,
+    its mixture members, and theorem 2's extremes, pure states and mixture
+    members together.  Predictions and reports are made report by report."""
+    if n_points < 0:
+        raise ValueError("n_points must be >= 0")
+    if n_states < 0:
+        raise ValueError("n_states must be >= 0")
+    th1, th2 = ([(k, *row[t]) for k, row in enumerate(rows) if row[t]] for t in (1, 2))
+    dets = [det for det, _, _ in rows] + [_det.complement_detector(rows[k][0]) for k, _, _ in th2]
+    models = _det.ModelStacks.of(dets)
+    resps = _det.extract_affines(models.on_rows(np.repeat(np.arange(len(dets)), 4)), len(dets))
 
-    dev_mixed = _mixture_deviation(det, rng, 20, (2,), mixture_prediction)
+    draws1 = []
+    for _, _, seed in th1:
+        rng = qcore.as_rng(seed)
+        points = np.concatenate([_POLES, qcore.random_bloch_points(rng, n_points)])
+        draws1.append((points, *_draw_mixtures(rng, 5, (2, 2))))
+    rows1 = [k for k, _, _ in th1]
+    at_points = _oracle(_det.probe_fclick, models, rows1, [d[0] for d in draws1])
+    at_members = _oracle(_det.click_probabilities, models, rows1, [d[2].reshape(-1, 2, 2) for d in draws1])
+    reports = []
+    for (k, name, _), (points, weights, members, starts), p_clicks, m_clicks in zip(th1, draws1, at_points, at_members):
+        resp = resps[k]
+        dev_points = float(np.max(np.abs(p_clicks - (points @ resp.alpha + resp.beta))))
+        # alpha . p + beta at each mixture's mean polarization p.
+        polarizations = qcore.bloch_polarizations(members.reshape(-1, 2, 2))
+        predicted = np.add.reduceat(weights[:, None] * polarizations, starts) @ resp.alpha + resp.beta
+        dev_mixed = _law_gap(weights, m_clicks, starts, predicted)
+        details = {"pointwise_deviation": dev_points, "mixture_deviation": dev_mixed,
+                   "alpha_norm": resp.alpha_norm, "beta": resp.beta}
+        reports.append(VerificationReport.from_deviation(
+            name, f"points={len(points)}", max(dev_points, dev_mixed), tolerance, tuple(details.items())
+        ))
 
-    resp_down = _det.extract_affine(_det.complement_detector(det))
-    dev_complement = max(
-        abs((resp_down.beta + resp_down.alpha_norm) - (1.0 - p_min)),
-        abs((resp_down.beta - resp_down.alpha_norm) - (1.0 - p_max)),
-        float(np.max(np.abs(resp_down.alpha + resp.alpha))),
-    )
+    draws2 = []
+    for k, _, seed in th2:
+        rng = qcore.as_rng(seed)
+        resp = resps[k]
+        axis = resp.alpha / resp.alpha_norm if resp.alpha_norm > DEGENERACY_TOL else (0.0, 0.0, 1.0)
+        _, phis = qcore.eig2x2_hermitian(qcore.density_from_bloch(BlochVector.from_array(axis)))
+        draws2.append((phis.T, qcore.random_amplitudes((2,), n_states, rng), *_draw_mixtures(rng, 20, (2,))))
+    probes = [np.concatenate([phis, states, members])[:, :, None] for phis, states, _, members, _ in draws2]
+    at_probes = _oracle(_det.click_probabilities, models, [k for k, _, _ in th2], probes)
+    for j, ((k, name, _), (phis, states, weights, members, starts), clicks) in enumerate(zip(th2, draws2, at_probes)):
+        resp, resp_down = resps[k], resps[len(rows) + j]
+        p_max, p_min = resp.beta + resp.alpha_norm, resp.beta - resp.alpha_norm
+        dev_orth = float(abs(np.vdot(*phis)))
+        dev_extremes = float(np.max(np.abs(clicks[:2] - [p_max, p_min])))
+        ideal = abs(p_max - 1.0) <= tolerance and abs(p_min) <= tolerance
+        span, bra = p_max - p_min, np.conj(phis[0])  # <phi_up|
+        predicted = span * np.abs(states @ bra) ** 2 + p_min
+        dev_pure = float(np.max(np.abs(clicks[2 : 2 + n_states] - predicted), initial=0.0))
+        # The pure-state rule at each mixture's density matrix: its
+        # members' squared overlaps with phi_up, weighted.
+        predicted = span * np.add.reduceat(weights * np.abs(members @ bra) ** 2, starts) + p_min
+        dev_mixed = _law_gap(weights, clicks[2 + n_states :], starts, predicted)
+        dev_complement = max(
+            abs((resp_down.beta + resp_down.alpha_norm) - (1.0 - p_min)),
+            abs((resp_down.beta - resp_down.alpha_norm) - (1.0 - p_max)),
+            float(np.max(np.abs(resp_down.alpha + resp.alpha))),
+        )
+        details = {"orthogonality": dev_orth, "extremal_deviation": dev_extremes, "pure_state_deviation": dev_pure,
+                   "mixed_state_deviation": dev_mixed, "complement_deviation": dev_complement,
+                   "p_max": p_max, "p_min": p_min}
+        worst = max(dev_orth, dev_extremes, dev_pure, dev_mixed, dev_complement)
+        reports.append(VerificationReport.from_deviation(
+            name, f"states={n_states} ideal={ideal}", worst, tolerance, tuple(details.items())
+        ))
+    return reports
 
-    worst = max(dev_orth, dev_extremes, dev_pure, dev_mixed, dev_complement)
-    return VerificationReport.from_deviation(
-        name,
-        f"states={n_states} ideal={ideal}",
-        worst,
-        tolerance,
-        (
-            ("orthogonality", float(dev_orth)),
-            ("extremal_deviation", dev_extremes),
-            ("pure_state_deviation", dev_pure),
-            ("mixed_state_deviation", dev_mixed),
-            ("complement_deviation", dev_complement),
-            ("p_max", p_max),
-            ("p_min", p_min),
-        ),
-    )
+
+def _draw_mixtures(rng, count: int, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` random mixtures of states of ``dims``: each draws its
+    size, its weights and its members in this stream order.  Returns the
+    weights and the members of all mixtures, concatenated (the members
+    normalized in one call), and the row where each mixture starts."""
+    weights, gaussians = [], []
+    for _ in range(count):
+        k = int(rng.integers(2, 5))
+        w = rng.uniform(size=k)
+        weights.append(w / w.sum())
+        gaussians.append(rng.standard_normal((k, 2, math.prod(dims))))  # random_amplitudes' stream
+    starts = np.cumsum([0] + [len(w) for w in weights[:-1]])
+    return np.concatenate(weights), qcore.normalized_amplitudes(np.concatenate(gaussians)), starts
+
+
+def _law_gap(weights: np.ndarray, clicks: np.ndarray, starts: np.ndarray, predicted: np.ndarray) -> float:
+    """Worst gap between each mixture's law-of-total-probability click
+    chance and its prediction, mixture k starting at row ``starts[k]``."""
+    return float(np.max(np.abs(np.add.reduceat(weights * clicks, starts) - predicted)))
+
+
+def _oracle(probe, models: _det.ModelStacks, rows: list[int], stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """``probe`` (``probe_fclick`` or ``click_probabilities``) on every report's
+    stack in one call, report k's on the model of row ``rows[k]``, split back."""
+    if not stacks:
+        return []
+    sizes = [len(stack) for stack in stacks]
+    values = probe(models.on_rows(np.repeat(rows, sizes)), np.concatenate(stacks))
+    return np.split(values, np.cumsum(sizes)[:-1])
 
 
 def standard_battery(seed: int, n_random: int = 4) -> list[tuple[str, Detector]]:
@@ -501,21 +509,16 @@ def run_full_suite(
     ]
 
     battery = standard_battery(seed)
-    th1_seeds = np.random.SeedSequence((seed, 0x71)).spawn(len(battery))
-    th2_seeds = np.random.SeedSequence((seed, 0x72)).spawn(len(battery))
-    for (label, det), s1, s2 in zip(battery, th1_seeds, th2_seeds):
-        families.append((
-            (f"theorem1[{label}]",),
-            lambda name, det=det, s=s1: [
-                verify_theorem1(det, n_points=40, seed=s, tolerance=tolerance, name=name)
-            ],
-        ))
-        families.append((
-            (f"theorem2[{label}]",),
-            lambda name, det=det, s=s2: [
-                verify_theorem2(det, n_states=200, seed=s, tolerance=tolerance, name=name)
-            ],
-        ))
+    seeds = zip(*(np.random.SeedSequence((seed, tag)).spawn(len(battery)) for tag in (0x71, 0x72)))
+    theorem_rows = [(det, (f"theorem1[{label}]", s1), (f"theorem2[{label}]", s2))
+                    for (label, det), (s1, s2) in zip(battery, seeds)]
+
+    def theorems(*names: str) -> list[VerificationReport]:
+        """The battery rows whose theorem 1 or 2 report ``subset`` keeps, as one pass."""
+        picked = [(det, *(t if not subset or subset in t[0] else None for t in ts)) for det, *ts in theorem_rows]
+        return _theorems([row for row in picked if row[1] or row[2]], 40, 200, tolerance)
+
+    families.append((tuple(t[0] for _, *ts in theorem_rows for t in ts), theorems))
 
     coord_cases = [
         ("gaussian", coordinate.gaussian_wavefunction(-8.0, 8.0, 20000, sigma=1.0), (-1.0, 1.0)),

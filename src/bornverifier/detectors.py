@@ -31,10 +31,10 @@ from .qcore import (
 )
 
 _CENTROID = np.array([0.25, 0.25, 0.25])
-# Tomography probes: the ball center and the three positive axis poles.
-_REFERENCE_POINTS = np.array(
+# Tomography probes: canonical purifications of the ball center and the +x, +y, +z poles.
+_REFERENCE_STATES = qcore.purify_batch(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-)
+).reshape(4, 2, 2)
 
 
 class _DerivedData:
@@ -292,7 +292,7 @@ def complement_detector(det: Detector) -> Detector:
     )
 
 
-def probe_fclick(det: Detector | Sequence[Detector], p):
+def probe_fclick(det: Detector | Sequence[Detector] | ModelStacks, p):
     """Click probability at a Bloch point, probed through the canonical
     purification (purification independence is tested, not assumed).
 
@@ -308,10 +308,17 @@ def probe_fclick(det: Detector | Sequence[Detector], p):
 
 def extract_affine(det: Detector) -> AffineResponse:
     """Tomography from four reference probes: the ball center and the
-    three positive axis poles."""
-    values = probe_fclick(det, _REFERENCE_POINTS)
-    beta = float(values[0])
-    return AffineResponse(alpha=values[1:] - beta, beta=beta)
+    three positive axis poles (a batch of one of ``extract_affines``)."""
+    return extract_affines(det)[0]
+
+
+def extract_affines(det: Detector | ModelStacks, count: int = 1) -> list[AffineResponse]:
+    """Tomography of ``count`` detectors in one oracle call on their 4
+    ``count`` reference rows: ``det`` is one detector, or the
+    ``ModelStacks`` of those rows, four consecutive rows per detector."""
+    values = click_probabilities(det, np.tile(_REFERENCE_STATES, (count, 1, 1))).reshape(count, 4)
+    alphas = values[:, 1:] - values[:, :1]
+    return [AffineResponse(alpha=a, beta=b) for a, b in zip(alphas, values[:, 0].tolist())]
 
 
 def linear_extension(resp: AffineResponse, p: BlochVector) -> float:

@@ -364,6 +364,8 @@ def random_amplitudes(factor_dims: Sequence[int], count: int, rng) -> np.ndarray
     Draws the same stream as ``count`` successive ``random_state`` calls,
     so row k is the state the k-th call would return.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     n = math.prod(int(d) for d in factor_dims)
     return normalized_amplitudes(as_rng(rng).standard_normal((count, 2, n)))
 
@@ -412,12 +414,21 @@ def build_states(draws: Sequence[tuple[tuple[int, ...], np.ndarray]]) -> list[St
 
 
 def random_bloch(rng, surface: bool = False) -> BlochVector:
-    """Uniform point of the Bloch ball (or its boundary sphere)."""
+    """Uniform point of the Bloch ball (or its boundary sphere): a batch
+    of one of ``random_bloch_points``."""
+    return BlochVector(*random_bloch_points(rng, 1, surface)[0].tolist())
+
+
+def random_bloch_points(rng, n: int, surface: bool = False) -> np.ndarray:
+    """(n, 3) uniform points of the Bloch ball (or its boundary sphere),
+    drawn point by point: three normals, then the radius.  Norm and radius
+    are Python floats, as in the scalar draw; array forms move last bits."""
     rng = as_rng(rng)
-    v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    r = 1.0 if surface else rng.uniform() ** (1.0 / 3.0)
-    return BlochVector.from_array(r * v)
+    points = np.empty((n, 3))
+    for k in range(n):
+        v = rng.standard_normal(3)
+        points[k] = v / math.sqrt(v.dot(v)) * (1.0 if surface else rng.uniform() ** (1.0 / 3.0))
+    return points
 
 
 def as_rng(rng) -> np.random.Generator:

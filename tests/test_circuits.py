@@ -361,12 +361,26 @@ class TestBatchedWalk:
         for index in groups.values():
             columns = list(zip(*(drawn[k][0] for k in index)))
             u_spin, lam, readings = zip(*(drawn[k][1] for k in index))
-            states, b = circuits._check_states(*columns, readings)
-            a5, b5 = circuits._check_a5(lam, columns[0], (np.stack(u_spin),), readings)
+            probe = circuits.Measure(0, "m", columns[0])
+            states, b = circuits._check_states(probe, *columns[1:], readings)
+            a5, b5 = circuits._check_a5(lam, probe, (np.stack(u_spin),), readings)
             table[:, index] = np.vstack([states, a5])
             for column, k in enumerate(index):
                 brackets[k] = ({key: v[column] for key, v in b.items()}, {key: v[column] for key, v in b5.items()})
         return table, brackets, len(groups)
+
+    def test_sweep_stacks_its_detectors_once(self, monkeypatch):
+        # One measurement serves the state checks, the ancilla-extended
+        # states on another wire and the decomposition, so the sweep groups
+        # its 200 models once and stacks their Kraus pairs once.
+        calls = []
+        real_of, real_pairs = detectors.ModelStacks.of.__func__, detectors.kraus_pairs
+        monkeypatch.setattr(
+            detectors.ModelStacks, "of", classmethod(lambda cls, dets: calls.append("of") or real_of(cls, dets))
+        )
+        monkeypatch.setattr(detectors, "kraus_pairs", lambda dets: calls.append("kraus") or real_pairs(dets))
+        circuits.sweep_identities(np.random.default_rng(42), 200)
+        assert sorted(calls) == ["kraus", "of"]
 
     @pytest.mark.parametrize("rest", [1, 3, 8])
     def test_picked_rows_keep_their_lone_clicks(self, rest):

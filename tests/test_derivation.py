@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ class TestTheorem1:
 
 class TestMixtures:
     @pytest.mark.parametrize("count, dims", [(5, (2, 2)), (20, (2,))])
-    def test_one_probe_matches_the_per_mixture_loop(self, count, dims, monkeypatch):
+    def test_one_probe_matches_the_per_mixture_loop(self, count, dims):
         # The theorems' mixtures: drawn in the stream order of one loop over
         # them (size, weights, members), then probed in one oracle call and
         # predicted in one pass; each prediction here is the first weight.
@@ -216,13 +218,10 @@ class TestMixtures:
             return max(deviations)
 
         batched_rng, loop_rng = np.random.default_rng(30), np.random.default_rng(30)
-        batches = []
-        real = detectors.click_probabilities
-        monkeypatch.setattr(
-            detectors, "click_probabilities", lambda d, amps: batches.append(len(amps)) or real(d, amps)
-        )
-        deviation = derivation._mixture_deviation(det, batched_rng, count, dims, predict)
-        assert len(batches) == 1 and 2 * count <= batches[0] <= 4 * count
+        weights, members, starts = derivation._draw_mixtures(batched_rng, count, dims)
+        assert len(starts) == count and 2 * count <= len(members) <= 4 * count
+        clicks = detectors.click_probabilities(det, members.reshape(len(members), 2, -1))
+        deviation = derivation._law_gap(weights, clicks, starts, predict(weights, members, starts))
         assert deviation == pytest.approx(loop(loop_rng), abs=1e-15)
         assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
 
@@ -230,24 +229,32 @@ class TestMixtures:
     def test_one_pass_predictions_match_each_mixture(self, verify, dims, monkeypatch):
         # Each theorem predicts all its mixtures in one pass.  For a click
         # of 0.8 |u><u| + 0.1, both predictions are 0.8 <u|rho|u> + 0.1 at
-        # each mixture's reduced density matrix rho of spin 0.
+        # each mixture's reduced density matrix rho of spin 0, read here
+        # from the mixtures the theorem drew.
         det = detectors.EffectDetector(np.diag([0.9, 0.1]))
-        predictors = []
-        real = derivation._mixture_deviation
-        monkeypatch.setattr(derivation, "_mixture_deviation", lambda *a: predictors.append(a[-1]) or real(*a))
+        drawn, predictions = [], []
+        draw, gap = derivation._draw_mixtures, derivation._law_gap
+        monkeypatch.setattr(derivation, "_draw_mixtures", lambda *a: drawn.append(draw(*a)) or drawn[-1])
+        monkeypatch.setattr(derivation, "_law_gap", lambda *a: predictions.append(a[-1]) or gap(*a))
         verify(det, seed=34)
-        rng = np.random.default_rng(35)
-        sizes = [2, 3, 4, 2]
-        weights = [w / w.sum() for w in (rng.uniform(size=k) for k in sizes)]
-        members = [qcore.random_amplitudes(dims, k, rng) for k in sizes]
-        starts = np.cumsum([0] + sizes[:-1])
-        predicted = predictors[0](np.concatenate(weights), np.concatenate(members), starts)
-        for w, m, value in zip(weights, members, predicted, strict=True):
+        [(weights, members, starts)], [predicted] = drawn, predictions
+        assert members.shape[1] == math.prod(dims) and len(predicted) == len(starts) > 0
+        for w, m, value in zip(np.split(weights, starts[1:]), np.split(members, starts[1:]), predicted, strict=True):
             up = (np.abs(m.reshape(len(m), 2, -1)[:, 0]) ** 2).sum(axis=1)
             assert value == pytest.approx(0.8 * float(w @ up) + 0.1, abs=1e-14)
 
 
 class TestTheorem2:
+    def test_state_count_checked(self):
+        # Zero random states still leaves the extremes, the mixtures and
+        # the complement.
+        det = detectors.sg_up_detector()
+        with pytest.raises(ValueError, match="n_states must be >= 0"):
+            verify_theorem2(det, n_states=-1)
+        report = verify_theorem2(det, n_states=0)
+        assert report.passed and report.inputs == "states=0 ideal=True"
+        assert dict(report.details)["pure_state_deviation"] == 0.0
+
     def test_reference_apparatus_squared_amplitude(self):
         report = verify_theorem2(detectors.sg_up_detector(), n_states=300, seed=23)
         assert report.passed
@@ -331,10 +338,59 @@ class TestFullSuite:
             raise AssertionError("a skipped family ran")
 
         for name in ("verify_envariance", "verify_lemma1", "_lemma1", "verify_lemma3_dyadic",
-                     "verify_theorem1", "verify_theorem2", "_identity_reports"):
+                     "verify_theorem1", "verify_theorem2", "_theorems", "_identity_reports"):
             monkeypatch.setattr(derivation, name, boom)
         reports = run_full_suite(seed=42, subset="isospin")
         assert [r.name for r in reports] == ["isospin-born[gaussian]", "isospin-born[uniform]"]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_stacked_theorems_match_each_verifier(self, seed):
+        # Bit for bit, every field: the suite's one pass over the battery
+        # against each detector's verify_theorem1 and verify_theorem2.
+        battery = standard_battery(seed)
+        seeds = [np.random.SeedSequence((seed, tag)).spawn(len(battery)) for tag in (0x71, 0x72)]
+        expected = []
+        for (label, det), s1, s2 in zip(battery, *seeds, strict=True):
+            expected.append(verify_theorem1(det, n_points=40, seed=s1, name=f"theorem1[{label}]"))
+            expected.append(verify_theorem2(det, n_states=200, seed=s2, name=f"theorem2[{label}]"))
+        stacked = run_full_suite(seed, subset="theorem")
+        assert stacked == sorted(expected, key=lambda r: r.name)
+        # And every detail equals the per-detector code the pass replaced,
+        # written out from the oracle.
+        found = {r.name: dict(r.details) for r in stacked}
+        for (label, det), s1, s2 in zip(battery, *seeds):
+            th1, th2 = _former_theorems(det, s1, s2)
+            assert found[f"theorem1[{label}]"] == th1
+            assert found[f"theorem2[{label}]"] == th2
+
+    def test_theorem_oracle_budget(self, monkeypatch):
+        # One tomography probe, theorem 1's points, its mixture members, and
+        # theorem 2's extremes, pure states and mixtures: four oracle calls
+        # for the whole battery, on rows of one ModelStacks.
+        calls, stacks = [], []
+        real_clicks, real_of = detectors.click_probabilities, detectors.ModelStacks.of.__func__
+        monkeypatch.setattr(detectors, "click_probabilities", lambda d, a: calls.append(len(a)) or real_clicks(d, a))
+        monkeypatch.setattr(
+            detectors.ModelStacks, "of", classmethod(lambda cls, dets: stacks.append(len(dets)) or real_of(cls, dets))
+        )
+        reports = run_full_suite(42, subset="theorem")
+        battery = len(standard_battery(42))
+        assert len(reports) == 2 * battery
+        assert len(calls) <= 4 and calls[0] == 4 * 2 * battery
+        assert stacks == [2 * battery]
+
+    @pytest.mark.parametrize("subset, models", [("theorem1[effect:sg-up]", 1), ("theorem2[effect:noisy]", 2)])
+    def test_theorem_subset_stacks_only_matched_rows(self, subset, models, monkeypatch):
+        # A detector and, for theorem 2, its complement: no other battery row
+        # is tomographed or probed.
+        stacks, rows = [], []
+        real_of, real_clicks = detectors.ModelStacks.of.__func__, detectors.click_probabilities
+        monkeypatch.setattr(
+            detectors.ModelStacks, "of", classmethod(lambda cls, dets: stacks.append(len(dets)) or real_of(cls, dets))
+        )
+        monkeypatch.setattr(detectors, "click_probabilities", lambda d, a: rows.append(len(a)) or real_clicks(d, a))
+        assert [r.name for r in run_full_suite(42, subset=subset)] == [subset]
+        assert stacks == [models] and rows[0] == 4 * models
 
     def test_identity_sweep_evaluation_budget(self, monkeypatch):
         # Each counted call is one batched walk over all 200 instances,
@@ -376,6 +432,73 @@ class TestFullSuite:
         assert kinds == {"EffectDetector", "AncillaDetector"}
         names = [name for name, _ in battery]
         assert len(names) == len(set(names))
+
+
+def _former_theorems(det, seed1, seed2, n_points=40, n_states=200):
+    """The details of theorems 1 and 2 on one detector, as the former
+    per-detector verifiers computed them: four-point tomography of the
+    detector and its complement, scalar Bloch draws, and one oracle call
+    per kind of probe."""
+
+    def tomography(d):
+        values = detectors.probe_fclick(d, np.vstack([np.zeros(3), np.eye(3)]))
+        return values[1:] - float(values[0]), float(values[0])
+
+    def mixtures(rng, count, size):
+        weights, gaussians = [], []
+        for _ in range(count):
+            k = int(rng.integers(2, 5))
+            w = rng.uniform(size=k)
+            weights.append(w / w.sum())
+            gaussians.append(rng.standard_normal((k, 2, size)))
+        weights, members = np.concatenate(weights), qcore.normalized_amplitudes(np.concatenate(gaussians))
+        starts = np.cumsum([0] + [len(g) for g in gaussians[:-1]])
+        law = np.add.reduceat(weights * detectors.click_probabilities(det, members.reshape(len(members), 2, -1)), starts)
+        return weights, members, starts, law
+
+    alpha, beta = tomography(det)
+    norm = float(np.linalg.norm(alpha))
+    rng = np.random.default_rng(seed1)
+    draws = []
+    for _ in range(n_points):
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        draws.append(rng.uniform() ** (1.0 / 3.0) * v)
+    poles = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    points = np.array(poles + draws, dtype=float)
+    dev_points = float(np.max(np.abs(detectors.probe_fclick(det, points) - (points @ alpha + beta))))
+    weights, members, starts, law = mixtures(rng, 5, 4)
+    polarizations = qcore.bloch_polarizations(members.reshape(-1, 2, 2))
+    predicted = np.add.reduceat(weights[:, None] * polarizations, starts) @ alpha + beta
+    th1 = {"pointwise_deviation": dev_points, "mixture_deviation": float(np.max(np.abs(law - predicted))),
+           "alpha_norm": norm, "beta": beta}
+
+    rng = np.random.default_rng(seed2)
+    p_max, p_min = beta + norm, beta - norm
+    axis = BlochVector.from_array(alpha / norm) if norm > qcore.DEGENERACY_TOL else BlochVector(0.0, 0.0, 1.0)
+    phi_up, phi_down = qcore.eig2x2_hermitian(qcore.density_from_bloch(axis))[1].T
+    extremes = detectors.click_probabilities(det, np.stack([phi_up, phi_down])[:, :, None])
+    states = qcore.random_amplitudes((2,), n_states, rng)
+    pure = detectors.click_probabilities(det, states[:, :, None])
+    span = p_max - p_min
+    weights, members, starts, law = mixtures(rng, 20, 2)
+    overlaps = np.abs(members @ np.conj(phi_up)) ** 2
+    alpha_down, beta_down = tomography(detectors.complement_detector(det))
+    norm_down = float(np.linalg.norm(alpha_down))
+    th2 = {
+        "orthogonality": float(abs(np.vdot(phi_up, phi_down))),
+        "extremal_deviation": float(np.max(np.abs(extremes - [p_max, p_min]))),
+        "pure_state_deviation": float(np.max(np.abs(pure - (span * np.abs(states @ np.conj(phi_up)) ** 2 + p_min)))),
+        "mixed_state_deviation": float(np.max(np.abs(law - (span * np.add.reduceat(weights * overlaps, starts) + p_min)))),
+        "complement_deviation": max(
+            abs((beta_down + norm_down) - (1.0 - p_min)),
+            abs((beta_down - norm_down) - (1.0 - p_max)),
+            float(np.max(np.abs(alpha_down + alpha))),
+        ),
+        "p_max": p_max,
+        "p_min": p_min,
+    }
+    return th1, th2
 
 
 def _walk_group(circuit):

@@ -329,6 +329,40 @@ class TestRandomAmplitudes:
         for row in rows:
             np.testing.assert_array_equal(row, random_state((2, 3), rng).amplitudes)
 
+    def test_negative_count_rejected_by_name(self):
+        rng = np.random.default_rng(21)
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            qcore.random_amplitudes((2,), -1, rng)
+        assert qcore.random_amplitudes((2,), 0, rng).shape == (0, 2)
+
+
+class TestRandomBlochPoints:
+    @staticmethod
+    def scalar_draw(rng, surface):
+        """The scalar draw the sampler replaced, written out: three normals
+        divided by their norm, then scaled by the cube root of a uniform."""
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        r = 1.0 if surface else rng.uniform() ** (1.0 / 3.0)
+        return r * v
+
+    @pytest.mark.parametrize("surface, n", [(False, 20_000), (True, 10_000)])
+    def test_points_match_the_scalar_formula_bit_for_bit(self, surface, n):
+        stacked_rng, scalar_rng = np.random.default_rng(61), np.random.default_rng(61)
+        points = qcore.random_bloch_points(stacked_rng, n, surface)
+        expected = np.array([self.scalar_draw(scalar_rng, surface) for _ in range(n)])
+        assert points.shape == (n, 3)
+        np.testing.assert_array_equal(points, expected)
+        assert stacked_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @pytest.mark.parametrize("surface", [False, True])
+    def test_random_bloch_is_a_batch_of_one(self, surface):
+        lone_rng, stacked_rng = np.random.default_rng(62), np.random.default_rng(62)
+        lone = [qcore.random_bloch(lone_rng, surface).as_array() for _ in range(50)]
+        np.testing.assert_array_equal(lone, qcore.random_bloch_points(stacked_rng, 50, surface))
+        assert lone_rng.bit_generator.state == stacked_rng.bit_generator.state
+        assert qcore.random_bloch_points(stacked_rng, 0).shape == (0, 3)
+
 
 class TestStackedBuilds:
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
