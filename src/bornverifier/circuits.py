@@ -6,9 +6,9 @@ A circuit is an initial state plus an ordered list of steps.
 unitarily, and each measurement branches, multiplying the running
 probability (multiplication rule).  Measured spins stay in the state,
 collapsed onto the outcome eigenstate.  A query's bracket is the sum
-over the branches that agree with it (additive rule).  The walk takes a
-stack of N initial states as N rows of one batch, with per-row gates
-and detectors; a single circuit is a batch of one.
+over the branches that agree with it (additive rule).  The walk takes N
+initial states as one (N, *factor_dims) tensor, with per-row gates and
+detectors; a ``Circuit`` is one state, checked, and a batch of one.
 
 The seven bracket identities that encode the five assumptions behind
 the harness are defined here once, each as the ground-truth brackets it
@@ -130,18 +130,17 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An initial state, or a stack of N states with equal factor dims
-    (the rows of a batched walk), and the steps that act on it."""
+    """One initial state and the steps that act on it, checked: each gate
+    one unitary, each measurement one detector or the reference apparatus."""
 
-    initial: StateVector | Sequence[StateVector]
+    initial: StateVector
     steps: tuple[Step, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        states = self.states
-        if not states or any(s.factor_dims != states[0].factor_dims for s in states):
-            raise ValueError("a circuit needs initial states of equal factor dimensions")
-        dims = states[0].factor_dims
+        if not isinstance(self.initial, StateVector):
+            raise TypeError(f"a circuit takes one initial StateVector, not a {type(self.initial).__name__}")
+        dims = self.initial.factor_dims
         seen_labels = set()
         for step in self.steps:
             if isinstance(step, Gate):
@@ -149,8 +148,10 @@ class Circuit:
                     raise ValueError("gate wires must be distinct and non-empty")
                 if any(not 0 <= w < len(dims) for w in step.wires):
                     raise ValueError(f"gate wires {step.wires} out of range")
+                if step.matrix.ndim != 2:
+                    raise ValueError(f"a circuit's gate takes one matrix, not a stack of shape {step.matrix.shape}")
                 span = math.prod(dims[w] for w in step.wires)
-                if step.matrix.shape not in ((span, span), (len(states), span, span)):
+                if step.matrix.shape != (span, span):
                     raise ValueError(
                         f"gate matrix shape {step.matrix.shape} does not match "
                         f"wire dimensions (expected {span}x{span})"
@@ -166,16 +167,11 @@ class Circuit:
                     raise ValueError("measurement label must be non-empty")
                 if step.label in seen_labels:
                     raise ValueError(f"duplicate measurement label {step.label!r}")
-                if _per_row(step.detector) and len(step.detector) != len(states):
-                    raise ValueError("a detector sequence needs one detector per row")
+                if _per_row(step.detector):
+                    raise TypeError("a circuit's measurement takes one detector, not a detector sequence")
                 seen_labels.add(step.label)
             else:
                 raise TypeError(f"unknown step type {type(step).__name__}")
-
-    @property
-    def states(self) -> tuple[StateVector, ...]:
-        """The initial states, one per row of the walk."""
-        return (self.initial,) if isinstance(self.initial, StateVector) else tuple(self.initial)
 
     @property
     def measure_labels(self) -> tuple[str, ...]:
@@ -196,11 +192,6 @@ class EvalResult:
 def _per_row(detector) -> bool:
     """Whether a measurement's ``detector`` is a sequence, one per row."""
     return not (detector is None or isinstance(detector, Detector))
-
-
-def _stack(states: Sequence[StateVector]) -> np.ndarray:
-    """(N, *factor_dims) tensor of N states with equal factor dims."""
-    return np.array([s.amplitudes for s in states]).reshape((len(states),) + states[0].factor_dims)
 
 
 def _to_front(tens: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
@@ -286,23 +277,22 @@ def sg_measure(psi: StateVector, wire: int) -> list[MeasurementRecord]:
 
 def detector_measure(psi: StateVector, wire: int, det: Detector) -> list[MeasurementRecord]:
     """Click/no-click branches for a black-box detector: probabilities from
-    the detector oracle, post states from ``kraus_pair``."""
+    the detector oracle, post states from ``Measure.kraus``."""
     return _records(psi, Measure(wire, "m", det))
 
 
 def outcome_distribution(
-    circuit: Circuit, fixed: Mapping[str, str] | None = None
+    tens: np.ndarray, steps: Sequence[Step], fixed: Mapping[str, str] | None = None
 ) -> dict[tuple[str, ...], np.ndarray]:
-    """One walk of the circuit's N stacked initial states: the (N,)
-    probabilities of every outcome sequence, one outcome per measurement
-    in step order, that agrees with ``fixed``.  A branch that ``fixed``
-    rules out is never entered.  A branch of zero probability ends at
-    that measurement, row by row: on the rows that ended there, its
-    sequence holds NaN, and every longer sequence holds 0.  Sequences come
-    in the walk's depth-first order."""
+    """One walk of ``steps`` over N initial states, the rows of an (N,
+    *factor_dims) tensor: the (N,) probabilities of every outcome
+    sequence, one outcome per measurement in step order, that agrees with
+    ``fixed``.  A branch that ``fixed`` rules out is never entered.  A
+    branch of zero probability ends at that measurement, row by row: on
+    the rows that ended there, its sequence holds NaN, and every longer
+    sequence holds 0.  Sequences come in the walk's depth-first order."""
     fixed = dict(fixed or {})
-    steps = circuit.steps
-    total = len(circuit.states)
+    total = len(tens)
     out: dict[tuple[str, ...], np.ndarray] = {}
 
     def put(key: tuple[str, ...], rows: np.ndarray, values: np.ndarray) -> None:
@@ -335,7 +325,7 @@ def outcome_distribution(
             return
         put(outcomes, rows, weight)
 
-    walk(_stack(circuit.states), np.arange(total), 0, (), np.ones(total))
+    walk(tens, np.arange(total), 0, (), np.ones(total))
     return out
 
 
@@ -350,13 +340,10 @@ def _mass(distribution: Mapping[tuple[str, ...], np.ndarray], *prefix: str) -> n
 
 
 def evaluate_full(circuit: Circuit, query: Mapping[str, str] | None) -> EvalResult:
-    """Exact bracket probability of the queried outcome assignment on a
-    circuit of one initial state (a batch of one of the walk);
-    measurements the query does not mention are summed over.  A queried
-    branch of zero probability is listed in ``undefined_labels``, once
-    per branch that reaches it, in step order."""
-    if len(circuit.states) != 1:
-        raise ValueError("evaluate_full takes a circuit of one initial state")
+    """Exact bracket probability of the queried outcome assignment (a
+    batch of one of the walk); measurements the query does not mention
+    are summed over.  A queried branch of zero probability is listed in
+    ``undefined_labels``, once per branch that reaches it, in step order."""
     wanted = dict(query or {})
     labels = circuit.measure_labels
     for label, outcome in wanted.items():
@@ -369,7 +356,7 @@ def evaluate_full(circuit: Circuit, query: Mapping[str, str] | None) -> EvalResu
                     f"outcome {wanted[step.label]!r} invalid for measurement "
                     f"{step.label!r} (expected one of {step.outcomes})"
                 )
-    distribution = outcome_distribution(circuit, wanted)
+    distribution = outcome_distribution(circuit.initial.as_tensor()[None], circuit.steps, wanted)
     ended = sorted((key for key, p in distribution.items() if math.isnan(p[0])), key=len)
     undefined = tuple(labels[len(key) - 1] for key in ended if labels[len(key) - 1] in wanted)
     return EvalResult(float(_mass(distribution)[0]), undefined)
@@ -424,43 +411,41 @@ _DETAILS = (
 
 
 def _check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, rules):
-    """``check_identity_states`` on N rows at once: the arguments are N
-    values each, except ``probe``, the ``Measure`` "m" of wire 0 by one
+    """``check_identity_states`` on N rows at once: ``single``, ``ancilla``
+    and ``pair`` are (N, *factor_dims) tensors, ``psi`` N tensors, the rest
+    N values each, except ``probe``, the ``Measure`` "m" of wire 0 by one
     detector, None, or one per row.  Each distinct circuit is walked once,
-    the ``psi`` circuits once per environment dimension.  Returns the
-    (6, N) deviations of the six identities, in ``IDENTITY_NAMES`` order,
-    and the (N,) arrays of the brackets they read, by name."""
+    the ``psi`` circuits once per shape.  Returns the (6, N) deviations of
+    the six identities, in ``IDENTITY_NAMES`` order, and the brackets read."""
     rows = len(single)
     click, no_click = probe.outcomes
 
-    def bracket(states, steps=(probe,)) -> np.ndarray:
-        return _mass(outcome_distribution(Circuit(states, steps), {"m": click}))
+    def bracket(tens, steps=(probe,)) -> np.ndarray:
+        return _mass(outcome_distribution(tens, steps, {"m": click}))
 
     b = {"lhs": bracket(single)}
-    outer = _stack(ancilla).reshape(rows, -1, 1) * _stack(single).reshape(rows, 1, -1)
-    extended = StateVector.stack(ancilla[0].factor_dims + single[0].factor_dims, outer.reshape(rows, -1))
-    b["rhs"] = bracket(extended, (probe.on_wire(ancilla[0].num_factors),))
+    # Products and recorded posts of valid rows are valid by construction.
+    outer = ancilla.reshape(rows, -1, 1) * single.reshape(rows, 1, -1)
+    b["rhs"] = bracket(outer.reshape(ancilla.shape + single.shape[1:]), (probe.on_wire(ancilla.ndim - 1),))
     b["click"], b["no_click"], b["later"], b["before"] = np.zeros((4, rows))
-    for shape in {state.factor_dims for state in psi}:
-        index = [i for i, state in enumerate(psi) if state.factor_dims == shape]
-        states = [psi[i] for i in index]
+    for shape in {state.shape for state in psi}:
+        index = [i for i, state in enumerate(psi) if state.shape == shape]
+        tens = np.array([psi[i] for i in index])
         probe_rows = probe.on_rows(index)
         gate = Gate((1,), np.stack([env_unitary[i] for i in index]))
-        measured = outcome_distribution(Circuit(states, (probe_rows,)))
+        measured = outcome_distribution(tens, (probe_rows,))
         b["click"][index], b["no_click"][index] = _mass(measured, click), _mass(measured, no_click)
-        b["later"][index] = bracket(states, (probe_rows, gate))
-        b["before"][index] = bracket(states, (gate, probe_rows))
+        b["later"][index] = bracket(tens, (probe_rows, gate))
+        b["before"][index] = bracket(tens, (gate, probe_rows))
     b["alone"] = bracket(pair)
-    both = outcome_distribution(Circuit(pair, (Measure(1, "s"), probe)), {"m": click})
+    both = outcome_distribution(pair, (Measure(1, "s"), probe), {"m": click})
     b["unread"], b["joint_up"], b["joint_down"] = _mass(both), _mass(both, "u"), _mass(both, "d")
     chosen = np.array([SG_OUTCOMES.index(o) for o in sg_outcome])
-    probs, posts = _branches(_stack(pair), Measure(1, "s"))
+    probs, posts = _branches(pair, Measure(1, "s"))
     b["marginal"], b["conditional"] = probs[chosen, np.arange(rows)], np.zeros(rows)
     live = np.flatnonzero(b["marginal"])
     if live.size:
-        recorded = posts[chosen[live], live].reshape(live.size, -1)
-        recorded = StateVector.stack(pair[0].factor_dims, recorded)
-        b["conditional"][live] = bracket(recorded, (probe.on_rows(live),))
+        b["conditional"][live] = bracket(posts[chosen[live], live], (probe.on_rows(live),))
 
     deviations = []
     for row, rule, outcome in zip(zip(*(v.tolist() for v in b.values())), rules, sg_outcome):
@@ -506,8 +491,11 @@ def check_identity_states(
       - nosignal-measure: that unread measurement leaves the click
         unchanged.
     """
-    instance = (single, ancilla, psi, env_unitary, pair, sg_outcome)
-    deviations, b = _check_states(Measure(0, "m", det), *([x] for x in instance), [rule])
+    probe = Measure(0, "m", det)
+    for state, steps in ((single, (probe,)), (psi, (Gate((1,), env_unitary), probe)), (pair, (Measure(1, "s"), probe))):
+        Circuit(state, steps)  # the checks that the batched walk skips
+    batch = [state.as_tensor()[None] for state in (single, ancilla, pair)]
+    deviations, b = _check_states(probe, *batch[:2], [psi.as_tensor()], [env_unitary], batch[2], [sg_outcome], [rule])
     psi_dims, pair_dims = f"dims={psi.factor_dims}", f"dims={pair.factor_dims}"
     inputs = (f"dims={single.factor_dims}+{ancilla.factor_dims}", psi_dims,
               f"{pair_dims} a={sg_outcome}", psi_dims, psi_dims, pair_dims)
@@ -526,12 +514,12 @@ def _check_a5(lam, probe, unitaries, rules) -> tuple[np.ndarray, dict[str, np.nd
     Returns the (N,) deviations and the (N,) arrays of the brackets read."""
     steps = tuple(Gate((0,), u) for u in unitaries) + (probe,)
 
-    def click(states) -> np.ndarray:
-        return _mass(outcome_distribution(Circuit(states, steps), {"m": "click"}))
+    def click(tens) -> np.ndarray:
+        return _mass(outcome_distribution(tens, steps, {"m": "click"}))
 
-    pairs = qcore.spin_pair_states(lam)
-    b = {"lhs": click(pairs), "a_lambda": _branches(_stack(pairs), Measure(1, "s"))[0][0]}
-    b["up"], b["down"] = (click([StateVector((2,), v)] * len(lam)) for v in (qcore.UP, qcore.DOWN))
+    pairs = qcore.spin_pair_states(lam).reshape(-1, 2, 2)
+    b = {"lhs": click(pairs), "a_lambda": _branches(pairs, Measure(1, "s"))[0][0]}
+    b["up"], b["down"] = (click(np.tile(v, (len(lam), 1))) for v in (qcore.UP, qcore.DOWN))
     rows = zip(*(v.tolist() for v in b.values()), (rule.combined for rule in rules))
     return np.array([abs(s(lhs) - (s(a) * s(u) + s(1.0 - a) * s(d))) for lhs, a, u, d, s in rows]), b
 
@@ -547,7 +535,9 @@ def check_identity_a5_decomposition(
     conditionals on the collapsed single-spin states.  Each bracket
     applies the 2x2 ``unitaries`` to spin 0 and then asks ``det`` for a
     click on it."""
-    deviation, b = _check_a5([lam], Measure(0, "m", det), unitaries, [rule])
+    probe = Measure(0, "m", det)
+    Circuit(qcore.spin_pair_state(lam), (*(Gate((0,), u) for u in unitaries), probe))  # the checks the batch skips
+    deviation, b = _check_a5([lam], probe, unitaries, [rule])
     details = tuple((k, float(v[0])) for k, v in b.items())
     return VerificationReport.from_deviation(
         "identity:a5-decomposition", f"lambda={lam}", deviation[0], tolerance, details
@@ -578,7 +568,8 @@ def sweep_identities(rng, instances: int, rule=BORN) -> tuple[dict[str, float], 
         rest.append((sg_outcome, float(rng.uniform()), rule.for_instance(rng)))
     dets = _det.build_detectors(det_draws)
     states, unitaries = qcore.build_states(state_draws), qcore.build_unitaries(unitary_draws)
-    psi, pair, single, ancilla = (states[k::4] for k in range(4))
+    psi = [row.reshape(dims) for row, (dims, _) in zip(states[::4], state_draws[::4])]
+    pair, single, ancilla = np.array(states[1::4]).reshape(-1, 2, 2), np.array(states[2::4]), np.array(states[3::4])
     u_env, u_spin = unitaries[::2], unitaries[1::2]
     sg_outcome, lam, readings = zip(*rest)
     probe = Measure(0, "m", dets)  # one Kraus stack and one ModelStacks for the whole sweep

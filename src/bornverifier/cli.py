@@ -57,21 +57,22 @@ class TomographyEntry:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_at_least(0), default=None, help="RNG seed (default: $BORNVERIFIER_SEED or 42)")
-    parser.add_argument("--tolerance", type=_at_least(0.0, float), default=qcore.DEFAULT_TOL, help="absolute tolerance for checks")
+    parser.add_argument("--seed", type=_within(0), default=None, help="RNG seed (default: $BORNVERIFIER_SEED or 42)")
+    parser.add_argument("--tolerance", type=_within(0.0, float), default=qcore.DEFAULT_TOL, help="absolute tolerance for checks")
     parser.add_argument("--out", type=str, default=None, help="write the JSON report here instead of stdout")
     parser.add_argument("--csv", type=str, default=None, help="also write a CSV summary here")
 
 
-def _at_least(low, convert=int):
-    """A flag's type: ``convert(text)``, finite and at least ``low``."""
+def _within(low, convert=int, high=math.inf):
+    """A flag's type: ``convert(text)``, finite and in [``low``, ``high``]."""
     def parse(text: str):
         try:
-            if low <= (value := convert(text)) < math.inf:
+            if low <= (value := convert(text)) <= high and value < math.inf:
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"must be a finite {convert.__name__} >= {low}, got {text!r}")
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise argparse.ArgumentTypeError(f"must be a finite {convert.__name__} {bound}, got {text!r}")
     return parse
 
 
@@ -85,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suite")
     _add_common_flags(verify)
     verify.add_argument("--subset", type=str, default=None, help="keep only reports whose name contains this")
-    verify.add_argument("--depth", type=_at_least(1), default=derivation.DEFAULT_DYADIC_DEPTH, help="dyadic profile depth")
+    depth = _within(1, high=derivation.MAX_DYADIC_DEPTH)
+    verify.add_argument("--depth", type=depth, default=derivation.DEFAULT_DYADIC_DEPTH, help="dyadic profile depth")
     verify.add_argument(
         "--wavefunction",
         action="append",
@@ -119,7 +121,7 @@ def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     try:
-        return _at_least(0)(os.environ.get(_SEED_ENV, "42"))
+        return _within(0)(os.environ.get(_SEED_ENV, "42"))
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"${_SEED_ENV} {exc}") from exc
 

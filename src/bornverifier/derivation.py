@@ -20,6 +20,8 @@ from .reporting import VerificationReport, merge_reports
 
 DEFAULT_SEED = 42
 DEFAULT_DYADIC_DEPTH = 20
+# The deepest dyadic profile: 2.0**depth overflows a double above it.
+MAX_DYADIC_DEPTH = 1023
 
 # Exhaustive dyadic sweeps above this depth would need millions of
 # probes per segment; beyond it the bound is checked on sampled points.
@@ -121,8 +123,8 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     a_lambda comes from one reference measurement of the stacked pairs.
     Returns the (N,) deviations and the (N,) arrays of their details."""
     dets, p0, p1, lams = zip(*instances)
-    pairs = qcore.spin_pair_states(lams)
     n = len(instances)
+    pairs = qcore.spin_pair_states(lams).reshape(n, 2, 2)
     lam = np.array(lams)[:, None]
     c0, c1 = np.sqrt(1.0 - lam), np.sqrt(lam)
     ends = np.array([_stacked(a, b) for a, b in zip(p0, p1)])
@@ -149,7 +151,7 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     points = np.concatenate([ends, mids[:, None]], axis=1).reshape(3 * n, 3)
     f0, f1, f_mid = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(n, 3).T
     f_big = _det.click_probabilities(dets, amps.reshape(n, 2, 8))
-    a_lam = circuits._branches(circuits._stack(pairs), circuits.Measure(1, "s"))[0][0]  # outcome "u"
+    a_lam = circuits._branches(pairs, circuits.Measure(1, "s"))[0][0]  # outcome "u"
     low, high = np.minimum(f0, f1), np.maximum(f0, f1)
     details = {
         "polarization_deviation": np.abs(qcore.bloch_polarizations(amps.reshape(n, 2, 8)) - mids).max(1),
@@ -210,8 +212,8 @@ def verify_lemma3_dyadic(
     endpoint responses route to the flat case, where the response must
     stay constant.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not 1 <= depth <= MAX_DYADIC_DEPTH:
+        raise ValueError(f"depth must lie in [1, {MAX_DYADIC_DEPTH}], got {depth}")
     if n_random < 0:
         raise ValueError("n_random must be >= 0")
     rng = qcore.as_rng(seed)
@@ -414,26 +416,28 @@ def _oracle(probe, models: _det.ModelStacks, rows: list[int], stacks: list[np.nd
     return np.split(values, np.cumsum(sizes)[:-1])
 
 
+def _battery_labels(n_random: int = 4) -> list[str]:
+    """The labels of ``standard_battery``'s detectors, in its order."""
+    named = ["effect:sg-up", "effect:sigma-x", "effect:constant-half", "effect:never", "effect:always",
+             "effect:noisy", "ancilla:cnot-up"]
+    return named + [f"{family}:random-{i}" for family in ("effect", "ancilla") for i in range(n_random)]
+
+
 def standard_battery(seed: int, n_random: int = 4) -> list[tuple[str, Detector]]:
     """Named detectors plus seeded random ones from both ground-truth
     families."""
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0xD37)))
-    battery: list[tuple[str, Detector]] = [
-        ("effect:sg-up", _det.sg_up_detector()),
-        ("effect:sigma-x", _det.EffectDetector(0.5 * (qcore.IDENTITY_2 + qcore.SIGMA_X))),
-        ("effect:constant-half", _det.EffectDetector(0.5 * qcore.IDENTITY_2)),
-        ("effect:never", _det.EffectDetector(np.zeros((2, 2)))),
-        ("effect:always", _det.EffectDetector(qcore.IDENTITY_2)),
-        (
-            "effect:noisy",
-            _det.EffectDetector(0.8 * np.diag([1.0, 0.0]) + 0.1 * qcore.IDENTITY_2),
-        ),
-        ("ancilla:cnot-up", _det.cnot_click_detector()),
+    named = [
+        _det.sg_up_detector(),
+        _det.EffectDetector(0.5 * (qcore.IDENTITY_2 + qcore.SIGMA_X)),
+        _det.EffectDetector(0.5 * qcore.IDENTITY_2),
+        _det.EffectDetector(np.zeros((2, 2))),
+        _det.EffectDetector(qcore.IDENTITY_2),
+        _det.EffectDetector(0.8 * np.diag([1.0, 0.0]) + 0.1 * qcore.IDENTITY_2),
+        _det.cnot_click_detector(),
     ]
-    families = [family for family in ("effect", "ancilla") for _ in range(n_random)]
-    draws = [_det.draw_detector(rng, family) for family in families]
-    names = [f"{family}:random-{i % n_random}" for i, family in enumerate(families)]
-    return battery + list(zip(names, _det.build_detectors(draws)))
+    draws = [_det.draw_detector(rng, family) for family in ("effect", "ancilla") for _ in range(n_random)]
+    return list(zip(_battery_labels(n_random), named + _det.build_detectors(draws), strict=True))
 
 
 def _segments(rng, count: int, extra) -> list[tuple]:
@@ -508,33 +512,33 @@ def run_full_suite(
         ((f"lemma3[depth={depth}]",), lemma3),
     ]
 
-    battery = standard_battery(seed)
-    seeds = zip(*(np.random.SeedSequence((seed, tag)).spawn(len(battery)) for tag in (0x71, 0x72)))
-    theorem_rows = [(det, (f"theorem1[{label}]", s1), (f"theorem2[{label}]", s2))
-                    for (label, det), (s1, s2) in zip(battery, seeds)]
-
     def theorems(*names: str) -> list[VerificationReport]:
         """The battery rows whose theorem 1 or 2 report ``subset`` keeps, as one pass."""
-        picked = [(det, *(t if not subset or subset in t[0] else None for t in ts)) for det, *ts in theorem_rows]
+        battery = standard_battery(seed)
+        seeds = zip(*(np.random.SeedSequence((seed, tag)).spawn(len(battery)) for tag in (0x71, 0x72)))
+        rows = [(det, (f"theorem1[{label}]", s1), (f"theorem2[{label}]", s2))
+                for (label, det), (s1, s2) in zip(battery, seeds)]
+        picked = [(det, *(t if not subset or subset in t[0] else None for t in ts)) for det, *ts in rows]
         return _theorems([row for row in picked if row[1] or row[2]], 40, 200, tolerance)
 
-    families.append((tuple(t[0] for _, *ts in theorem_rows for t in ts), theorems))
+    families.append((tuple(f"theorem{t}[{label}]" for label in _battery_labels() for t in (1, 2)), theorems))
 
+    # Each wavefunction is made only when its family runs.
     coord_cases = [
-        ("gaussian", coordinate.gaussian_wavefunction(-8.0, 8.0, 20000, sigma=1.0), (-1.0, 1.0)),
-        ("uniform", coordinate.uniform_wavefunction(0.0, 1.0, 1000), (0.0, 0.4995)),
+        ("gaussian", lambda: coordinate.gaussian_wavefunction(-8.0, 8.0, 20000, sigma=1.0), (-1.0, 1.0)),
+        ("uniform", lambda: coordinate.uniform_wavefunction(0.0, 1.0, 1000), (0.0, 0.4995)),
     ]
     for label, wf in wavefunctions or []:
         lo = wf.x_min + 0.3 * (wf.x_max - wf.x_min)
         hi = wf.x_min + 0.7 * (wf.x_max - wf.x_min)
-        coord_cases.append((label, wf, (lo, hi)))
-    for label, wf, (lo, hi) in coord_cases:
+        coord_cases.append((label, lambda wf=wf: wf, (lo, hi)))
+    for label, make, (lo, hi) in coord_cases:
         families.append((
             (f"isospin-born[{label}]",),
-            lambda name, wf=wf, lo=lo, hi=hi: [
+            lambda name, make=make, lo=lo, hi=hi: [
                 coordinate.verify_isospin_born(
                     _det.sg_up_detector(),
-                    wf,
+                    make(),
                     coordinate.IntervalDetector(lo, hi),
                     tolerance=tolerance,
                     name=name,

@@ -43,13 +43,6 @@ class _DerivedData:
     stored on the instance itself as its own arrays, so it lives and dies
     with the detector and is never shared between two detectors."""
 
-    @cached_property
-    def kraus_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Principal square roots of the ground-truth effect E and of
-        1 - E: the measurement operators of the circuit evaluator's
-        post-measurement states (a batch of one of ``kraus_pairs``)."""
-        return tuple(kraus_pairs([self])[:, 0])
-
     def _hold(self, **fields) -> "Detector":
         """Store a checked model, each array the detector's own, read-only."""
         for value in fields.values():
@@ -257,17 +250,12 @@ def click_probabilities(det: Detector | Sequence[Detector] | ModelStacks, amps: 
 
 def kraus_pairs(dets: Sequence[Detector]) -> np.ndarray:
     """The (2, N, 2, 2) Kraus pairs of N detectors, stacked by outcome in
-    a fresh array.  The pairs that no detector holds yet come from one
-    batched square root, and each detector keeps its own copy of its pair
-    as its ``kraus_pair``."""
-    missing = [d for d in dets if "kraus_pair" not in vars(d)]
-    if missing:
-        effects = np.array([equivalent_effect(d) for d in missing])
-        eigvals, eigvecs = np.linalg.eigh(np.stack([effects, IDENTITY_2 - effects]))  # principal roots
-        roots = (eigvecs * np.sqrt(eigvals.clip(0.0))[..., None, :]) @ eigvecs.conj().swapaxes(2, 3)
-        for det, first, second in zip(missing, *roots):
-            vars(det)["kraus_pair"] = (first.copy(), second.copy())
-    return np.array([d.kraus_pair for d in dets]).reshape(-1, 2, 2, 2).transpose(1, 0, 2, 3).copy()
+    a fresh array: the principal square roots of each ground-truth effect
+    E and of 1 - E, from one batched ``eigh``.  They are the measurement
+    operators of the circuit evaluator's post-measurement states."""
+    effects = np.array([equivalent_effect(d) for d in dets]).reshape(-1, 2, 2)
+    eigvals, eigvecs = np.linalg.eigh(np.stack([effects, IDENTITY_2 - effects]))
+    return (eigvecs * np.sqrt(eigvals.clip(0.0))[..., None, :]) @ eigvecs.conj().swapaxes(2, 3)
 
 
 def equivalent_effect(det: Detector) -> np.ndarray:

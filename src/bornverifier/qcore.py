@@ -75,12 +75,6 @@ class StateVector:
         object.__setattr__(self, "factor_dims", dims)
         object.__setattr__(self, "amplitudes", rows[0])
 
-    @classmethod
-    def stack(cls, factor_dims: Sequence[int], amplitudes) -> list["StateVector"]:
-        """States of (N, size) amplitude rows, checked as the initializer does."""
-        dims, rows = _checked(factor_dims, amplitudes)
-        return [cls._trusted(dims, row) for row in rows]
-
     @property
     def dim(self) -> int:
         return self.amplitudes.size
@@ -97,11 +91,11 @@ class StateVector:
     def _trusted(cls, factor_dims: tuple[int, ...], amplitudes: np.ndarray) -> "StateVector":
         """Build without revalidating.
 
-        Only for amplitudes that an operation derived from an already
-        valid state and that are valid by construction: finite, of
-        matching length, and normalized (a norm-checked unitary image, or
-        a branch divided by its own norm).  Every public construction goes
-        through the checked initializer.
+        Only for amplitudes derived from valid states or checked rows and
+        valid by construction: finite, of matching length, and normalized
+        (a norm-checked unitary image, a branch divided by its own norm, a
+        product of valid states).  Every public construction goes through
+        the checked initializer.
         """
         state = object.__new__(cls)
         amplitudes.setflags(write=False)
@@ -355,7 +349,7 @@ def purify_batch(points) -> np.ndarray:
 def random_state(factor_dims: Sequence[int], rng) -> StateVector:
     """Haar-random pure state (normalized independent complex Gaussians);
     a batch of one of ``random_amplitudes``."""
-    return StateVector.stack(factor_dims, random_amplitudes(factor_dims, 1, rng))[0]
+    return StateVector(tuple(factor_dims), random_amplitudes(factor_dims, 1, rng)[0])
 
 
 def random_amplitudes(factor_dims: Sequence[int], count: int, rng) -> np.ndarray:
@@ -405,12 +399,12 @@ def build_unitaries(gaussians: Sequence[np.ndarray]) -> list[np.ndarray]:
     return in_stacks(gaussians, np.shape, lambda stack: haar_unitaries(np.stack(stack)))
 
 
-def build_states(draws: Sequence[tuple[tuple[int, ...], np.ndarray]]) -> list[StateVector]:
-    """Checked states of (factor_dims, (2, size) Gaussians) draws, one
-    normalization and one check per stack of equal factor dims."""
-    return in_stacks(draws, lambda draw: draw[0], lambda stack: StateVector.stack(
+def build_states(draws: Sequence[tuple[tuple[int, ...], np.ndarray]]) -> list[np.ndarray]:
+    """Amplitude rows of (factor_dims, (2, size) Gaussians) draws: one
+    normalization and one ``_checked`` per stack of equal factor dims."""
+    return in_stacks(draws, lambda draw: draw[0], lambda stack: _checked(
         stack[0][0], normalized_amplitudes(np.stack([g for _, g in stack]))
-    ))
+    )[1])
 
 
 def random_bloch(rng, surface: bool = False) -> BlochVector:
@@ -440,18 +434,18 @@ def as_rng(rng) -> np.random.Generator:
 def spin_pair_state(lam: float) -> StateVector:
     """Two-spin state sqrt(1-lam)|uu> + sqrt(lam)|dd> for lam in [0, 1]
     (a batch of one of ``spin_pair_states``)."""
-    return spin_pair_states([lam])[0]
+    return StateVector._trusted((2, 2), spin_pair_states([lam])[0])
 
 
-def spin_pair_states(lams: Sequence[float]) -> list[StateVector]:
-    """``spin_pair_state`` of each weight, checked as one stack."""
+def spin_pair_states(lams: Sequence[float]) -> np.ndarray:
+    """(N, 4) rows of ``spin_pair_state`` of each weight, checked as one stack."""
     for lam in lams:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
     amps = np.zeros((len(lams), 4), dtype=complex)
     amps[:, 0] = [math.sqrt(1.0 - lam) for lam in lams]
     amps[:, 3] = [math.sqrt(lam) for lam in lams]
-    return StateVector.stack((2, 2), amps)
+    return _checked((2, 2), amps)[1]
 
 
 def bell_state() -> StateVector:

@@ -261,6 +261,18 @@ class TestIdentityFamilies:
         names = [r.name for r in reports]
         assert names == [f"identity:{n}" for n in circuits.IDENTITY_NAMES[:-1]]
 
+    def test_single_instance_checks_its_circuits(self):
+        # The batched walk checks nothing, so the single-instance checks
+        # still run each circuit's checks on their inputs.
+        det, pair = detectors.random_detector(np.random.default_rng(53)), spin_pair_state(0.3)
+        four = StateVector((4,), [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="^only spin wires"):
+            check_identity_states(det, four, UP, pair, np.eye(2), pair, "u")
+        with pytest.raises(ValueError, match="^gate matrix shape"):
+            check_identity_states(det, UP, UP, pair, np.eye(3), pair, "u")
+        with pytest.raises(ValueError, match="^gate matrix is not unitary$"):
+            check_identity_a5_decomposition(0.3, det, (np.diag([1.0, 0.5]),))
+
     def test_a5_decomposition_edge_weights(self):
         det = detectors.random_detector(np.random.default_rng(50))
         for lam in (0.0, 1.0):
@@ -359,10 +371,13 @@ class TestBatchedWalk:
             groups.setdefault((type(states[0]), getattr(states[0], "ancilla_dim", 0)), []).append(k)
         table, brackets = np.zeros((7, len(drawn))), [None] * len(drawn)
         for index in groups.values():
-            columns = list(zip(*(drawn[k][0] for k in index)))
+            dets, single, ancilla, psi, u_env, pair, sg_outcome = zip(*(drawn[k][0] for k in index))
             u_spin, lam, readings = zip(*(drawn[k][1] for k in index))
-            probe = circuits.Measure(0, "m", columns[0])
-            states, b = circuits._check_states(probe, *columns[1:], readings)
+            probe = circuits.Measure(0, "m", dets)
+            tensors = [np.array([state.as_tensor() for state in column]) for column in (single, ancilla, pair)]
+            states, b = circuits._check_states(
+                probe, *tensors[:2], [state.as_tensor() for state in psi], u_env, tensors[2], sg_outcome, readings
+            )
             a5, b5 = circuits._check_a5(lam, probe, (np.stack(u_spin),), readings)
             table[:, index] = np.vstack([states, a5])
             for column, k in enumerate(index):
@@ -381,6 +396,17 @@ class TestBatchedWalk:
         monkeypatch.setattr(detectors, "kraus_pairs", lambda dets: calls.append("kraus") or real_pairs(dets))
         circuits.sweep_identities(np.random.default_rng(42), 200)
         assert sorted(calls) == ["kraus", "of"]
+
+    def test_sweep_builds_no_state_objects(self, monkeypatch):
+        # The sweep's states stay amplitude tensors from draw to walk.
+        built = []
+        real_trusted, real_init = StateVector._trusted.__func__, StateVector.__post_init__
+        monkeypatch.setattr(
+            StateVector, "_trusted", classmethod(lambda cls, *a: built.append(a) or real_trusted(cls, *a))
+        )
+        monkeypatch.setattr(StateVector, "__post_init__", lambda self: built.append(self) or real_init(self))
+        circuits.sweep_identities(np.random.default_rng(42), 200)
+        assert len(built) == 0
 
     @pytest.mark.parametrize("rest", [1, 3, 8])
     def test_picked_rows_keep_their_lone_clicks(self, rest):
@@ -479,9 +505,9 @@ class TestBatchedWalk:
             det = detectors.random_detector(rng)
             states = [qcore.random_state((2,), rng) for _ in range(64)]
             steps = (Measure(0, "m", det), Gate((0,), qcore.random_unitary(2, rng)), Measure(0, "s"))
-            stacked = circuits.outcome_distribution(Circuit(states, steps))
+            stacked = circuits.outcome_distribution(np.array([psi.as_tensor() for psi in states]), steps)
             for i, psi in enumerate(states):
-                alone = circuits.outcome_distribution(Circuit(psi, steps))
+                alone = circuits.outcome_distribution(psi.as_tensor()[None], steps)
                 assert list(alone) == list(stacked)
                 for key, values in alone.items():
                     assert values[0] == stacked[key][i], (type(det).__name__, i, key)
@@ -495,7 +521,7 @@ class TestBatchedWalk:
         uu = StateVector((2, 2), [1, 0, 0, 0])
         other = qcore.random_state((2, 2), rng)
         steps = (Measure(1, "s"), Measure(0, "m", [never, live]))
-        distribution = circuits.outcome_distribution(Circuit([uu, other], steps))
+        distribution = circuits.outcome_distribution(np.array([uu.as_tensor(), other.as_tensor()]), steps)
 
         assert np.isnan(distribution[("d",)][0]) and distribution[("d",)][1] == 0.0
         assert np.isnan(distribution[("u", "click")][0])
@@ -517,11 +543,13 @@ class TestBatchedWalk:
         records = circuits.detector_measure(uu, 0, never)
         assert [(r.probability, r.post_state) for r in records][0] == (0.0, None)
 
-    def test_stacked_gate_and_detectors_need_one_per_row(self):
+    def test_circuit_rejects_batched_inputs(self):
+        # Stacks of states, gates and detectors are the walk's own input; a
+        # circuit is one state, and each error names what it was given.
         pair = qcore.random_state((2, 2), 82)
-        with pytest.raises(ValueError):
-            Circuit([pair, pair], (Gate((0,), np.stack([np.eye(2)] * 3)),))
-        with pytest.raises(ValueError):
-            Circuit([pair, pair], (Measure(0, "m", [detectors.sg_up_detector()]),))
-        with pytest.raises(ValueError):
-            Circuit([pair, UP], (Measure(0, "m"),))
+        with pytest.raises(TypeError, match="^a circuit takes one initial StateVector, not a list$"):
+            Circuit([pair, pair], (Measure(0, "m"),))
+        with pytest.raises(ValueError, match=r"^a circuit's gate takes one matrix, not a stack of shape \(3, 2, 2\)$"):
+            Circuit(pair, (Gate((0,), np.stack([np.eye(2)] * 3)),))
+        with pytest.raises(TypeError, match="^a circuit's measurement takes one detector, not a detector sequence$"):
+            Circuit(pair, (Measure(0, "m", [detectors.sg_up_detector()]),))

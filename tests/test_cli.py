@@ -133,6 +133,12 @@ class TestVerify:
         assert run_cli("verify", "--subset", "lemma3", "--depth", "0") == 2
         assert "--depth" in capsys.readouterr().err
 
+    def test_depth_past_the_float_range_exits_2_at_the_flag(self, capsys, tmp_path):
+        # 2.0**1024 overflows a double, so 1023 is the deepest profile.
+        assert run_cli("verify", "--subset", "lemma3", "--depth", "1024") == 2
+        assert "argument --depth: must be a finite int in [1, 1023], got '1024'" in capsys.readouterr().err
+        assert run_cli("verify", "--subset", "lemma3", "--depth", "1023", "--out", str(tmp_path / "r.json")) == 0
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--tolerance", "inf"), ("--tolerance", "-inf"), ("--tolerance", "nan"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bornverifier import circuits, derivation, detectors, qcore, reporting
+from bornverifier import circuits, coordinate, derivation, detectors, qcore, reporting
 from bornverifier.derivation import (
     run_full_suite,
     standard_battery,
@@ -169,6 +169,15 @@ class TestLemma3:
         profile, report = verify_lemma3_dyadic(det, *ends, depth=4, n_random=0)
         assert report.passed and profile.samples == ()
 
+    def test_depth_checked(self):
+        # 2.0**depth overflows a double above depth 1023.
+        det, ends = detectors.sg_up_detector(), (BlochVector(0, 0, -1), BlochVector(0, 0, 1))
+        for depth in (0, 1024):
+            with pytest.raises(ValueError, match=rf"^depth must lie in \[1, 1023\], got {depth}$"):
+                verify_lemma3_dyadic(det, *ends, depth=depth)
+        profile, report = verify_lemma3_dyadic(det, *ends, depth=1023, n_random=5)
+        assert report.passed and profile.depth == 1023 and len(profile.samples) == 5
+
 
 class TestTheorem1:
     def test_projective_detector(self):
@@ -212,7 +221,7 @@ class TestMixtures:
                 k = int(rng.integers(2, 5))
                 weights = rng.uniform(size=k)
                 weights /= weights.sum()
-                members = qcore.StateVector.stack(dims, qcore.random_amplitudes(dims, k, rng))
+                members = [qcore.StateVector(dims, row) for row in qcore.random_amplitudes(dims, k, rng)]
                 click = detectors.mixed_click_probability(list(zip(weights.tolist(), members)), det)
                 deviations.append(abs(click - predict(weights, None, 0)))
             return max(deviations)
@@ -315,6 +324,15 @@ class TestFullSuite:
         reports = run_full_suite(seed=42, tolerance=0.0)
         assert any(not r.passed for r in reports)
 
+    def test_unselected_families_build_nothing(self, monkeypatch):
+        # The battery and the isospin wavefunctions are made inside the
+        # families that use them, so a run of envariance makes neither.
+        called = []
+        monkeypatch.setattr(derivation, "standard_battery", lambda *a, **k: called.append("battery"))
+        monkeypatch.setattr(coordinate, "gaussian_wavefunction", lambda *a, **k: called.append("gaussian"))
+        assert [r.name for r in run_full_suite(42, subset="envariance")] == ["envariance"]
+        assert called == []
+
     def test_subset_filter(self):
         reports = run_full_suite(seed=42, subset="lemma3", depth=12)
         assert reports
@@ -402,9 +420,9 @@ class TestFullSuite:
         reports = derivation._identity_reports(42, 1e-9, 200)
         assert len(reports) == len(circuits.IDENTITY_NAMES)
         assert len(calls) <= 17
-        groups = [_walk_group(circuit) for circuit, *_ in calls]
+        groups = [_walk_group(tens) for tens, *_ in calls]
         assert max(groups.count(g) for g in groups) <= 11
-        assert sum(len(circuit.states) for circuit, *_ in calls) == 200 * 11
+        assert sum(len(tens) for tens, *_ in calls) == 200 * 11
 
     @pytest.mark.parametrize("subset, budget", [("identity", 12), (None, 30)])
     def test_unitaries_are_built_in_stacks(self, subset, budget, monkeypatch):
@@ -501,7 +519,7 @@ def _former_theorems(det, seed1, seed2, n_points=40, n_states=200):
     return th1, th2
 
 
-def _walk_group(circuit):
+def _walk_group(tens):
     """The group of a batched walk: the factor dims of its initial states,
     since detectors of every family share one walk."""
-    return circuit.states[0].factor_dims
+    return tens.shape[1:]

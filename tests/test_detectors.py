@@ -512,7 +512,7 @@ class TestKrausPairs:
     def fresh_detectors():
         """The battery's named detectors (sg-up, sigma-x, constant-half,
         never, always, noisy, cnot-up) and 300 random ones of both
-        families, built afresh, so that none holds its Kraus pair yet."""
+        families, built afresh."""
         named = [det for name, det in derivation.standard_battery(0) if "random" not in name]
         rng = np.random.default_rng(41)
         return named + detectors.build_detectors([detectors.draw_detector(rng) for _ in range(300)])
@@ -530,29 +530,10 @@ class TestKrausPairs:
         for k, det in enumerate(alone):
             effect = equivalent_effect(det)
             reference = (self.principal_sqrt(effect), self.principal_sqrt(np.eye(2) - effect))
+            one = detectors.kraus_pairs([det])
             for outcome in range(2):
-                assert stacked[outcome, k].tobytes() == det.kraus_pair[outcome].tobytes()
-                assert det.kraus_pair[outcome].tobytes() == reference[outcome].tobytes()
-
-    def test_stack_keeps_each_pair_on_its_detector(self):
-        dets = self.fresh_detectors()
-        first = detectors.kraus_pairs(dets[::2])  # half of them hold their pairs now
-        assert [("kraus_pair" in vars(det)) for det in dets[:4]] == [True, False, True, False]
-        stacked = detectors.kraus_pairs(dets)
-        assert stacked[:, ::2].tobytes() == first.tobytes()
-        for k, det in enumerate(dets):
-            assert stacked[:, k].tobytes() == np.array(det.kraus_pair).tobytes()
-
-    def test_pairs_share_no_memory(self):
-        # Each detector's pair is its own allocation, not a view into the
-        # batch, and every returned stack is fresh.
-        dets = self.fresh_detectors()[:20]
-        stacked = detectors.kraus_pairs(dets)
-        restacked = detectors.kraus_pairs(dets)
-        for m in (m for det in dets for m in det.kraus_pair):
-            assert m.flags.owndata
-            assert not np.shares_memory(m, stacked) and not np.shares_memory(m, restacked)
-        assert not np.shares_memory(stacked, restacked)
+                assert stacked[outcome, k].tobytes() == one[outcome, 0].tobytes()
+                assert one[outcome, 0].tobytes() == reference[outcome].tobytes()
 
 
 class TestBatchedOracle:
@@ -681,7 +662,7 @@ class TestDetectorCaches:
         probe_fclick(det, BlochVector(0.1, 0.2, 0.3))
         psi = qcore.random_state((2, 2), 36)
         circuits.detector_measure(psi, 0, det)
-        assert {"click_map", "kraus_pair"} <= set(vars(det))
+        assert "click_map" in vars(det)
 
     def test_equivalent_effect_read_once_per_detector(self, monkeypatch):
         calls = []
@@ -716,7 +697,4 @@ class TestDetectorCaches:
             probe_fclick(det, BlochVector(0.0, 0.0, 1.0))
             circuits.detector_measure(qcore.random_state((2,), 40), 0, det)
         assert a.click_map is not b.click_map
-        assert a.kraus_pair is not b.kraus_pair
-        np.testing.assert_allclose(a.kraus_pair[0], b.kraus_pair[0])
-        np.testing.assert_allclose(c.kraus_pair[0], a.kraus_pair[1], atol=1e-12)
         assert not np.allclose(c.click_map, a.click_map)
