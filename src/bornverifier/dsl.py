@@ -20,6 +20,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,25 +121,41 @@ def _equal(a, b) -> bool:
 
 # --- lexer -----------------------------------------------------------------
 
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(
-    "|".join(
-        [
-            rf"(?P<COMPLEX>(?:{_NUMBER})?(?:{_NUMBER})i)",
-            rf"(?P<NUMBER>{_NUMBER})",
-            r"(?P<KET>\|[a-z0-9]+>)",
-            r"(?P<ARROW>->)",
-            r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)",
-            r"(?P<SYM>[:=*+,\[\]()\-])",
-            r"(?P<WS>\s+)",
-            r"(?P<BAD>.)",
-        ]
-    )
-)
+# Numeric literals are ASCII.  Each pattern below matches a given text in
+# one way only, so a failed match backs off in time linear in the text.
+_MANTISSA = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_EXPONENT = r"(?:[eE][+-]?[0-9]+)"
+_NUMBER = rf"[+-]?{_MANTISSA}{_EXPONENT}?"
 
 # A complex literal is a single token with no internal whitespace:
-# "2i", "1+2i", "-1.5e-3-0.25i".  The second signed part must carry an
-# explicit sign when a real part is present.
+# "2i", "1+2i", "-1.5e-3-0.25i".  The token is one or two numbers and an
+# "i".  The first branch reads a second number that starts with a sign or
+# a point; the second, one that starts inside the first number's last
+# digit run, of which the first keeps one digit (none after a point).
+# Every split of a digit run reads alike, so one split is tried.
+_COMPLEX = (
+    rf"[+-]?(?:{_MANTISSA}{_EXPONENT}?(?:[+-]{_MANTISSA}{_EXPONENT}?|\.[0-9]+{_EXPONENT}?)?"
+    rf"|(?:[0-9]|[0-9]+\.|\.[0-9]|{_MANTISSA}[eE][+-]?[0-9])[0-9]+(?:\.[0-9]*)?{_EXPONENT}?)i"
+)
+
+# One token and the whitespace after it, the most common kinds first.  A
+# sign is a SYM only where no number starts.  A number followed by none
+# of the characters a complex literal goes on with is a NUMBER at once;
+# otherwise it is a NUMBER only where no complex literal starts.  A BAD
+# character ends the line's tokens.
+_TOKEN_RE = re.compile(
+    rf"""(?:(?P<SYM>[:=*,\[\]()]|\+(?!\.?[0-9])|-(?!\.?[0-9]|>))
+    |(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)
+    |(?P<NUMBER>{_NUMBER}(?![0-9.eE+i-])|(?!{_COMPLEX}){_NUMBER})
+    |(?P<COMPLEX>{_COMPLEX})
+    |(?P<KET>\|[a-z0-9]+>)
+    |(?P<ARROW>->)
+    |(?P<BAD>.).*)\s*""",
+    re.VERBOSE,
+)
+
+# The second signed part must carry an explicit sign when a real part
+# is present.
 _COMPLEX_RE = re.compile(
     rf"^(?:(?P<re>{_NUMBER})(?=[+-]))?(?P<im>{_NUMBER})i$"
 )
@@ -148,8 +165,7 @@ _COMPLEX_RE = re.compile(
 _DIM_RE = re.compile(r"[2-9]|[1-9][0-9]{1,17}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -160,30 +176,31 @@ class _Token:
 
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "WS":
-            continue
-        token = _Token(kind, match.group(), line_no, match.start() + 1)
-        if kind == "BAD":
-            raise token.error("unexpected character")
-        tokens.append(token)
+    # tuple.__new__ builds each _Token without a Python-level call.
+    tokens = [
+        tuple.__new__(_Token, (m.lastgroup, m[m.lastgroup], line_no, m.start() + 1))
+        for m in _TOKEN_RE.finditer(text, len(text) - len(text.lstrip()))
+    ]
+    if tokens and tokens[-1].kind == "BAD":
+        raise tokens[-1].error("unexpected character")
     return tokens
 
 
 class _LineParser:
+    """Cursor over one line's tokens, with None after the last one."""
+
     def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
+        tokens.append(None)
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
         self.line_len = line_len
 
     def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self, expect: str | None = None, text: str | None = None) -> _Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if (
             token is None
             or (expect is not None and token.kind != expect)
@@ -237,6 +254,10 @@ def format_complex(value: complex) -> str:
 
 # --- parser ----------------------------------------------------------------
 
+# Each declaration keyword names the _Parser method that reads its line.
+_DECLARATIONS = frozenset(
+    ["wire", "state", "unitary", "detector", "prepare", "gate", "measure", "query"]
+)
 
 class _Parser:
     """Fills one ExperimentSpec line by line.  Each declaration is
@@ -250,7 +271,7 @@ class _Parser:
 
     def parse(self, source: str) -> ExperimentSpec:
         for line_no, raw in enumerate(source.splitlines(), start=1):
-            text = raw.split("#", 1)[0]
+            text = raw.partition("#")[0]
             tokens = _tokenize_line(text, line_no)
             if not tokens:
                 continue
@@ -259,19 +280,9 @@ class _Parser:
 
     def _parse_line(self, lp: _LineParser) -> None:
         head = lp.next("IDENT")
-        handler = {
-            "wire": self._parse_wire,
-            "state": self._parse_state,
-            "unitary": self._parse_unitary,
-            "detector": self._parse_detector,
-            "prepare": self._parse_prepare,
-            "gate": self._parse_gate,
-            "measure": self._parse_measure,
-            "query": self._parse_query,
-        }.get(head.text)
-        if handler is None:
+        if head.text not in _DECLARATIONS:
             raise head.error(f"unknown declaration {head.text!r}")
-        handler(lp)
+        getattr(self, f"_parse_{head.text}")(lp)
         lp.expect_end()
 
     def _declare(self, token: _Token) -> str:
@@ -498,7 +509,8 @@ class _Parser:
         lp.next("SYM", ":")
         assignments = []
         seen = set()
-        while lp.peek() is not None:
+        more = lp.peek() is not None
+        while more:
             label_token = lp.next("IDENT")
             if label_token.text not in self.measure_kinds:
                 raise label_token.error(f"unknown measurement label {label_token.text!r}")
@@ -515,7 +527,8 @@ class _Parser:
             if outcome_token.text not in valid:
                 raise outcome_token.error(f"outcome must be one of {valid}")
             assignments.append((label_token.text, outcome_token.text))
-            if lp.peek() is not None:
+            more = lp.peek() is not None
+            if more:
                 lp.next("SYM", ",")
         self.spec.queries[name_token.text] = tuple(sorted(assignments))
 
@@ -529,8 +542,17 @@ def parse(source: str) -> ExperimentSpec:
 
 
 def parse_file(path) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+    """Parse a UTF-8 file; bytes that are not UTF-8 are a DslParseError
+    at the line and column of the first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "?" stands in for the bad byte, so it counts on the line it starts.
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise DslParseError(len(lines), len(lines[-1]), f"not valid UTF-8 ({exc.reason})") from None
+    return parse(source)
 
 
 # --- printer ---------------------------------------------------------------

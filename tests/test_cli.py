@@ -198,6 +198,12 @@ class TestEval:
         assert run_cli("eval", str(bad), "q") == 2
         assert capsys.readouterr().err.startswith(f"parse error: {where}:")
 
+    def test_file_that_is_not_utf8_exits_2_with_position(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qexp"
+        bad.write_bytes(b"wire w0 : 2\nstate s = \xff|u>\n")
+        assert run_cli("eval", str(bad), "q") == 2
+        assert capsys.readouterr().err.startswith("parse error: line 2, column 11:")
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("eval", str(tmp_path / "none.qexp"), "q") == 2
 

@@ -1,11 +1,13 @@
 import math
 import operator
+import re
 import string
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornverifier import circuits, detectors, dsl, qcore
@@ -212,6 +214,113 @@ class TestDeclarationChecks:
     def test_first_error_in_file_order(self, declaration, message):
         line, _, got, _ = _error(f"wire w : 2\n{declaration}\nmeasure w XX -> m\n")
         assert line == 2 and got.startswith(message)
+
+
+# The lexer's token pattern before numeric literals were written in an
+# unambiguous form, kept verbatim as the reference for the token stream.
+_REFERENCE_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REFERENCE_TOKEN_RE = re.compile(
+    "|".join(
+        [
+            rf"(?P<COMPLEX>(?:{_REFERENCE_NUMBER})?(?:{_REFERENCE_NUMBER})i)",
+            rf"(?P<NUMBER>{_REFERENCE_NUMBER})",
+            r"(?P<KET>\|[a-z0-9]+>)",
+            r"(?P<ARROW>->)",
+            r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)",
+            r"(?P<SYM>[:=*+,\[\]()\-])",
+            r"(?P<WS>\s+)",
+            r"(?P<BAD>.)",
+        ]
+    )
+)
+
+
+def _reference_tokens(text: str, line_no: int):
+    """(kind, text, line, column) tuples, or the first error's fields."""
+    tokens = []
+    for match in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "BAD":
+            return ("error", line_no, match.start() + 1, "unexpected character", match.group())
+        if kind != "WS":
+            tokens.append((kind, match.group(), line_no, match.start() + 1))
+    return tokens
+
+
+def _lexed(text: str, line_no: int):
+    try:
+        return [tuple(token) for token in dsl._tokenize_line(text, line_no)]
+    except DslParseError as err:
+        return ("error", err.line, err.column, err.message, err.token)
+
+
+# Lines of short runs of the characters that numeric literals are made
+# of, between a few characters that end them: free runs, and runs of one
+# to three number-like parts with an optional "i".  The reference pattern
+# backtracks heavily on long literals, so the runs stay short.
+_FREE_RUNS = st.lists(
+    st.sampled_from(["0", "1", "25", ".", "e", "E", "+", "-", "i"]), min_size=1, max_size=9
+).map("".join)
+_NUMBER_PARTS = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["0", "1", "25", "1.", ".5", "2.5", "."]),
+    st.sampled_from(["", "", "e5", "E-1", "e", "e+"]),
+).map("".join)
+_PART_RUNS = st.builds(
+    operator.add,
+    st.lists(_NUMBER_PARTS, min_size=1, max_size=3).map("".join),
+    st.sampled_from(["", "i"]),
+)
+_NUMERIC_LINES = st.lists(
+    st.one_of(_FREE_RUNS, _PART_RUNS, st.sampled_from([" ", "\t", "*", "|u>", "x", "(", ",", "@"])),
+    max_size=4,
+).map("".join)
+
+
+class TestLexer:
+    def test_corpus_tokens_match_the_reference(self):
+        for text in CORPUS:
+            for line_no, raw in enumerate(text.splitlines(), start=1):
+                line = raw.partition("#")[0]
+                assert _lexed(line, line_no) == _reference_tokens(line, line_no)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_NUMERIC_LINES, st.integers(1, 500))
+    # Complex literals whose two numbers split a digit run or meet at a point.
+    @example("1.1.i 1..1i 1e11.i .11.i 1+1e1i 1..1e1i 1e11e1i 12i", 1)
+    def test_tokens_and_first_error_match_the_reference(self, line, line_no):
+        assert _lexed(line, line_no) == _reference_tokens(line, line_no)
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "1" * 2000,
+            "1" * 1999 + "i",
+            "1" * 1998 + "-i",
+            "0." + "1" * 1998,
+            "1" * 1999 + "e",
+            "1." * 1000 + "i",
+        ],
+        ids=["digits", "digits-i", "digits-minus-i", "zero-point-digits", "digits-e", "one-points-i"],
+    )
+    def test_long_literal_parses_quickly(self, literal):
+        line = f"state s = {literal}*|u>"
+        start = time.perf_counter()
+        try:
+            parse(f"wire w : 2\n{line}\n")
+        except DslParseError as err:
+            assert err.line == 2 and 1 <= err.column <= len(line) + 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("zero,six,eight", ["٠٦٨", "０６８"])
+    def test_non_ascii_digits_are_unexpected_characters(self, zero, six, eight):
+        source = f"wire w : 2\nstate s = {zero}.{six}*|u> + {zero}.{eight}*|d>\n"
+        assert _error(source) == (2, 11, "unexpected character", zero)
+
+    def test_query_trailing_comma_is_an_error_at_the_end_of_line(self):
+        line = "query q : m = u ,"
+        source = f"wire w : 2\nmeasure w SG -> m\n{line}\n"
+        assert _error(source) == (3, len(line) + 1, "expected IDENT", "")
 
 
 # Fragments of the format, so that generated text reaches past the lexer.
