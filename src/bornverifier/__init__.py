@@ -57,13 +57,7 @@ from .derivation import (
     verify_theorem1,
     verify_theorem2,
 )
-from .counterexamples import (
-    BatteryResult,
-    p1_rule,
-    p2_rule,
-    p3_rule,
-    run_battery,
-)
+from .counterexamples import BatteryResult, p1_rule, p2_rule, p2_rules, p3_rule, run_battery
 from .coordinate import (
     IntervalDecomposition,
     IntervalDetector,

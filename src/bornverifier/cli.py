@@ -193,12 +193,13 @@ def cmd_tomography(args) -> int:
 
 def cmd_counterexamples(args) -> int:
     seed = _resolve_seed(args)
-    operator = _parse_operator(args.operator) if args.operator else None
-    rule = _read_input(counterexamples.rule_by_name, args.rule, operator, seed)
+    rule = _read_input(counterexamples.rule_by_name, args.rule, seed)
+    if args.operator is not None:
+        if rule.name != "modified2":
+            raise _UsageError(f"--A applies only to modified2, not {rule.name}")
+        rule = _read_input(counterexamples.ModifiedInnerRule, _parse_operator(args.operator))
     result = counterexamples.run_battery(rule, seed=seed, tolerance=args.tolerance)
-    doc = ReportDocument(
-        version=__version__, seed=seed, tolerance=args.tolerance, reports=(result,)
-    )
+    doc = ReportDocument(version=__version__, seed=seed, tolerance=args.tolerance, reports=(result,))
     _emit(doc, args)
     return 0 if doc.overall_pass else 1
 
@@ -208,7 +209,7 @@ def _parse_operator(text: str) -> np.ndarray:
     if not text.startswith("diag:") or len(parts) != 2:
         raise _UsageError("operator must look like diag:<a>,<b>")
     try:
-        a, b = (float(p) for p in parts)
+        a, b = (dsl.read_real(p) for p in parts)
     except ValueError as exc:
         raise _UsageError(f"bad operator entries: {exc}") from exc
     if not (math.isfinite(a) and math.isfinite(b)):

@@ -11,12 +11,13 @@ between grid points are not interpolated.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import detectors as _det, qcore
+from . import detectors as _det, dsl, qcore
 from .detectors import Detector
 from .qcore import GRID_SPACING_TOL, MODEL_TOL, NORM_TOL, ZERO_WEIGHT, BlochVector, StateVector
 from .reporting import VerificationReport
@@ -124,30 +125,29 @@ def load_wavefunction(path) -> Wavefunction1D:
     """Read a plain-text wavefunction: two columns (x, re) or three
     columns (x, re, im), one grid point per line, '#' comments.  The
     values must already be normalized on the grid."""
+    try:
+        text = dsl.read_utf8(path)
+    except dsl.DslParseError as exc:
+        raise ValueError(f"{path}:{exc.line}: {exc.message}") from None
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}"
-                )
-            try:
-                nums = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, nums)):
-                raise ValueError(f"{path}:{lineno}: values must be finite, got {line!r}")
-            rows.append(nums)
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ValueError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}")
+        try:
+            nums = [dsl.read_real(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, nums)):
+            raise ValueError(f"{path}:{lineno}: values must be finite, got {line!r}")
+        rows.append(nums)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two grid points")
     xs = np.array([r[0] for r in rows])
-    values = np.array(
-        [complex(r[1], r[2] if len(r) == 3 else 0.0) for r in rows]
-    )
+    values = np.array([complex(*r[1:]) for r in rows])
     with np.errstate(over="ignore", invalid="ignore"):
         dx = float(xs[1] - xs[0])
         spacing_error = np.max(np.abs(np.diff(xs) - dx))

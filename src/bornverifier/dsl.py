@@ -160,6 +160,19 @@ _COMPLEX_RE = re.compile(
     rf"^(?:(?P<re>{_NUMBER})(?=[+-]))?(?P<im>{_NUMBER})i$"
 )
 
+_NUMBER_RE = re.compile(_NUMBER)
+
+
+def read_real(text: str) -> float:
+    """``float(text)`` for an ASCII decimal literal, in full, or for text
+    float() reads as non-finite, which the caller rejects by name.  Other
+    text, such as ``2_0`` or non-ASCII digits, raises ``ValueError``."""
+    value = float(text)
+    if math.isfinite(value) and not _NUMBER_RE.fullmatch(text):
+        raise ValueError(f"not an ASCII decimal number: {text!r}")
+    return value
+
+
 # Wire and ancilla dimensions: a plain decimal integer >= 2, without
 # leading zeros and of at most 18 digits, which int() always converts.
 _DIM_RE = re.compile(r"[2-9]|[1-9][0-9]{1,17}")
@@ -541,18 +554,22 @@ def parse(source: str) -> ExperimentSpec:
         return _Parser().parse(source)
 
 
-def parse_file(path) -> ExperimentSpec:
-    """Parse a UTF-8 file; bytes that are not UTF-8 are a DslParseError
-    at the line and column of the first bad byte."""
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 are a
+    DslParseError at the line and column of the first bad byte."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        source = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # "?" stands in for the bad byte, so it counts on the line it starts.
         lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
         raise DslParseError(len(lines), len(lines[-1]), f"not valid UTF-8 ({exc.reason})") from None
-    return parse(source)
+
+
+def parse_file(path) -> ExperimentSpec:
+    """Parse a UTF-8 file (see ``read_utf8``)."""
+    return parse(read_utf8(path))
 
 
 # --- printer ---------------------------------------------------------------
@@ -602,24 +619,11 @@ def _format_matrix(matrix: np.ndarray) -> str:
 
 
 def _format_state(amps: np.ndarray, dims: tuple[int, ...]) -> str:
-    terms = []
-    for index, amp in enumerate(amps):
-        if amp == 0:
-            continue
-        terms.append(f"{format_complex(amp)}*|{_ket_chars(index, dims)}>")
-    return " + ".join(terms) if terms else "0*|" + "u" * len(dims) + ">"
+    terms = [f"{format_complex(amp)}*|{_ket_chars(i, dims)}>" for i, amp in enumerate(amps) if amp != 0]
+    return " + ".join(terms) or "0*|" + "u" * len(dims) + ">"
 
 
 def _ket_chars(index: int, dims: tuple[int, ...]) -> str:
-    levels = []
-    for dim in reversed(dims):
-        levels.append(index % dim)
-        index //= dim
-    levels.reverse()
-    chars = []
-    for level, dim in zip(levels, dims):
-        if dim == 2:
-            chars.append("u" if level == 0 else "d")
-        else:
-            chars.append(str(level))
-    return "".join(chars)
+    """The ket of a big-endian amplitude index: u/d on spins, digits elsewhere."""
+    levels = np.unravel_index(index, dims)
+    return "".join("ud"[level] if dim == 2 else str(level) for level, dim in zip(levels, dims))

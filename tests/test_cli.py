@@ -126,6 +126,13 @@ class TestVerify:
         assert run_cli("verify", "--subset", "isospin", "--wavefunction", str(wf_path)) == 2
         assert capsys.readouterr().err.startswith(f"error: {wf_path}:2: values must be finite")
 
+    @pytest.mark.parametrize("data", [b"0.0 1.0\n0.5 \xff\n", "0.0 1.0\n0.5 \u0662.0\n".encode()])
+    def test_unreadable_wavefunction_value_exits_2_with_line(self, tmp_path, capsys, data):
+        wf_path = tmp_path / "wf.txt"
+        wf_path.write_bytes(data)
+        assert run_cli("verify", "--subset", "isospin", "--wavefunction", str(wf_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {wf_path}:2: ")
+
     def test_invalid_flag_exits_2(self, capsys):
         assert run_cli("verify", "--bogus") == 2
 
@@ -305,6 +312,20 @@ class TestCounterexamples:
         # pytest turns a numpy RuntimeWarning into an error.
         assert run_cli("counterexamples", "modified2", "--A", f"diag:{entry},1") == 2
         assert capsys.readouterr().err == "error: operator entries must be finite\n"
+
+    @pytest.mark.parametrize("entry", ["2_0", "\u0662", "\uff12.5", "1e1_0"])
+    def test_operator_entries_must_be_ascii_numerals(self, entry, capsys):
+        assert run_cli("counterexamples", "modified2", "--A", f"diag:{entry},1") == 2
+        assert capsys.readouterr().err == f"error: bad operator entries: not an ASCII decimal number: {entry!r}\n"
+
+    @pytest.mark.parametrize("rule", ["born", "random1", "cubic3", "Cubic3"])
+    def test_operator_flag_with_another_rule_exits_2(self, rule, capsys):
+        assert run_cli("counterexamples", rule, "--A", "diag:2,1") == 2
+        assert capsys.readouterr() == ("", f"error: --A applies only to modified2, not {rule.lower()}\n")
+
+    def test_empty_operator_exits_2(self, capsys):
+        assert run_cli("counterexamples", "modified2", "--A", "") == 2
+        assert capsys.readouterr().err == "error: operator must look like diag:<a>,<b>\n"
 
     @settings(max_examples=150, deadline=None)
     @given(operator_texts())

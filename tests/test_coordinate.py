@@ -285,6 +285,38 @@ class TestWavefunctionIO:
             load_wavefunction(path)
 
 
+    @pytest.mark.parametrize(
+        "text,line,entry",
+        [
+            ("0.0 0.5\n\u0662.0 0.5\n", 2, "\u0662.0"),  # an Arabic-Indic digit
+            ("0.0 0.5_0\n1.0 0.5\n", 1, "0.5_0"),
+            ("0.0 0.5\n1.0 \uff10.5\n", 2, "\uff10.5"),  # a fullwidth digit
+            ("0.0 0.5\n1_0 0.5\n", 2, "1_0"),
+        ],
+    )
+    def test_only_ascii_numerals_are_numbers(self, tmp_path, text, line, entry):
+        path = tmp_path / "wf.txt"
+        path.write_text(text, encoding="utf-8")
+        message = f"{path}:{line}: not an ASCII decimal number: {entry!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_wavefunction(path)
+
+    @pytest.mark.parametrize("data,line", [(b"0.0 1.0\n0.5 \xff\n", 2), (b"\xc3", 1), (b"# \xe2\x88\n0 1\n", 1)])
+    def test_bytes_that_are_not_utf8_report_their_line(self, tmp_path, data, line):
+        path = tmp_path / "wf.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: not valid UTF-8')}"):
+            load_wavefunction(path)
+
+    def test_line_breaks_are_those_of_a_text_file(self, tmp_path):
+        path = tmp_path / "wf.txt"
+        path.write_bytes(b"0.0 1.0\r0.5 1.0\r\n# comment\n")
+        assert load_wavefunction(path).n == 2
+        path.write_bytes(b"0.0 1.0\r0.5 1.0 0.0 0.0\r\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: expected 2 or 3 columns')}"):
+            load_wavefunction(path)
+
+
 class TestLoadFuzz:
     @settings(max_examples=150, deadline=None)
     @given(text=wavefunction_texts())

@@ -87,6 +87,82 @@ class TestP2:
             cx.p2_rule(np.array([[1, 1], [0, 1]]), np.array([1, 0]), np.array([1, 0]))
 
 
+def reference_p2(a, phi, psi):
+    """The scalar rule as it read before ``p2_rules``, kept verbatim as
+    the reference."""
+    denom = float(np.real(np.conj(psi) @ a @ psi))
+    num = abs(np.conj(phi) @ a @ psi) ** 2
+    return float(num / denom)
+
+
+def reference_modified_battery(a, seed):
+    """(norm_dev, born_dev) of the former scalar ``_modified_battery`` loop."""
+    rng = qcore.as_rng(np.random.SeedSequence((seed, 0x2)))
+    phi_up, phi_down = cx.modified_outcome_pair(a)
+    unit_up = phi_up / np.linalg.norm(phi_up)
+    norm_dev = born_dev = 0.0
+    for psi in qcore.random_amplitudes((2,), 200, rng):
+        up, down = reference_p2(a, phi_up, psi), reference_p2(a, phi_down, psi)
+        norm_dev = max(norm_dev, abs(up + down - 1.0))
+        born_dev = max(born_dev, abs(up - abs(np.conj(unit_up) @ psi) ** 2))
+    return norm_dev, born_dev
+
+
+# A positive Hermitian operator with complex off-diagonal entries.
+NON_DIAGONAL = np.array([[2.0, 0.3 - 0.4j], [0.3 + 0.4j, 0.7]])
+
+
+def battery_deviations(a, seed):
+    result = cx._modified_battery(cx.ModifiedInnerRule(a), seed, qcore.DEFAULT_TOL)
+    return dict(result.deviations)["normalization"], result.born_deviation
+
+
+class TestP2Rules:
+    @pytest.mark.parametrize("a", [np.diag([2.0, 2.0 / 3.0]), NON_DIAGONAL], ids=["diagonal", "non-diagonal"])
+    def test_rows_are_their_batches_of_one_and_the_reference(self, a):
+        rng = np.random.default_rng(8)
+        psis = qcore.random_amplitudes((2,), 300, rng)
+        phis = np.stack([*cx.modified_outcome_pair(a), rng.standard_normal(2) + 1j * rng.standard_normal(2)])
+        table = cx.p2_rules(a, phis, psis)
+        assert table.shape == (300, 3)
+        for n, psi in enumerate(psis):
+            for k, phi in enumerate(phis):
+                assert table[n, k] == cx.p2_rule(a, phi, psi) == reference_p2(a, phi, psi)
+
+    @pytest.mark.parametrize("seed", [42, 7, 1234])
+    def test_battery_equals_the_scalar_loop_to_the_bit(self, seed):
+        a = cx.rule_by_name("modified2").operator
+        assert battery_deviations(a, seed) == reference_modified_battery(a, seed)
+
+    def test_non_diagonal_battery_within_two_ulp_of_the_scalar_loop(self):
+        # The deviations difference O(1) probabilities, so an ulp of 1 is
+        # their unit of rounding.
+        for seed in range(50):
+            got = battery_deviations(NON_DIAGONAL, seed)
+            want = reference_modified_battery(NON_DIAGONAL, seed)
+            assert np.all(np.abs(np.subtract(got, want)) <= 2 * np.spacing(1.0)), seed
+
+    def test_battery_checks_the_operator_once(self, monkeypatch):
+        rule = cx.rule_by_name("modified2")
+        calls = []
+        real = qcore.check_matrix
+        monkeypatch.setattr(qcore, "check_matrix", lambda *a: calls.append(a) or real(*a))
+        cx._modified_battery(rule, 42, qcore.DEFAULT_TOL)
+        assert 1 <= len(calls) <= 3
+
+    def test_non_positive_operator_rejected(self):
+        psis = qcore.random_amplitudes((2,), 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^modified-product operator must be positive definite$"):
+            cx.p2_rules(np.diag([1.0, -1.0]), psis[:2], psis)
+
+    def test_state_of_non_positive_modified_norm_rejected(self):
+        psis = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="^state has non-positive modified norm$"):
+            cx.p2_rules(np.eye(2), psis[:1], psis)
+        with pytest.raises(ValueError, match="^state has non-positive modified norm$"):
+            cx.p2_rule(np.eye(2), psis[0], psis[1])
+
+
 class TestP3:
     def test_fixed_points(self):
         assert cx.p3_rule(0.0) == 0.0
