@@ -64,9 +64,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _within(low, convert=int, high=math.inf):
-    """A flag's type: ``convert(text)``, finite and in [``low``, ``high``]."""
+    """A flag's type: ``convert(text)`` of an ASCII decimal, finite and in
+    [``low``, ``high``]."""
     def parse(text: str):
         try:
+            dsl.read_real(text)  # no non-ASCII digits, underscores or spaces
             if low <= (value := convert(text)) <= high and value < math.inf:
                 return value
         except ValueError:
@@ -140,16 +142,11 @@ def _emit(doc: ReportDocument, args) -> None:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
-    extra = []
-    for path in args.wavefunction:
-        extra.append((os.path.basename(path), _read_input(coordinate.load_wavefunction, path)))
-    reports = derivation.run_full_suite(
-        seed=seed,
-        tolerance=args.tolerance,
-        subset=args.subset,
-        depth=args.depth,
-        wavefunctions=extra,
-    )
+    extra = [(os.path.basename(path), _read_input(coordinate.load_wavefunction, path)) for path in args.wavefunction]
+    try:
+        reports = derivation.run_full_suite(seed, args.tolerance, args.subset, args.depth, extra)
+    except derivation.ReportNameClash as exc:
+        raise _UsageError(f"--wavefunction: {exc}; give the file another name") from exc
     if args.subset is not None and not reports:
         raise _UsageError(f"--subset {args.subset!r} matches no report")
     doc = ReportDocument(

@@ -1,17 +1,21 @@
 """Executable replays of the linearity derivation.
 
 Each verifier rebuilds one lemma or theorem numerically against exact
-ground truth and reports the worst deviation found.  ``run_full_suite``
-runs everything over a standard battery of detectors; given the same
-seed it is fully deterministic.
+ground truth and reports the worst deviation found.  ``STEPS`` is the
+paper's chain as a table of them, and ``run_full_suite`` runs its steps;
+given the same seed it is fully deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.random import SeedSequence
 
 from . import circuits, coordinate, detectors as _det, qcore
 from .detectors import Detector
@@ -84,13 +88,9 @@ def verify_envariance(
     mapped = circuits.apply_unitaries(amps[0], (1,), unitaries)
     residuals = np.linalg.norm(mapped - amps[1], axis=(1, 2))
     worst_map = float(np.max(residuals))
+    details = (("probability_deviation", worst_prob), ("mapping_residual", worst_map))
     return VerificationReport.from_deviation(
-        name,
-        f"trials={trials} env_dim={_ENV_DIM}",
-        max(worst_prob, worst_map),
-        tolerance,
-        (("probability_deviation", worst_prob), ("mapping_residual", worst_map)),
-    )
+        name, f"trials={trials} env_dim={_ENV_DIM}", max(worst_prob, worst_map), tolerance, details)
 
 
 def verify_lemma1(
@@ -127,7 +127,7 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     pairs = qcore.spin_pair_states(lams).reshape(n, 2, 2)
     lam = np.array(lams)[:, None]
     c0, c1 = np.sqrt(1.0 - lam), np.sqrt(lam)
-    ends = np.array([_stacked(a, b) for a, b in zip(p0, p1)])
+    ends = np.array([(a.as_array(), b.as_array()) for a, b in zip(p0, p1)])
     mids = (1.0 - lam) * ends[:, 0] + lam * ends[:, 1]
     psi0, psi1 = qcore.purify_batch(ends.reshape(-1, 3)).reshape(n, 2, 4).transpose(1, 0, 2)
 
@@ -163,10 +163,6 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     return np.max(list(details.values()), axis=0), details | {"a_lambda": a_lam}
 
 
-def _stacked(*points: BlochVector) -> np.ndarray:
-    return np.array([p.as_array() for p in points])
-
-
 def verify_lemma2(
     det: Detector,
     p0: BlochVector,
@@ -185,7 +181,7 @@ def _lemma2(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     midpoint and end is probed in one call, and the balanced weight is
     measured once.  Returns the (N,) deviations and their details."""
     dets, p0, p1 = list(zip(*instances))[:3]
-    ends = np.array([_stacked(a, b) for a, b in zip(p0, p1)])
+    ends = np.array([(a.as_array(), b.as_array()) for a, b in zip(p0, p1)])
     points = np.concatenate([0.5 * (ends[:, :1] + ends[:, 1:]), ends], axis=1).reshape(-1, 3)
     f_mid, f0, f1 = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(-1, 3).T
     a_half = circuits.sg_measure(qcore.bell_state(), 1)[0].probability  # outcome "u"
@@ -217,9 +213,9 @@ def verify_lemma3_dyadic(
     if n_random < 0:
         raise ValueError("n_random must be >= 0")
     rng = qcore.as_rng(seed)
-    f0, f1 = _det.probe_fclick(det, _stacked(p0, p1)).tolist()
-    delta = f1 - f0
     a, b = p0.as_array(), p1.as_array()
+    f0, f1 = _det.probe_fclick(det, np.array([a, b])).tolist()
+    delta = f1 - f0
 
     def probe_segment(xs: np.ndarray) -> np.ndarray:
         """Oracle at the segment points (1 - x) p0 + x p1, one batch."""
@@ -227,14 +223,10 @@ def verify_lemma3_dyadic(
 
     if abs(delta) <= FLAT_SEGMENT_THRESHOLD:
         drift = np.abs(probe_segment(np.linspace(0.0, 1.0, 65)) - f0)
-        report = VerificationReport.from_deviation(
-            "lemma3-flat",
-            f"|dF|={abs(delta):.3g}",
-            max(float(np.max(drift - abs(delta))), 0.0),
-            tolerance,
-            (("endpoint_gap", abs(delta)),),
-        )
-        return DyadicProfile(depth, ()), report
+        worst = max(float(np.max(drift - abs(delta))), 0.0)
+        details = (("endpoint_gap", abs(delta)),)
+        return DyadicProfile(depth, ()), VerificationReport.from_deviation(
+            "lemma3-flat", f"|dF|={abs(delta):.3g}", worst, tolerance, details)
 
     def f(xs: np.ndarray) -> np.ndarray:
         return (probe_segment(xs) - f0) / delta
@@ -255,22 +247,12 @@ def verify_lemma3_dyadic(
         float(np.max(f_lower - fx, initial=0.0)),
         float(np.max(fx - f_upper, initial=0.0)),
     )
-    samples = [(x, v, bound) for x, v in zip(xs.tolist(), fx.tolist())]
-    profile = DyadicProfile(depth, tuple(samples))
-    worst = max(dev_dyadic, dev_monotone, dev_sandwich)
-    report = VerificationReport.from_deviation(
-        "lemma3-dyadic",
-        f"depth={depth} sweep_depth={sweep_depth}",
-        worst,
-        tolerance,
-        (
-            ("dyadic_deviation", dev_dyadic),
-            ("monotonicity_violation", dev_monotone),
-            ("sandwich_excess", dev_sandwich),
-            ("endpoint_gap", abs(delta)),
-        ),
-    )
-    return profile, report
+    profile = DyadicProfile(depth, tuple(zip(xs.tolist(), fx.tolist(), [bound] * n_random)))
+    details = {"dyadic_deviation": dev_dyadic, "monotonicity_violation": dev_monotone,
+               "sandwich_excess": dev_sandwich, "endpoint_gap": abs(delta)}
+    return profile, VerificationReport.from_deviation(
+        "lemma3-dyadic", f"depth={depth} sweep_depth={sweep_depth}",
+        max(dev_dyadic, dev_monotone, dev_sandwich), tolerance, tuple(details.items()))
 
 
 def verify_theorem1(
@@ -450,10 +432,9 @@ def _segments(rng, count: int, extra) -> list[tuple]:
     return [(det, *rest) for det, (_, *rest) in zip(dets, draws)]
 
 
-def _identity_reports(seed: int, tolerance: float, instances: int) -> list[VerificationReport]:
+def _identity_reports(stream, tolerance: float, instances: int) -> list[VerificationReport]:
     """Random-instance sweep of the seven bracket identities."""
-    rng = qcore.as_rng(np.random.SeedSequence((seed, 0x1D)))
-    worst, _, _ = circuits.sweep_identities(rng, instances)
+    worst, _, _ = circuits.sweep_identities(qcore.as_rng(stream), instances)
     inputs, details = f"instances={instances}", (("instances", float(instances)),)
     return [
         VerificationReport.from_deviation(f"identity:{name}", inputs, worst[name], tolerance, details)
@@ -461,102 +442,120 @@ def _identity_reports(seed: int, tolerance: float, instances: int) -> list[Verif
     ]
 
 
-def run_full_suite(
-    seed: int = DEFAULT_SEED,
-    tolerance: float = DEFAULT_TOL,
-    subset: str | None = None,
-    depth: int = DEFAULT_DYADIC_DEPTH,
-    wavefunctions: list[tuple[str, coordinate.Wavefunction1D]] | None = None,
-) -> list[VerificationReport]:
-    """Run every verifier over the standard battery; deterministic given
-    the seed.  ``subset`` keeps only reports whose name contains it.
+class Context(NamedTuple):
+    """A step's inputs: the run's settings and its own stream's seed sequences."""
 
-    Each check family declares the names of the reports it makes, and
-    runs only when ``subset`` matches one of them.  Every family draws
-    from its own seed sequence, so skipping one leaves the others'
-    reports unchanged."""
-    children = np.random.SeedSequence(seed).spawn(8)
+    seed: int
+    tolerance: float
+    depth: int
+    wavefunctions: tuple[tuple[str, coordinate.Wavefunction1D], ...]
+    streams: tuple[SeedSequence, ...] = ()
 
-    def identities(*names: str) -> list[VerificationReport]:
-        return _identity_reports(seed, tolerance, instances=200)
 
-    def envariance(name: str) -> list[VerificationReport]:
-        det = _det.random_detector(qcore.as_rng(children[0]))
-        return [
-            verify_envariance(
-                det, trials=200, seed=children[1], tolerance=tolerance, name=name
-            )
-        ]
+class Step(NamedTuple):
+    """One step of the paper's chain: ``names(ctx)`` declares its reports in
+    a run, ``stream(seed)`` gives the seed sequences it draws from, and
+    ``run(ctx, selected)`` makes at least the selected reports."""
 
-    def lemmas12(name1: str, name2: str) -> list[VerificationReport]:
-        instances = _segments(qcore.as_rng(children[2]), 30, lambda rng: float(rng.uniform()))
-        return [
-            merge_reports(name1, "instances=30", tolerance, _lemma1(instances)[0]),
-            merge_reports(name2, "instances=30", tolerance, _lemma2(instances)[0]),
-        ]
+    names: Callable[[Context], tuple[str, ...]]
+    stream: Callable[[int], tuple[SeedSequence, ...]]
+    run: Callable[[Context, list[str]], list[VerificationReport]]
 
-    def lemma3(name: str) -> list[VerificationReport]:
-        instances = _segments(qcore.as_rng(children[3]), 3, lambda rng: rng.integers(2**31))
-        runs = [
-            verify_lemma3_dyadic(
-                det, p0, p1, depth=depth, seed=s, n_random=50, tolerance=tolerance
-            )[1]
-            for det, p0, p1, s in instances
-        ]
-        return [merge_reports(name, "segments=3", tolerance, [r.max_deviation for r in runs])]
 
-    families = [
-        (tuple(f"identity:{name}" for name in circuits.IDENTITY_NAMES), identities),
-        (("envariance",), envariance),
-        (("lemma1", "lemma2"), lemmas12),
-        ((f"lemma3[depth={depth}]",), lemma3),
-    ]
+class ReportNameClash(ValueError):
+    """Two reports of one run would share a name."""
 
-    def theorems(*names: str) -> list[VerificationReport]:
-        """The battery rows whose theorem 1 or 2 report ``subset`` keeps, as one pass."""
-        battery = standard_battery(seed)
-        seeds = zip(*(np.random.SeedSequence((seed, tag)).spawn(len(battery)) for tag in (0x71, 0x72)))
-        rows = [(det, (f"theorem1[{label}]", s1), (f"theorem2[{label}]", s2))
-                for (label, det), (s1, s2) in zip(battery, seeds)]
-        picked = [(det, *(t if not subset or subset in t[0] else None for t in ts)) for det, *ts in rows]
-        return _theorems([row for row in picked if row[1] or row[2]], 40, 200, tolerance)
 
-    families.append((tuple(f"theorem{t}[{label}]" for label in _battery_labels() for t in (1, 2)), theorems))
+def _run_envariance(ctx: Context, selected: list[str]) -> list[VerificationReport]:
+    det = _det.random_detector(qcore.as_rng(ctx.streams[0]))
+    return [verify_envariance(det, trials=200, seed=ctx.streams[1], tolerance=ctx.tolerance, name="envariance")]
 
-    # Each wavefunction is made only when its family runs.
-    coord_cases = [
-        ("gaussian", lambda: coordinate.gaussian_wavefunction(-8.0, 8.0, 20000, sigma=1.0), (-1.0, 1.0)),
-        ("uniform", lambda: coordinate.uniform_wavefunction(0.0, 1.0, 1000), (0.0, 0.4995)),
-    ]
-    for label, wf in wavefunctions or []:
-        lo = wf.x_min + 0.3 * (wf.x_max - wf.x_min)
-        hi = wf.x_min + 0.7 * (wf.x_max - wf.x_min)
-        coord_cases.append((label, lambda wf=wf: wf, (lo, hi)))
-    for label, make, (lo, hi) in coord_cases:
-        families.append((
-            (f"isospin-born[{label}]",),
-            lambda name, make=make, lo=lo, hi=hi: [
-                coordinate.verify_isospin_born(
-                    _det.sg_up_detector(),
-                    make(),
-                    coordinate.IntervalDetector(lo, hi),
-                    tolerance=tolerance,
-                    name=name,
-                )
-            ],
-        ))
 
-    reports: list[VerificationReport] = []
-    for names, run in families:
-        if subset and not any(subset in name for name in names):
-            continue
-        made = run(*names)
-        undeclared = sorted({r.name for r in made} - set(names))
-        if undeclared:
-            raise RuntimeError(f"check family {names} made undeclared reports {undeclared}")
-        reports.extend(made)
+def _run_lemmas(ctx: Context, selected: list[str]) -> list[VerificationReport]:
+    instances = _segments(qcore.as_rng(ctx.streams[0]), 30, lambda rng: float(rng.uniform()))
+    return [merge_reports(name, "instances=30", ctx.tolerance, check(instances)[0])
+            for name, check in (("lemma1", _lemma1), ("lemma2", _lemma2)) if name in selected]
 
-    reports.sort(key=lambda r: r.name)
-    if subset:
-        reports = [r for r in reports if subset in r.name]
+
+def _run_lemma3(ctx: Context, selected: list[str]) -> list[VerificationReport]:
+    instances = _segments(qcore.as_rng(ctx.streams[0]), 3, lambda rng: rng.integers(2**31))
+    runs = [verify_lemma3_dyadic(det, p0, p1, depth=ctx.depth, seed=s, n_random=50, tolerance=ctx.tolerance)[1]
+            for det, p0, p1, s in instances]
+    return [merge_reports(selected[0], "segments=3", ctx.tolerance, [r.max_deviation for r in runs])]
+
+
+def _run_theorems(ctx: Context, selected: list[str]) -> list[VerificationReport]:
+    """The battery rows with a selected report, as one pass; each report
+    draws from its own child of its theorem's stream."""
+    battery = standard_battery(ctx.seed)
+    seeds = zip(*(stream.spawn(len(battery)) for stream in ctx.streams))
+    rows = [(det, *(((name, s) if (name := f"theorem{t}[{label}]") in selected else None) for t, s in zip((1, 2), ss)))
+            for (label, det), ss in zip(battery, seeds)]
+    return _theorems([row for row in rows if row[1] or row[2]], 40, 200, ctx.tolerance)
+
+
+# The built-in isospin cases, each made only when it runs: the wavefunction
+# and its interval.
+_ISOSPIN = {
+    "gaussian": lambda: (coordinate.gaussian_wavefunction(-8.0, 8.0, 20000, sigma=1.0), (-1.0, 1.0)),
+    "uniform": lambda: (coordinate.uniform_wavefunction(0.0, 1.0, 1000), (0.0, 0.4995)),
+}
+
+
+def _run_isospin(ctx: Context, selected: list[str]) -> list[VerificationReport]:
+    """The interval rule on each selected case; an extra wavefunction's
+    interval is the middle 40% of its grid."""
+    reports = []
+    for label, wf in [*_ISOSPIN.items(), *ctx.wavefunctions]:  # a built-in case is a maker
+        if (name := f"isospin-born[{label}]") in selected:
+            wf, span = wf() if callable(wf) else (wf, [wf.x_min + t * (wf.x_max - wf.x_min) for t in (0.3, 0.7)])
+            interval = coordinate.IntervalDetector(*span)
+            reports.append(coordinate.verify_isospin_born(_det.sg_up_detector(), wf, interval, ctx.tolerance, name))
     return reports
+
+
+def _run_identities(ctx: Context, selected: list[str]) -> list[VerificationReport]:
+    return _identity_reports(ctx.streams[0], ctx.tolerance, 200)
+
+
+# The paper's chain in its order: envariance, segment convexity and the
+# midpoint identity, dyadic linearity, the affine response and the
+# squared-amplitude rule, the interval rule, then the bracket identities
+# that encode assumptions (a)-(e).  Every step draws from its own stream;
+# the battery's detectors come from (seed, 0xD37) in ``standard_battery``.
+STEPS: tuple[Step, ...] = (
+    Step(lambda ctx: ("envariance",),
+         lambda seed: (SeedSequence(seed, spawn_key=(0,)), SeedSequence(seed, spawn_key=(1,))), _run_envariance),
+    Step(lambda ctx: ("lemma1", "lemma2"), lambda seed: (SeedSequence(seed, spawn_key=(2,)),), _run_lemmas),
+    Step(lambda ctx: (f"lemma3[depth={ctx.depth}]",), lambda seed: (SeedSequence(seed, spawn_key=(3,)),), _run_lemma3),
+    Step(lambda ctx: tuple(f"theorem{t}[{label}]" for label in _battery_labels() for t in (1, 2)),
+         lambda seed: (SeedSequence((seed, 0x71)), SeedSequence((seed, 0x72))), _run_theorems),
+    Step(lambda ctx: tuple(f"isospin-born[{label}]" for label in [*_ISOSPIN, *(wf[0] for wf in ctx.wavefunctions)]),
+         lambda seed: (), _run_isospin),
+    Step(lambda ctx: tuple(f"identity:{name}" for name in circuits.IDENTITY_NAMES),
+         lambda seed: (SeedSequence((seed, 0x1D)),), _run_identities),
+)
+
+
+def run_full_suite(
+    seed: int = DEFAULT_SEED, tolerance: float = DEFAULT_TOL, subset: str | None = None,
+    depth: int = DEFAULT_DYADIC_DEPTH, wavefunctions: list[tuple[str, coordinate.Wavefunction1D]] | None = None,
+) -> list[VerificationReport]:
+    """Run each step of ``STEPS`` that declares a report whose name contains
+    ``subset`` (every step without it), and keep those reports, sorted by
+    name.  Deterministic given the seed, whatever steps are skipped."""
+    ctx = Context(seed, tolerance, depth, tuple(wavefunctions or ()))
+    declared = [step.names(ctx) for step in STEPS]
+    if twice := sorted(n for n, count in Counter(sum(declared, ())).items() if count > 1):
+        raise ReportNameClash(f"report {twice[0]!r} is declared twice")
+    reports: list[VerificationReport] = []
+    for step, names in zip(STEPS, declared):
+        if not (selected := [name for name in names if not subset or subset in name]):
+            continue
+        made = step.run(ctx._replace(streams=step.stream(seed)), selected)
+        if undeclared := sorted({r.name for r in made} - set(names)):
+            raise RuntimeError(f"step {names} made undeclared reports {undeclared}")
+        if dropped := sorted(set(selected) - {r.name for r in made}):
+            raise RuntimeError(f"step {names} did not make selected reports {dropped}")
+        reports += [r for r in made if r.name in selected]
+    return sorted(reports, key=lambda r: r.name)

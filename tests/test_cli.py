@@ -150,18 +150,38 @@ class TestVerify:
         "flag, value",
         [("--tolerance", "inf"), ("--tolerance", "-inf"), ("--tolerance", "nan"),
          ("--tolerance", "-1"), ("--tolerance", "x"), ("--seed", "-5"), ("--seed", "1.5"),
-         ("--seed", "abc")],
+         ("--seed", "abc"),
+         # Only ASCII decimals: no digits of other scripts, underscores or spaces.
+         ("--seed", "\u0664\u0662"), ("--seed", "4_2"), ("--seed", " 42"), ("--depth", "1_0"),
+         ("--tolerance", "1_0e-9"), ("--tolerance", "\u0661e-9")],
     )
     def test_bad_number_exits_2_at_the_flag(self, flag, value, capsys):
         assert run_cli("verify", "--subset", "lemma2", flag, value) == 2
         err = capsys.readouterr().err
         assert "error:" in err and flag in err
 
-    @pytest.mark.parametrize("value", ["abc", "-3", "", "4.0"])
+    @pytest.mark.parametrize("value", ["abc", "-3", "", "4.0", "\u0664\u0662", "4_2", "42 "])
     def test_bad_seed_variable_exits_2(self, value, monkeypatch, capsys):
         monkeypatch.setenv("BORNVERIFIER_SEED", value)
         assert run_cli("verify", "--subset", "lemma2") == 2
         assert capsys.readouterr().err.startswith("error: $BORNVERIFIER_SEED")
+
+    @pytest.mark.parametrize("paths", [("a/w.txt", "b/w.txt"), ("gaussian",)])
+    def test_clashing_wavefunction_names_exit_2_before_any_check(self, paths, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(derivation, "verify_envariance", boom)
+        argv = []
+        for path in paths:
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            (tmp_path / path).write_text("\n".join(f"{i * 0.005:.6f} 1.0" for i in range(200)) + "\n")
+            argv += ["--wavefunction", str(tmp_path / path)]
+        assert run_cli("verify", *argv) == 2
+        label = Path(paths[-1]).name
+        assert capsys.readouterr().err == (
+            f"error: --wavefunction: report 'isospin-born[{label}]' is declared twice; give the file another name\n"
+        )
 
     def test_unmatched_subset_exits_2(self, capsys):
         assert run_cli("verify", "--subset", "nosuch") == 2

@@ -417,7 +417,7 @@ class TestFullSuite:
         calls = []
         real = circuits.outcome_distribution
         monkeypatch.setattr(circuits, "outcome_distribution", lambda *a: calls.append(a) or real(*a))
-        reports = derivation._identity_reports(42, 1e-9, 200)
+        reports = derivation._identity_reports(derivation.STEPS[-1].stream(42)[0], 1e-9, 200)
         assert len(reports) == len(circuits.IDENTITY_NAMES)
         assert len(calls) <= 17
         groups = [_walk_group(tens) for tens, *_ in calls]
@@ -450,6 +450,59 @@ class TestFullSuite:
         assert kinds == {"EffectDetector", "AncillaDetector"}
         names = [name for name, _ in battery]
         assert len(names) == len(set(names))
+
+
+class TestSteps:
+    """The check registry: the paper's chain as one table of steps."""
+
+    @staticmethod
+    def context(seed=42):
+        extra = (("w.txt", coordinate.uniform_wavefunction(0.0, 1.0, 200)),)
+        return derivation.Context(seed, qcore.DEFAULT_TOL, derivation.DEFAULT_DYADIC_DEPTH, extra)
+
+    def test_steps_are_in_paper_order(self):
+        names = [step.names(self.context()) for step in derivation.STEPS]
+        assert names[:3] == [("envariance",), ("lemma1", "lemma2"), ("lemma3[depth=20]",)]
+        assert names[3] == tuple(f"theorem{t}[{label}]" for label, _ in standard_battery(42) for t in (1, 2))
+        assert names[4] == ("isospin-born[gaussian]", "isospin-born[uniform]", "isospin-born[w.txt]")
+        assert names[5] == tuple(f"identity:{name}" for name in circuits.IDENTITY_NAMES)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_each_step_makes_exactly_its_declared_names(self, seed):
+        ctx = self.context(seed)
+        for step in derivation.STEPS:
+            declared = step.names(ctx)
+            made = step.run(ctx._replace(streams=step.stream(seed)), list(declared))
+            assert sorted(r.name for r in made) == sorted(declared)
+
+    def test_step_streams_are_pairwise_distinct(self):
+        # Distinct from each other and from the battery's own stream, so a
+        # skipped step leaves every other step's draws unchanged.
+        streams = [s for step in derivation.STEPS for s in step.stream(42)]
+        streams.append(np.random.SeedSequence((42, 0xD37)))
+        assert len(streams) == 8
+        assert len({tuple(s.generate_state(4)) for s in streams}) == len(streams)
+
+    def test_one_selected_name_runs_only_its_step(self, monkeypatch):
+        ran = []
+        steps = tuple(
+            step._replace(run=lambda ctx, selected, k=k, run=step.run: ran.append(k) or run(ctx, selected))
+            for k, step in enumerate(derivation.STEPS)
+        )
+        monkeypatch.setattr(derivation, "STEPS", steps)
+        ctx = self.context()
+        for k, step in enumerate(steps):
+            for name in {step.names(ctx)[0], step.names(ctx)[-1]}:
+                ran.clear()
+                assert [r.name for r in run_full_suite(42, subset=name, wavefunctions=list(ctx.wavefunctions))] == [name]
+                assert ran == [k]
+
+    def test_dropped_report_raises(self, monkeypatch):
+        lemmas = derivation.STEPS[1]
+        dropping = lemmas._replace(run=lambda ctx, selected: lemmas.run(ctx, selected)[1:])
+        monkeypatch.setattr(derivation, "STEPS", (*derivation.STEPS[:1], dropping, *derivation.STEPS[2:]))
+        with pytest.raises(RuntimeError, match=r"did not make selected reports \['lemma1'\]"):
+            run_full_suite(seed=42, subset="lemma")
 
 
 def _former_theorems(det, seed1, seed2, n_points=40, n_states=200):
