@@ -15,10 +15,11 @@ the harness are defined here once, each as the ground-truth brackets it
 evaluates plus the comparison it makes.  The comparison reads the
 brackets through a rule: the derivation suite uses the default,
 ``BornRule`` (the squared-amplitude rule), and the counterexample battery
-the alternative rules.  ``check_identity_states`` checks six identities
-on one instance and ``check_identity_a5_decomposition`` the seventh;
-``sweep_identities`` checks all seven on random instances for both,
-in one batch whatever the detectors' families.
+the alternative rules, each reading whole arrays of brackets at once.
+``check_identity_states`` checks six identities on one instance and
+``check_identity_a5_decomposition`` the seventh, both under the
+squared-amplitude rule; ``sweep_identities`` checks all seven on random
+instances for both, in one batch whatever the detectors' families.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -368,32 +369,26 @@ def evaluate(circuit: Circuit, query: Mapping[str, str] | None) -> float:
 
 # ---------------------------------------------------------------------------
 # Bracket identities: exact ground-truth brackets, read through a rule.
-
-
-class Reading(Protocol):
-    """How an identity reads a ground-truth bracket ``p``: ``compared``
-    when the bracket is compared with a single other bracket, ``combined``
-    when it enters a sum or a product."""
-
-    def compared(self, p: float) -> float: ...
-
-    def combined(self, p: float) -> float: ...
+# A rule reads the brackets ``p`` of N instances elementwise, with each
+# instance's draw ``x``: ``compared`` for a bracket compared with a single
+# other bracket, ``combined`` for one that enters a sum or a product.
+# ``draw(rng)`` takes one instance's draw from the sweep's stream.
 
 
 @dataclass(frozen=True)
 class BornRule:
-    """The squared-amplitude rule: both readings are the exact bracket."""
+    """The squared-amplitude rule: both readings are the exact bracket,
+    and it draws nothing."""
 
     name: str = "born"
 
-    def compared(self, p: float) -> float:
+    def draw(self, rng) -> float:
+        return 0.0
+
+    def compared(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
         return p
 
     combined = compared
-
-    def for_instance(self, rng) -> "BornRule":
-        """The reading of one random instance; this rule draws nothing."""
-        return self
 
 
 BORN = BornRule()
@@ -410,13 +405,14 @@ _DETAILS = (
 )
 
 
-def _check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, rules):
-    """``check_identity_states`` on N rows at once: ``single``, ``ancilla``
-    and ``pair`` are (N, *factor_dims) tensors, ``psi`` N tensors, the rest
-    N values each, except ``probe``, the ``Measure`` "m" of wire 0 by one
-    detector, None, or one per row.  Each distinct circuit is walked once,
-    the ``psi`` circuits once per shape.  Returns the (6, N) deviations of
-    the six identities, in ``IDENTITY_NAMES`` order, and the brackets read."""
+def _check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, rule, x):
+    """``check_identity_states`` on N rows at once, read through ``rule``
+    with the draws ``x``: ``single``, ``ancilla`` and ``pair`` are
+    (N, *factor_dims) tensors, ``psi`` N tensors, the rest N values each,
+    except ``probe``, the ``Measure`` "m" of wire 0 by one detector, None,
+    or one per row.  Each distinct circuit is walked once, the ``psi``
+    circuits once per shape.  Returns the (6, N) deviations of the six
+    identities, in ``IDENTITY_NAMES`` order, and the brackets read."""
     rows = len(single)
     click, no_click = probe.outcomes
 
@@ -440,28 +436,24 @@ def _check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, ru
     b["alone"] = bracket(pair)
     both = outcome_distribution(pair, (Measure(1, "s"), probe), {"m": click})
     b["unread"], b["joint_up"], b["joint_down"] = _mass(both), _mass(both, "u"), _mass(both, "d")
-    chosen = np.array([SG_OUTCOMES.index(o) for o in sg_outcome])
+    chosen = (np.asarray(sg_outcome) == "d") * 1  # the index of each outcome in SG_OUTCOMES
     probs, posts = _branches(pair, Measure(1, "s"))
     b["marginal"], b["conditional"] = probs[chosen, np.arange(rows)], np.zeros(rows)
     live = np.flatnonzero(b["marginal"])
     if live.size:
         b["conditional"][live] = bracket(posts[chosen[live], live], (probe.on_rows(live),))
 
-    deviations = []
-    for row, rule, outcome in zip(zip(*(v.tolist() for v in b.values())), rules, sg_outcome):
-        r, c, s = dict(zip(b, row)), rule.compared, rule.combined
-        joint = r["joint_up"] if outcome == "u" else r["joint_down"]
-        product = abs(s(joint) - s(r["marginal"]) * s(r["conditional"]))
-        additivity = abs(s(r["unread"]) - (s(r["joint_up"]) + s(r["joint_down"])))
-        deviations.append((
-            abs(c(r["lhs"]) - c(r["rhs"])),
-            abs(s(r["click"]) + s(r["no_click"]) - 1.0),
-            max(product, additivity),
-            abs(c(r["click"]) - c(r["later"])),
-            abs(c(r["click"]) - c(r["before"])),
-            abs(c(r["alone"]) - c(r["unread"])),
-        ))
-    return np.array(deviations).T, b
+    c, s = (lambda k: rule.compared(b[k], x)), (lambda k: rule.combined(b[k], x))
+    product = np.abs(np.where(chosen, s("joint_down"), s("joint_up")) - s("marginal") * s("conditional"))
+    additivity = np.abs(s("unread") - (s("joint_up") + s("joint_down")))
+    return np.abs([
+        c("lhs") - c("rhs"),
+        s("click") + s("no_click") - 1.0,
+        np.maximum(product, additivity),
+        c("click") - c("later"),
+        c("click") - c("before"),
+        c("alone") - c("unread"),
+    ]), b
 
 
 def check_identity_states(
@@ -473,10 +465,10 @@ def check_identity_states(
     pair: StateVector,
     sg_outcome: str,
     tolerance: float = DEFAULT_TOL,
-    rule: Reading = BORN,
 ) -> list[VerificationReport]:
     """The six state identities on one instance, in ``IDENTITY_NAMES``
-    order, evaluating each distinct bracket once.
+    order, under the squared-amplitude rule, evaluating each distinct
+    bracket once.
 
     ``det`` (None: the reference apparatus) measures spin 0, and every
     bracket asks for its first outcome, the click.
@@ -491,11 +483,13 @@ def check_identity_states(
       - nosignal-measure: that unread measurement leaves the click
         unchanged.
     """
+    if sg_outcome not in SG_OUTCOMES:
+        raise ValueError(f"sg_outcome must be one of {SG_OUTCOMES}, got {sg_outcome!r}")
     probe = Measure(0, "m", det)
     for state, steps in ((single, (probe,)), (psi, (Gate((1,), env_unitary), probe)), (pair, (Measure(1, "s"), probe))):
         Circuit(state, steps)  # the checks that the batched walk skips
     batch = [state.as_tensor()[None] for state in (single, ancilla, pair)]
-    deviations, b = _check_states(probe, *batch[:2], [psi.as_tensor()], [env_unitary], batch[2], [sg_outcome], [rule])
+    deviations, b = _check_states(probe, *batch[:2], [psi.as_tensor()], [env_unitary], batch[2], [sg_outcome], BORN, 0.0)
     psi_dims, pair_dims = f"dims={psi.factor_dims}", f"dims={pair.factor_dims}"
     inputs = (f"dims={single.factor_dims}+{ancilla.factor_dims}", psi_dims,
               f"{pair_dims} a={sg_outcome}", psi_dims, psi_dims, pair_dims)
@@ -507,11 +501,12 @@ def check_identity_states(
     ]
 
 
-def _check_a5(lam, probe, unitaries, rules) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``check_identity_a5_decomposition`` on N rows at once: ``lam`` and
-    ``rules`` hold N values, ``probe`` is the ``Measure`` "m" of wire 0,
-    and each of ``unitaries`` is a 2x2 matrix or an (N, 2, 2) stack.
-    Returns the (N,) deviations and the (N,) arrays of the brackets read."""
+def _check_a5(lam, probe, unitaries, rule, x) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``check_identity_a5_decomposition`` on N rows at once, read through
+    ``rule``: ``lam`` and ``x`` hold N values, ``probe`` is the ``Measure``
+    "m" of wire 0, and each of ``unitaries`` is a 2x2 matrix or an (N, 2, 2)
+    stack.  Returns the (N,) deviations and the (N,) arrays of the brackets
+    read."""
     steps = tuple(Gate((0,), u) for u in unitaries) + (probe,)
 
     def click(tens) -> np.ndarray:
@@ -520,8 +515,8 @@ def _check_a5(lam, probe, unitaries, rules) -> tuple[np.ndarray, dict[str, np.nd
     pairs = qcore.spin_pair_states(lam).reshape(-1, 2, 2)
     b = {"lhs": click(pairs), "a_lambda": _branches(pairs, Measure(1, "s"))[0][0]}
     b["up"], b["down"] = (click(np.tile(v, (len(lam), 1))) for v in (qcore.UP, qcore.DOWN))
-    rows = zip(*(v.tolist() for v in b.values()), (rule.combined for rule in rules))
-    return np.array([abs(s(lhs) - (s(a) * s(u) + s(1.0 - a) * s(d))) for lhs, a, u, d, s in rows]), b
+    s, a = (lambda p: rule.combined(p, x)), b["a_lambda"]
+    return np.abs(s(b["lhs"]) - (s(a) * s(b["up"]) + s(1.0 - a) * s(b["down"]))), b
 
 
 def check_identity_a5_decomposition(
@@ -529,15 +524,14 @@ def check_identity_a5_decomposition(
     det: Detector,
     unitaries: Sequence[np.ndarray] = (),
     tolerance: float = DEFAULT_TOL,
-    rule: Reading = BORN,
 ) -> VerificationReport:
     """The correlated-pair bracket splits into reference-branch-weighted
-    conditionals on the collapsed single-spin states.  Each bracket
-    applies the 2x2 ``unitaries`` to spin 0 and then asks ``det`` for a
-    click on it."""
+    conditionals on the collapsed single-spin states, under the
+    squared-amplitude rule.  Each bracket applies the 2x2 ``unitaries``
+    to spin 0 and then asks ``det`` for a click on it."""
     probe = Measure(0, "m", det)
     Circuit(qcore.spin_pair_state(lam), (*(Gate((0,), u) for u in unitaries), probe))  # the checks the batch skips
-    deviation, b = _check_a5([lam], probe, unitaries, [rule])
+    deviation, b = _check_a5([lam], probe, unitaries, BORN, 0.0)
     details = tuple((k, float(v[0])) for k, v in b.items())
     return VerificationReport.from_deviation(
         "identity:a5-decomposition", f"lambda={lam}", deviation[0], tolerance, details
@@ -548,9 +542,9 @@ def sweep_identities(rng, instances: int, rule=BORN) -> tuple[dict[str, float], 
     """The seven identities on ``instances`` random instances from ``rng``.
 
     Each instance draws the raw numbers of a random detector, states and
-    unitaries, and its reading ``rule.for_instance(rng)``, in this stream
-    order; then all are built in stacks of equal shape, and all instances
-    are checked as one batch: the six state identities, and the
+    unitaries, and ``rule.draw(rng)``, in this stream order; then all are
+    built in stacks of equal shape, and all instances are checked as one
+    batch, read through ``rule``: the six state identities, and the
     decomposition at each instance's random weight.  Returns the worst
     deviation of each identity, the index of the instance that reached
     it (the first, on a tie), and ``born_deviation``: the worst distance
@@ -565,17 +559,17 @@ def sweep_identities(rng, instances: int, rule=BORN) -> tuple[dict[str, float], 
             state_draws.append((dims, rng.standard_normal((2, math.prod(dims)))))
         sg_outcome = SG_OUTCOMES[rng.integers(2)]
         unitary_draws += [rng.standard_normal((2, d, d)) for d in (env, 2)]  # u_env, u_spin
-        rest.append((sg_outcome, float(rng.uniform()), rule.for_instance(rng)))
+        rest.append((sg_outcome, float(rng.uniform()), rule.draw(rng)))
     dets = _det.build_detectors(det_draws)
     states, unitaries = qcore.build_states(state_draws), qcore.build_unitaries(unitary_draws)
     psi = [row.reshape(dims) for row, (dims, _) in zip(states[::4], state_draws[::4])]
     pair, single, ancilla = np.array(states[1::4]).reshape(-1, 2, 2), np.array(states[2::4]), np.array(states[3::4])
     u_env, u_spin = unitaries[::2], unitaries[1::2]
-    sg_outcome, lam, readings = zip(*rest)
+    sg_outcome, lam, x = map(np.array, zip(*rest))
     probe = Measure(0, "m", dets)  # one Kraus stack and one ModelStacks for the whole sweep
-    deviations, b = _check_states(probe, single, ancilla, psi, u_env, pair, sg_outcome, readings)
-    deviations = np.vstack([deviations, _check_a5(lam, probe, (np.stack(u_spin),), readings)[0]])
+    deviations, b = _check_states(probe, single, ancilla, psi, u_env, pair, sg_outcome, rule, x)
+    deviations = np.vstack([deviations, _check_a5(lam, probe, (np.stack(u_spin),), rule, x)[0]])
     worst = dict(zip(IDENTITY_NAMES, deviations.max(axis=1).tolist()))
     worst_instance = dict(zip(IDENTITY_NAMES, deviations.argmax(axis=1).tolist()))
-    born_deviation = max(abs(r.compared(p) - p) for p, r in zip(b["lhs"].tolist(), readings))
+    born_deviation = float(np.max(np.abs(rule.compared(b["lhs"], x) - b["lhs"])))
     return worst, worst_instance, born_deviation

@@ -56,9 +56,10 @@ class TomographyEntry:
         }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_within(0), default=None, help="RNG seed (default: $BORNVERIFIER_SEED or 42)")
-    parser.add_argument("--tolerance", type=_within(0.0, float), default=qcore.DEFAULT_TOL, help="absolute tolerance for checks")
+def _add_common_flags(parser: argparse.ArgumentParser, seeded: bool = True) -> None:
+    if seeded:  # only commands whose checks draw and compare take these
+        parser.add_argument("--seed", type=_within(0), default=None, help="RNG seed (default: $BORNVERIFIER_SEED or 42)")
+        parser.add_argument("--tolerance", type=_within(0.0, float), default=qcore.DEFAULT_TOL, help="absolute tolerance for checks")
     parser.add_argument("--out", type=str, default=None, help="write the JSON report here instead of stdout")
     parser.add_argument("--csv", type=str, default=None, help="also write a CSV summary here")
 
@@ -103,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("query", type=str, help="query name declared in the file")
 
     tomo = sub.add_parser("tomography", help="recover detector responses from an experiment file")
-    _add_common_flags(tomo)
+    _add_common_flags(tomo, seeded=False)
     tomo.add_argument("file", type=str, help="experiment file declaring detectors")
 
     battery = sub.add_parser("counterexamples", help="run the assumption-necessity battery")
@@ -182,7 +183,7 @@ def cmd_tomography(args) -> int:
             TomographyEntry(name, response, detectors.to_povm(response))
         )
     doc = ReportDocument(
-        version=__version__, seed=seed, tolerance=args.tolerance, reports=tuple(entries)
+        version=__version__, seed=seed, tolerance=qcore.DEFAULT_TOL, reports=tuple(entries)
     )
     _emit(doc, args)
     return 0 if doc.overall_pass else 1

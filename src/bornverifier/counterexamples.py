@@ -23,14 +23,21 @@ from .circuits import IDENTITY_NAMES, BornRule
 from .qcore import DEFAULT_TOL, POSITIVE_FLOOR
 
 
-def p1_rule(p0: float, x: float) -> float:
-    """Threshold rule: 1 when the reference probability exceeds the
-    stream value, else 0.  The paired outcome takes the complement."""
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"probability out of range: {p0}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"stream value out of range: {x}")
-    return 1.0 if p0 > x else 0.0
+def p1_rule(p0, x):
+    """Threshold rule, elementwise: 1 where the reference probability
+    exceeds the stream value, else 0.  The paired outcome takes the
+    complement."""
+    _check_unit(p0, "probability")
+    _check_unit(x, "stream value")
+    return (p0 > x) * 1.0
+
+
+def _check_unit(values, what: str) -> None:
+    """Raise on the first entry of ``values`` outside [0, 1], NaN included."""
+    values = np.asarray(values)
+    outside = ~((0.0 <= values) & (values <= 1.0))
+    if outside.any():
+        raise ValueError(f"{what} out of range: {values[outside][0]}")
 
 
 def p2_rule(a: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> float:
@@ -78,55 +85,47 @@ def _validate_positive_hermitian(a: np.ndarray) -> None:
         raise ValueError("modified-product operator must be positive definite")
 
 
-def p3_rule(p0: float) -> float:
-    """Cubic reshaping (3 - 2p) p^2: monotone on [0, 1] with fixed
-    points 0, 1/2, 1."""
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"probability out of range: {p0}")
+def p3_rule(p0):
+    """Cubic reshaping (3 - 2p) p^2, elementwise: monotone on [0, 1] with
+    fixed points 0, 1/2, 1."""
+    _check_unit(p0, "probability")
     return (3.0 - 2.0 * p0) * p0 * p0
 
 
 @dataclass(frozen=True)
 class CubicRule:
-    """Reads every bracket p as p3(p)."""
+    """Reads every bracket p as p3(p); draws nothing."""
 
     name: str = "cubic3"
 
-    def compared(self, p: float) -> float:
+    def draw(self, rng) -> float:
+        return 0.0
+
+    def compared(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
         return p3_rule(p)
 
     combined = compared
-
-    def for_instance(self, rng) -> "CubicRule":
-        return self
 
 
 @dataclass(frozen=True)
 class RandomThresholdRule:
     """Threshold rule with an explicit stream of x values, which feeds the
-    battery's notes and ``born_deviation``.  ``for_instance`` reads one
-    random instance with a value x drawn from the battery's generator."""
+    battery's notes and ``born_deviation``.  Each random instance draws
+    its own x from the battery's generator.  A bracket compared with a
+    single other bracket reads as p1(p, x); a bracket that enters a sum
+    or a product reads at the rule's expectation over a uniform stream,
+    which is the reference probability p itself."""
 
     stream: tuple[float, ...]
     name: str = "random1"
 
-    def for_instance(self, rng) -> "ThresholdReading":
-        return ThresholdReading(float(rng.uniform()))
+    def draw(self, rng) -> float:
+        return float(rng.uniform())
 
+    def compared(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return p1_rule(p, x)
 
-@dataclass(frozen=True)
-class ThresholdReading:
-    """The threshold rule on one instance: a bracket compared with a
-    single other bracket reads as p1(p, x); a bracket that enters a sum or
-    a product reads at the rule's expectation over a uniform stream, which
-    is the reference probability p itself."""
-
-    x: float
-
-    def compared(self, p: float) -> float:
-        return p1_rule(p, self.x)
-
-    def combined(self, p: float) -> float:
+    def combined(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
         return p
 
 
@@ -198,8 +197,8 @@ def run_battery(
     rule.
 
     ``circuits.sweep_identities`` draws the derivation suite's kind of
-    random instance and reads each through ``rule.for_instance``; the
-    brackets are exact ground-truth values.  A hand-checked witness
+    random instance, each with its ``rule.draw``, and the rule reads the
+    exact ground-truth brackets of all instances at once.  A hand-checked witness
     follows: the decomposition at lambda = 0.3 with a projective click
     tilted 60 degrees from vertical.  Special cases:
       - the threshold rule reads a bracket compared with a single other
@@ -218,10 +217,9 @@ def run_battery(
 
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0xBA7)))
     deviations, _, born_deviation = circuits.sweep_identities(rng, 20, rule)
-    witness = circuits.check_identity_a5_decomposition(
-        0.3, tilted_projector(math.pi / 3), (), tolerance, rule.for_instance(rng)
-    )
-    deviations["a5-decomposition"] = max(deviations["a5-decomposition"], witness.max_deviation)
+    probe = circuits.Measure(0, "m", tilted_projector(math.pi / 3))
+    witness = float(circuits._check_a5([0.3], probe, (), rule, rule.draw(rng))[0][0])
+    deviations["a5-decomposition"] = max(deviations["a5-decomposition"], witness)
 
     notes: list[str] = []
     if isinstance(rule, RandomThresholdRule):
@@ -255,22 +253,20 @@ def run_battery(
 def _a1_violation_note(rule: RandomThresholdRule) -> str:
     """Demonstrate the state-function failure: one bracket, two stream
     events, different values, scanning the stream from its start."""
-    p = 0.6
-    events = (p1_rule(p, x) for x in rule.stream)
-    first = next(events, None)
-    for second in events:
-        if second != first:
-            return (
-                "state-function violation: identical state and measurement gave "
-                f"{first:g} then {second:g} on successive events, so the "
-                "probability is not determined by the state alone"
-            )
+    events = p1_rule(0.6, np.array(rule.stream))
+    changed = np.flatnonzero(events != events[:1])
+    if changed.size:
+        return (
+            "state-function violation: identical state and measurement gave "
+            f"{events[0]:g} then {events[changed[0]]:g} on successive events, so the "
+            "probability is not determined by the state alone"
+        )
     return "state-function violation not witnessed within the stream"
 
 
 def _stream_born_deviation(rule: RandomThresholdRule, rng) -> float:
-    probs = rng.uniform(size=16)
-    return float(max(abs(p1_rule(p, x) - p) for p, x in zip(probs, rule.stream)))
+    probs = rng.uniform(size=16)[: len(rule.stream)]
+    return float(np.max(np.abs(p1_rule(probs, np.array(rule.stream[:16])) - probs)))
 
 
 def _modified_battery(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from bornverifier.circuits import (
 from bornverifier import counterexamples as cx
 from bornverifier.counterexamples import CubicRule, p3_rule
 from bornverifier.qcore import StateVector, spin_pair_state
+from bornverifier.reporting import VerificationReport
 
 UP = StateVector((2,), [1, 0])
 
@@ -213,13 +216,40 @@ class TestCircuitValidation:
             Circuit(psi, (Measure(1, "m"),))
 
 
-def _states(det, psi=None, env_unitary=None, pair=None, sg_outcome="u", **kw):
-    """The six state identities by name, on fixed states where not given."""
+def _states(det, psi=None, env_unitary=None, pair=None, sg_outcome="u", rule=None):
+    """The six state identities by name, on fixed states where not given;
+    with a ``rule`` that draws nothing, read through it by the batched
+    check, with empty inputs strings."""
     psi = psi if psi is not None else spin_pair_state(0.3)
     env_unitary = env_unitary if env_unitary is not None else np.eye(psi.factor_dims[1])
     pair = pair if pair is not None else spin_pair_state(0.6)
-    reports = check_identity_states(det, UP, UP, psi, env_unitary, pair, sg_outcome, **kw)
+    if rule is None:
+        reports = check_identity_states(det, UP, UP, psi, env_unitary, pair, sg_outcome)
+    else:
+        reports = _read_one(rule, 0.0, det, UP, UP, psi, env_unitary, pair, sg_outcome)
     return {r.name.removeprefix("identity:"): r for r in reports}
+
+
+def _read_one(rule, x, det, single, ancilla, psi, env_unitary, pair, sg_outcome, a5=None):
+    """One instance's state identities, and with ``a5 = (u_spin, lam)`` its
+    decomposition too, read through ``rule`` with the draw ``x`` by the
+    batched checks on a batch of one: reports as the single-instance
+    checks make them, with empty inputs strings."""
+    probe = Measure(0, "m", det)
+    batch = [state.as_tensor()[None] for state in (single, ancilla, pair)]
+    deviations, b = circuits._check_states(
+        probe, *batch[:2], [psi.as_tensor()], [env_unitary], batch[2], [sg_outcome], rule, x
+    )
+    rows = [(deviation, b, keys) for deviation, keys in zip(deviations[:, 0], circuits._DETAILS)]
+    if a5 is not None:
+        deviation, b5 = circuits._check_a5([a5[1]], probe, (a5[0],), rule, x)
+        rows.append((deviation[0], b5, tuple(b5)))
+    return [
+        VerificationReport.from_deviation(
+            f"identity:{name}", "", deviation, qcore.DEFAULT_TOL, tuple((k, float(read[k][0])) for k in keys)
+        )
+        for name, (deviation, read, keys) in zip(circuits.IDENTITY_NAMES, rows)
+    ]
 
 
 class TestIdentityFamilies:
@@ -272,6 +302,8 @@ class TestIdentityFamilies:
             check_identity_states(det, UP, UP, pair, np.eye(3), pair, "u")
         with pytest.raises(ValueError, match="^gate matrix is not unitary$"):
             check_identity_a5_decomposition(0.3, det, (np.diag([1.0, 0.5]),))
+        with pytest.raises(ValueError, match="^sg_outcome must be one of"):
+            check_identity_states(det, UP, UP, pair, np.eye(2), pair, "x")
 
     def test_a5_decomposition_edge_weights(self):
         det = detectors.random_detector(np.random.default_rng(50))
@@ -323,7 +355,7 @@ class TestRuleReadings:
         det, psi, u_env, pair = self.cubic_instance()
         reports = _states(det, psi=psi, env_unitary=u_env, pair=pair)
         assert all(r.passed for r in reports.values())
-        assert reports == _states(
+        assert {k: dataclasses.replace(r, inputs="") for k, r in reports.items()} == _states(
             det, psi=psi, env_unitary=u_env, pair=pair, rule=circuits.BornRule()
         )
 
@@ -360,10 +392,10 @@ class TestBatchedWalk:
         sg_outcome = str(rng.choice(["u", "d"]))
         u_env, u_spin = qcore.random_unitary(env, rng), qcore.random_unitary(2, rng)
         lam = float(rng.uniform())
-        return (det, single, ancilla, psi, u_env, pair, sg_outcome), (u_spin, lam, rule.for_instance(rng))
+        return (det, single, ancilla, psi, u_env, pair, sg_outcome), (u_spin, lam, rule.draw(rng))
 
     @staticmethod
-    def table(drawn):
+    def table(drawn, rule):
         """The (7, N) deviation table and the single-spin clicks of drawn
         instances, checked in one batch per detector family and shape."""
         groups = {}
@@ -372,13 +404,13 @@ class TestBatchedWalk:
         table, brackets = np.zeros((7, len(drawn))), [None] * len(drawn)
         for index in groups.values():
             dets, single, ancilla, psi, u_env, pair, sg_outcome = zip(*(drawn[k][0] for k in index))
-            u_spin, lam, readings = zip(*(drawn[k][1] for k in index))
+            u_spin, lam, x = zip(*(drawn[k][1] for k in index))
             probe = circuits.Measure(0, "m", dets)
             tensors = [np.array([state.as_tensor() for state in column]) for column in (single, ancilla, pair)]
             states, b = circuits._check_states(
-                probe, *tensors[:2], [state.as_tensor() for state in psi], u_env, tensors[2], sg_outcome, readings
+                probe, *tensors[:2], [state.as_tensor() for state in psi], u_env, tensors[2], sg_outcome, rule, np.array(x)
             )
-            a5, b5 = circuits._check_a5(lam, probe, (np.stack(u_spin),), readings)
+            a5, b5 = circuits._check_a5(lam, probe, (np.stack(u_spin),), rule, np.array(x))
             table[:, index] = np.vstack([states, a5])
             for column, k in enumerate(index):
                 brackets[k] = ({key: v[column] for key, v in b.items()}, {key: v[column] for key, v in b5.items()})
@@ -438,14 +470,14 @@ class TestBatchedWalk:
         instances = 60
         rng = np.random.default_rng(seed)
         drawn = [self.draw(rng, rule) for _ in range(instances)]
-        single = [
-            check_identity_states(*states, rule=reading)
-            + [check_identity_a5_decomposition(lam, states[0], (u_spin,), rule=reading)]
-            for states, (u_spin, lam, reading) in drawn
-        ]
+        single = [_read_one(rule, x, *states, a5=(u_spin, lam)) for states, (u_spin, lam, x) in drawn]
+        if rule_name == "born":  # the single-instance checks are these batches of one
+            for (states, (u_spin, lam, _)), reports in zip(drawn, single):
+                public = check_identity_states(*states) + [check_identity_a5_decomposition(lam, states[0], (u_spin,))]
+                assert [dataclasses.replace(r, inputs="") for r in public] == reports
 
         # Each column of the table is its instance's batch of one.
-        table, brackets, groups = self.table(drawn)
+        table, brackets, groups = self.table(drawn, rule)
         assert groups == 3
         for k, reports in enumerate(single):
             for row, (one, deviation) in enumerate(zip(reports, table[:, k], strict=True)):
@@ -463,7 +495,7 @@ class TestBatchedWalk:
             # The argmax names an instance whose batch of one reaches the worst.
             assert deviations[worst_instance[name]] == pytest.approx(max(deviations), abs=1e-14), name
         clicks = [(dict(reports[0].details)["lhs"], d[1][2]) for reports, d in zip(single, drawn)]
-        expected_born = max(abs(reading.compared(click) - click) for click, reading in clicks)
+        expected_born = max(abs(rule.compared(click, x) - click) for click, x in clicks)
         assert born_deviation == pytest.approx(expected_born, abs=1e-14)
 
     @pytest.mark.parametrize("seed", [42, 7, 1234])
@@ -474,13 +506,13 @@ class TestBatchedWalk:
         rule = cx.rule_by_name(rule_name, seed=seed)
         rng = np.random.default_rng(seed)
         drawn = [self.draw(rng, rule) for _ in range(20)]
-        table, brackets, _ = self.table(drawn)
+        table, brackets, _ = self.table(drawn, rule)
         names = circuits.IDENTITY_NAMES
         clicks = [(float(states["lhs"]), extra[2]) for (states, _), (_, extra) in zip(brackets, drawn)]
         expected = (
             dict(zip(names, table.max(axis=1).tolist())),
             dict(zip(names, table.argmax(axis=1).tolist())),
-            max(abs(reading.compared(click) - click) for click, reading in clicks),
+            max(abs(rule.compared(click, x) - click) for click, x in clicks),
         )
         assert circuits.sweep_identities(np.random.default_rng(seed), 20, rule=rule) == expected
 

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import io
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bornverifier import cli, derivation, detectors, reporting
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -271,6 +274,27 @@ class TestTomography:
     def test_no_detectors_exits_2(self, pair_file, capsys):
         assert run_cli("tomography", str(pair_file)) == 2
 
+    @pytest.mark.parametrize("flag", [("--seed", "7"), ("--tolerance", "0"), ("--tolerance", "0.5")])
+    def test_seed_and_tolerance_flags_exit_2(self, flag, tmp_path, capsys):
+        # Tomography draws nothing, and each verdict uses the response's own
+        # fixed slack, so neither flag would change its report.
+        spec = tmp_path / "det.qexp"
+        spec.write_text("wire w0 : 2\ndetector P = effect [[1, 0], [0, 0]]\n")
+        assert run_cli("tomography", str(spec), *flag) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable, seed", [(None, 42), ("7", 7)])
+    def test_header_echoes_default_seed_and_tolerance(self, variable, seed, tmp_path, capsys, monkeypatch):
+        if variable is None:
+            monkeypatch.delenv("BORNVERIFIER_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BORNVERIFIER_SEED", variable)
+        spec = tmp_path / "det.qexp"
+        spec.write_text("wire w0 : 2\ndetector P = effect [[1, 0], [0, 0]]\n")
+        assert run_cli("tomography", str(spec)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["seed"], doc["tolerance"]) == (seed, 1e-9)
+
     def test_pass_flag_agrees_with_to_povm(self):
         # Eigenvalues beta +- |alpha| = 1 + 5e-10 and -5e-10: inside the
         # response's own slack, so the effect is accepted and passes.
@@ -375,3 +399,23 @@ class TestDeterminism:
         assert json.loads(document) == {text: [text]}
         assert not any(ord(c) < 0x20 for c in document[:-1])  # control characters escaped
         assert all(c in document for c in text if ord(c) > 0x7F)  # non-ASCII written as is
+
+
+class TestReadmeUsage:
+    def test_usage_block_lists_each_commands_flags(self):
+        # Each ``bornverifier <command>`` entry of README's usage block,
+        # continuation lines included, lists exactly the flags the parser
+        # accepts for that command, and every command has an entry.
+        section = README.read_text(encoding="utf-8").split("## Command line\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        listed = {
+            entry.split()[1]: set(re.findall(r"--[A-Za-z][\w-]*", entry))
+            for entry in re.split(r"^(?=bornverifier )", block, flags=re.M)
+            if entry
+        }
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, parser in sub.choices.items()
+        }
+        assert listed == accepted

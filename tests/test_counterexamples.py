@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ class TestP1:
         errors = []
         for n in (10**3, 10**5):
             xs = rng.uniform(size=n)
-            errors.append(abs(np.mean([cx.p1_rule(p, x) for x in xs]) - p))
+            errors.append(abs(np.mean(cx.p1_rule(p, xs)) - p))
         # Two decades of samples buy about one decade of error.
         assert errors[1] < errors[0]
         assert errors[1] < 5.0 / math.sqrt(10**5)
@@ -185,6 +186,64 @@ class TestP3:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             cx.p3_rule(-0.1)
+
+
+class TestRuleContract:
+    """A rule reads (N,) brackets elementwise: each entry of an array
+    reading is the scalar reading of that entry, to the bit."""
+
+    RULES = ["born", "cubic3", "random1"]
+
+    @staticmethod
+    def brackets():
+        """About 1,000 brackets and draws, with 0, 1 and ties p == x."""
+        rng = np.random.default_rng(2401)
+        p, x = rng.uniform(size=(2, 1000))
+        p[:4], x[:4] = [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]
+        x[4:300:3] = p[4:300:3]
+        return p, x
+
+    @pytest.mark.parametrize("rule_name", RULES)
+    def test_array_readings_equal_scalar_readings_bit_for_bit(self, rule_name):
+        rule = cx.rule_by_name(rule_name)
+        p, x = self.brackets()
+        for read in (rule.compared, rule.combined):
+            scalar = np.array([read(float(a), float(b)) for a, b in zip(p, x)], dtype=float)
+            assert np.asarray(read(p, x), dtype=float).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("rule_name", RULES)
+    def test_draw_takes_what_a_reading_object_took(self, rule_name):
+        # random1 draws one uniform value per instance; born and cubic3
+        # draw nothing and read with 0.0.
+        rule = cx.rule_by_name(rule_name)
+        drawn, reference = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(5):
+            expected = float(reference.uniform()) if rule_name == "random1" else 0.0
+            assert rule.draw(drawn) == expected
+        assert drawn.uniform() == reference.uniform()
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan"), -1e-300])
+    @pytest.mark.parametrize("at", [0, 7, 999])
+    def test_any_out_of_range_entry_raises(self, bad, at):
+        p, x = self.brackets()
+        p_bad, x_bad = p.copy(), x.copy()
+        p_bad[at], x_bad[at] = bad, bad
+        with pytest.raises(ValueError, match=f"^probability out of range: {bad}$"):
+            cx.p1_rule(p_bad, x)
+        with pytest.raises(ValueError, match=f"^stream value out of range: {bad}$"):
+            cx.p1_rule(p, x_bad)
+        with pytest.raises(ValueError, match=f"^probability out of range: {bad}$"):
+            cx.p3_rule(p_bad)
+
+    @pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (-0.1, "-0.1"), (float("nan"), "nan"),
+                                            (1e20, "1e+20"), (2, "2"), (float("inf"), "inf")])
+    def test_scalar_messages_are_unchanged(self, bad, shown):
+        with pytest.raises(ValueError, match=f"^probability out of range: {re.escape(shown)}$"):
+            cx.p1_rule(bad, 0.5)
+        with pytest.raises(ValueError, match=f"^stream value out of range: {re.escape(shown)}$"):
+            cx.p1_rule(0.5, bad)
+        with pytest.raises(ValueError, match=f"^probability out of range: {re.escape(shown)}$"):
+            cx.p3_rule(bad)
 
 
 class TestBattery:
