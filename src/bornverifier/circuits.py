@@ -5,7 +5,9 @@ A circuit is an initial state plus an ordered list of steps.
 ``outcome_distribution`` walks the steps once, depth first: gates act
 unitarily, and each measurement branches, multiplying the running
 probability (multiplication rule).  Measured spins stay in the state,
-collapsed onto the outcome eigenstate.  A query's bracket is the sum
+collapsed onto the outcome eigenstate; a measurement that is the walk's
+last step yields only its probabilities, from the same function, since
+no step reads its post states.  A query's bracket is the sum
 over the branches that agree with it (additive rule).  The walk takes N
 initial states as one (N, *factor_dims) tensor, with per-row gates and
 detectors; a ``Circuit`` is one state, checked, and a batch of one.
@@ -88,9 +90,14 @@ class Measure:
     @cached_property
     def kraus(self) -> np.ndarray:
         """The (2, N, 2, 2) operators of both outcomes, one pair per row,
-        or (2, 1, 2, 2) for every row alike; built once per measurement."""
+        or (2, 1, 2, 2) for every row alike; built on first use, by the
+        post states, which a walk builds only for a measurement that a
+        later step follows."""
         if self.detector is None:
             return _PROJECTORS
+        if "_picked_from" in self.__dict__:  # rows or a wire of another measurement
+            source, index = self.__dict__["_picked_from"]
+            return source.kraus[:, index]
         return _det.kraus_pairs(self.detector if _per_row(self.detector) else [self.detector])
 
     @cached_property
@@ -100,19 +107,20 @@ class Measure:
 
     def on_rows(self, index: Sequence[int]) -> "Measure":
         """This measurement on the listed rows of its batch: a detector
-        sequence, its Kraus stack and model stacks are picked row by row."""
+        sequence and its model stacks are picked row by row, and so is its
+        Kraus stack, once some step needs it."""
         if not _per_row(self.detector):
             return self
         picked = Measure(self.wire, self.label, [self.detector[i] for i in index])
-        picked.__dict__["kraus"] = self.kraus[:, index]
-        picked.__dict__["models"] = self.models.on_rows(index)
+        picked.__dict__.update(models=self.models.on_rows(index), _picked_from=(self, index))
         return picked
 
     def on_wire(self, wire: int) -> "Measure":
-        """This measurement of another wire, sharing its Kraus and model stacks."""
+        """This measurement of another wire, sharing its model stacks, and
+        its Kraus stack once some step needs it."""
         moved = Measure(wire, self.label, self.detector)
         if _per_row(self.detector):
-            moved.__dict__.update(kraus=self.kraus, models=self.models)
+            moved.__dict__.update(models=self.models, _picked_from=(self, slice(None)))
         return moved
 
 
@@ -224,36 +232,54 @@ def apply_unitary(psi: StateVector, wires: Sequence[int], matrix: np.ndarray) ->
     return StateVector._trusted(psi.factor_dims, out[0].reshape(-1))
 
 
-def _branches(tens: np.ndarray, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
-    """Both outcome branches of one measurement of N stacked states: the
-    (2, N) branch probabilities of the two outcomes, 0 where a branch has
-    zero probability, and their (2, N, *factor_dims) post tensors, each
-    divided by its own norm (arbitrary on the rows of a zero branch).
+def _spin_first(tens: np.ndarray, wire: int) -> np.ndarray:
+    """The (N, 2, rest) amplitudes of N stacked states, an (N,
+    *factor_dims) tensor, with spin ``wire`` first: a view."""
+    return _to_front(tens, (wire + 1,))[0].reshape(len(tens), 2, -1)
 
-    The reference apparatus (no detector) projects the measured spin on
-    up and down, and a branch's probability is its squared norm.  A
-    detector's probabilities come from its oracle, and its branches from
-    ``measure.kraus``, the principal square roots of the ground-truth
-    effect: probabilities of later steps never depend on that choice, it
-    only keeps mid-circuit evaluation well defined."""
-    rows, detector = len(tens), measure.detector
-    moved, back = _to_front(tens, (measure.wire + 1,))
-    amps = moved.reshape(rows, 2, -1)  # the measured spin first
-    branches = measure.kraus @ amps
-    # Squared norms summed as numpy's one-dimensional vdot sums them, so a
-    # row's value does not depend on the batch it is in.
-    flat = branches.reshape(2, rows, -1)
-    squared = (flat.conj()[..., None, :] @ flat[..., :, None])[..., 0, 0].real
-    if detector is None:
-        raw = squared
+
+def _probabilities(amps: np.ndarray, measure: Measure) -> np.ndarray:
+    """The (2, N) probabilities of both outcomes of one measurement of N
+    states, given by their ``_spin_first`` amplitudes: 0 where a branch
+    has zero probability.  The reference apparatus's are the squared
+    norms of the projected components; a detector's come from its oracle,
+    which never reads ``measure.kraus``."""
+    if measure.detector is None:
+        raw = _squared_norms(_PROJECTORS @ amps)
     else:
+        detector = measure.detector
         click = _det.click_probabilities(measure.models if _per_row(detector) else detector, amps)
         raw = np.array([click, 1.0 - click])
-    live = raw > ZERO_BRANCH
-    scale = np.sqrt(np.where(live, squared, 1.0)).reshape((2, rows) + (1,) * (tens.ndim - 1))
+    return np.where(raw > ZERO_BRANCH, np.minimum(raw, 1.0), 0.0)
+
+
+def _squared_norms(branches: np.ndarray) -> np.ndarray:
+    """The (2, N) squared norms of (2, N, 2, rest) branches, summed as
+    numpy's one-dimensional vdot sums them, so that a row's value does not
+    depend on the batch it is in."""
+    flat = branches.reshape(2, branches.shape[1], -1)
+    return (flat.conj()[..., None, :] @ flat[..., :, None])[..., 0, 0].real
+
+
+def _branches(tens: np.ndarray, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcome branches of one measurement of N stacked states: the
+    ``_probabilities`` of the two outcomes, and their (2, N, *factor_dims)
+    post tensors, each divided by its own norm (arbitrary on the rows of a
+    zero branch).
+
+    The reference apparatus (no detector) projects the measured spin on
+    up and down.  A detector's branches come from ``measure.kraus``, the
+    principal square roots of the ground-truth effect: probabilities of
+    later steps never depend on that choice, it only keeps mid-circuit
+    evaluation well defined."""
+    moved, back = _to_front(tens, (measure.wire + 1,))
+    amps = moved.reshape(len(tens), 2, -1)
+    probs = _probabilities(amps, measure)
+    branches = measure.kraus @ amps
+    scale = np.sqrt(np.where(probs > 0.0, _squared_norms(branches), 1.0))
     # Contiguous, so that later reductions sum in the state's own order.
     posts = branches.reshape((2,) + moved.shape).transpose([0] + [i + 1 for i in back])
-    return np.where(live, np.minimum(raw, 1.0), 0.0), np.ascontiguousarray(posts) / scale
+    return probs, np.ascontiguousarray(posts) / scale.reshape(scale.shape + (1,) * (tens.ndim - 1))
 
 
 def _records(psi: StateVector, measure: Measure) -> list[MeasurementRecord]:
@@ -309,7 +335,12 @@ def outcome_distribution(
                 matrix = step.matrix if step.matrix.ndim == 2 else step.matrix[rows]
                 tens = apply_unitaries(tens, step.wires, matrix)
                 continue
-            probs, posts = _branches(tens, step if len(rows) == total else step.on_rows(rows))
+            measure = step if len(rows) == total else step.on_rows(rows)
+            last = index + 1 == len(steps)
+            if last:  # no later step reads the post states
+                probs = _probabilities(_spin_first(tens, step.wire), measure)
+            else:
+                probs, posts = _branches(tens, measure)
             weights = weight * probs
             for k, outcome in enumerate(step.outcomes):
                 if fixed.get(step.label, outcome) != outcome:
@@ -317,12 +348,15 @@ def outcome_distribution(
                 key = outcomes + (outcome,)
                 live = probs[k] > 0.0
                 alive = np.count_nonzero(live)
-                if alive == len(rows):
-                    walk(posts[k], rows, index + 1, key, weights[k])
-                    continue
-                put(key, rows, np.where(live, 0.0, np.nan))
-                if alive:
-                    walk(posts[k][live], rows[live], index + 1, key, weights[k][live])
+                if alive < len(rows):
+                    put(key, rows, np.where(live, 0.0, np.nan))
+                    if not alive:
+                        continue
+                on = slice(None) if alive == len(rows) else live
+                if last:
+                    put(key, rows[on], weights[k][on])
+                else:
+                    walk(posts[k][on], rows[on], index + 1, key, weights[k][on])
             return
         put(outcomes, rows, weight)
 
@@ -513,7 +547,7 @@ def _check_a5(lam, probe, unitaries, rule, x) -> tuple[np.ndarray, dict[str, np.
         return _mass(outcome_distribution(tens, steps, {"m": "click"}))
 
     pairs = qcore.spin_pair_states(lam).reshape(-1, 2, 2)
-    b = {"lhs": click(pairs), "a_lambda": _branches(pairs, Measure(1, "s"))[0][0]}
+    b = {"lhs": click(pairs), "a_lambda": _probabilities(_spin_first(pairs, 1), Measure(1, "s"))[0]}
     b["up"], b["down"] = (click(np.tile(v, (len(lam), 1))) for v in (qcore.UP, qcore.DOWN))
     s, a = (lambda p: rule.combined(p, x)), b["a_lambda"]
     return np.abs(s(b["lhs"]) - (s(a) * s(b["up"]) + s(1.0 - a) * s(b["down"]))), b

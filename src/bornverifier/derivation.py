@@ -151,7 +151,7 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     points = np.concatenate([ends, mids[:, None]], axis=1).reshape(3 * n, 3)
     f0, f1, f_mid = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(n, 3).T
     f_big = _det.click_probabilities(dets, amps.reshape(n, 2, 8))
-    a_lam = circuits._branches(pairs, circuits.Measure(1, "s"))[0][0]  # outcome "u"
+    a_lam = circuits._probabilities(circuits._spin_first(pairs, 1), circuits.Measure(1, "s"))[0]  # outcome "u"
     low, high = np.minimum(f0, f1), np.maximum(f0, f1)
     details = {
         "polarization_deviation": np.abs(qcore.bloch_polarizations(amps.reshape(n, 2, 8)) - mids).max(1),

@@ -20,7 +20,6 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -125,7 +124,7 @@ def _equal(a, b) -> bool:
 # one way only, so a failed match backs off in time linear in the text.
 _MANTISSA = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 _EXPONENT = r"(?:[eE][+-]?[0-9]+)"
-_NUMBER = rf"[+-]?{_MANTISSA}{_EXPONENT}?"
+_NUMBER_LITERAL = rf"[+-]?{_MANTISSA}{_EXPONENT}?"
 
 # A complex literal is a single token with no internal whitespace:
 # "2i", "1+2i", "-1.5e-3-0.25i".  The token is one or two numbers and an
@@ -133,7 +132,7 @@ _NUMBER = rf"[+-]?{_MANTISSA}{_EXPONENT}?"
 # a point; the second, one that starts inside the first number's last
 # digit run, of which the first keeps one digit (none after a point).
 # Every split of a digit run reads alike, so one split is tried.
-_COMPLEX = (
+_COMPLEX_LITERAL = (
     rf"[+-]?(?:{_MANTISSA}{_EXPONENT}?(?:[+-]{_MANTISSA}{_EXPONENT}?|\.[0-9]+{_EXPONENT}?)?"
     rf"|(?:[0-9]|[0-9]+\.|\.[0-9]|{_MANTISSA}[eE][+-]?[0-9])[0-9]+(?:\.[0-9]*)?{_EXPONENT}?)i"
 )
@@ -142,25 +141,31 @@ _COMPLEX = (
 # sign is a SYM only where no number starts.  A number followed by none
 # of the characters a complex literal goes on with is a NUMBER at once;
 # otherwise it is a NUMBER only where no complex literal starts.  A BAD
-# character ends the line's tokens.
+# character ends the line's tokens.  ``findall`` gives each token as one
+# string per group, in ``_KINDS`` order, all empty but the token's own
+# kind: the parser reads kind and text by index, and matches a line again
+# only to find the column of an error.
 _TOKEN_RE = re.compile(
     rf"""(?:(?P<SYM>[:=*,\[\]()]|\+(?!\.?[0-9])|-(?!\.?[0-9]|>))
     |(?P<IDENT>[A-Za-z_][A-Za-z0-9_-]*)
-    |(?P<NUMBER>{_NUMBER}(?![0-9.eE+i-])|(?!{_COMPLEX}){_NUMBER})
-    |(?P<COMPLEX>{_COMPLEX})
+    |(?P<NUMBER>{_NUMBER_LITERAL}(?![0-9.eE+i-])|(?!{_COMPLEX_LITERAL}){_NUMBER_LITERAL})
+    |(?P<COMPLEX>{_COMPLEX_LITERAL})
     |(?P<KET>\|[a-z0-9]+>)
     |(?P<ARROW>->)
     |(?P<BAD>.).*)\s*""",
     re.VERBOSE,
 )
+_KINDS = tuple(_TOKEN_RE.groupindex)
+_SYM, _IDENT, _NUMBER, _COMPLEX, _KET, _ARROW, _BAD = range(len(_KINDS))
+_END = ("",) * len(_KINDS)  # the cursor past a line's last token: of no kind
 
 # The second signed part must carry an explicit sign when a real part
 # is present.
 _COMPLEX_RE = re.compile(
-    rf"^(?:(?P<re>{_NUMBER})(?=[+-]))?(?P<im>{_NUMBER})i$"
+    rf"^(?:(?P<re>{_NUMBER_LITERAL})(?=[+-]))?(?P<im>{_NUMBER_LITERAL})i$"
 )
 
-_NUMBER_RE = re.compile(_NUMBER)
+_NUMBER_RE = re.compile(_NUMBER_LITERAL)
 
 
 def read_real(text: str) -> float:
@@ -176,83 +181,6 @@ def read_real(text: str) -> float:
 # Wire and ancilla dimensions: a plain decimal integer >= 2, without
 # leading zeros and of at most 18 digits, which int() always converts.
 _DIM_RE = re.compile(r"[2-9]|[1-9][0-9]{1,17}")
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-    def error(self, message: str) -> DslParseError:
-        return DslParseError(self.line, self.column, message, self.text)
-
-
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    # tuple.__new__ builds each _Token without a Python-level call.
-    tokens = [
-        tuple.__new__(_Token, (m.lastgroup, m[m.lastgroup], line_no, m.start() + 1))
-        for m in _TOKEN_RE.finditer(text, len(text) - len(text.lstrip()))
-    ]
-    if tokens and tokens[-1].kind == "BAD":
-        raise tokens[-1].error("unexpected character")
-    return tokens
-
-
-class _LineParser:
-    """Cursor over one line's tokens, with None after the last one."""
-
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
-        tokens.append(None)
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.line_len = line_len
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos]
-
-    def next(self, expect: str | None = None, text: str | None = None) -> _Token:
-        token = self.tokens[self.pos]
-        if (
-            token is None
-            or (expect is not None and token.kind != expect)
-            or (text is not None and token.text != text)
-        ):
-            raise self.error(self._expected(expect, text))
-        self.pos += 1
-        return token
-
-    @staticmethod
-    def _expected(expect: str | None, text: str | None) -> str:
-        if text is not None:
-            return f"expected {text!r}"
-        return f"expected {expect}" if expect else "unexpected end of line"
-
-    def expect_end(self) -> None:
-        if self.peek() is not None:
-            raise self.error("unexpected trailing input")
-
-    def error(self, message: str) -> DslParseError:
-        """Error at the next token, or just past the end of the line."""
-        token = self.peek()
-        if token is None:
-            return DslParseError(self.line_no, self.line_len + 1, message)
-        return token.error(message)
-
-
-def parse_complex(token: _Token) -> complex:
-    if token.kind == "NUMBER":
-        value = complex(float(token.text), 0.0)
-    else:
-        match = _COMPLEX_RE.match(token.text)
-        if not match:
-            raise token.error("malformed complex literal")
-        re_part = float(match.group("re")) if match.group("re") else 0.0
-        value = complex(re_part, float(match.group("im")))
-    if not cmath.isfinite(value):
-        raise token.error("literal is not finite")
-    return value
 
 
 def format_complex(value: complex) -> str:
@@ -273,9 +201,10 @@ _DECLARATIONS = frozenset(
 )
 
 class _Parser:
-    """Fills one ExperimentSpec line by line.  Each declaration is
-    checked as it is parsed, against the declarations above it, so the
-    first error in file order is the one reported."""
+    """Fills one ExperimentSpec line by line, with a cursor over the
+    tokens of the line it reads.  Each declaration is checked as it is
+    parsed, against the declarations above it, so the first error in file
+    order is the one reported."""
 
     def __init__(self):
         self.spec = ExperimentSpec()
@@ -284,107 +213,153 @@ class _Parser:
 
     def parse(self, source: str) -> ExperimentSpec:
         for line_no, raw in enumerate(source.splitlines(), start=1):
-            text = raw.partition("#")[0]
-            tokens = _tokenize_line(text, line_no)
-            if not tokens:
-                continue
-            self._parse_line(_LineParser(tokens, line_no, len(text)))
+            if self._start(raw.partition("#")[0], line_no):
+                self._parse_line()
         return self.spec
 
-    def _parse_line(self, lp: _LineParser) -> None:
-        head = lp.next("IDENT")
-        if head.text not in _DECLARATIONS:
-            raise head.error(f"unknown declaration {head.text!r}")
-        getattr(self, f"_parse_{head.text}")(lp)
-        lp.expect_end()
+    def _start(self, text: str, line_no: int) -> bool:
+        """Point the cursor at the first token of ``text``, a line without
+        its comment; False if it has none.  A BAD character is an error."""
+        self.text, self.line_no, self.pos = text, line_no, 0
+        self.tokens = _TOKEN_RE.findall(text.lstrip())
+        if not self.tokens:
+            return False
+        if self.tokens[-1][_BAD]:
+            raise self.error("unexpected character", self.tokens[-1])
+        self.tokens.append(_END)
+        return True
 
-    def _declare(self, token: _Token) -> str:
-        if token.text in self.names:
-            raise token.error(f"name {token.text!r} already declared")
-        self.names.add(token.text)
-        return token.text
+    def peek(self) -> tuple[str, ...]:
+        return self.tokens[self.pos]
 
-    def _parse_dim(self, lp: _LineParser, what: str) -> tuple[int, _Token]:
-        token = lp.next("NUMBER")
-        if not _DIM_RE.fullmatch(token.text):
-            raise token.error(f"{what} dimension must be an integer >= 2")
-        return int(token.text), token
+    def next(self, kind: int, text: str | None = None) -> tuple[str, ...]:
+        """The next token, which must be of ``kind`` (and read ``text``)."""
+        token = self.tokens[self.pos]
+        if not token[kind] or (text is not None and token[kind] != text):
+            raise self.error(f"expected {_KINDS[kind]}" if text is None else f"expected {text!r}")
+        self.pos += 1
+        return token
 
-    def _parse_wire(self, lp: _LineParser) -> None:
+    def expect_end(self) -> None:
+        if self.peek() is not _END:
+            raise self.error("unexpected trailing input")
+
+    def error(self, message: str, token: tuple[str, ...] | None = None) -> DslParseError:
+        """Error at ``token``, by default the next one, or just past the end
+        of the line; the line is matched again to find the column."""
+        index = self.pos if token is None else [t is token for t in self.tokens].index(True)
+        if self.tokens[index] is _END:
+            return DslParseError(self.line_no, len(self.text) + 1, message)
+        matches = _TOKEN_RE.finditer(self.text, len(self.text) - len(self.text.lstrip()))
+        column = [m.start() for m in matches][index] + 1
+        return DslParseError(self.line_no, column, message, "".join(self.tokens[index]))
+
+    def _parse_line(self) -> None:
+        head = self.next(_IDENT)
+        if head[_IDENT] not in _DECLARATIONS:
+            raise self.error(f"unknown declaration {head[_IDENT]!r}", head)
+        getattr(self, f"_parse_{head[_IDENT]}")()
+        self.expect_end()
+
+    def _declare(self, token: tuple[str, ...]) -> str:
+        if token[_IDENT] in self.names:
+            raise self.error(f"name {token[_IDENT]!r} already declared", token)
+        self.names.add(token[_IDENT])
+        return token[_IDENT]
+
+    def _parse_dim(self, what: str) -> tuple[int, tuple[str, ...]]:
+        token = self.next(_NUMBER)
+        if not _DIM_RE.fullmatch(token[_NUMBER]):
+            raise self.error(f"{what} dimension must be an integer >= 2", token)
+        return int(token[_NUMBER]), token
+
+    def _parse_wire(self) -> None:
         if self.spec.states:
-            raise lp.error("wire declared after a state")
-        name = self._declare(lp.next("IDENT"))
-        lp.next("SYM", ":")
-        dim, dim_token = self._parse_dim(lp, "wire")
+            raise self.error("wire declared after a state")
+        name = self._declare(self.next(_IDENT))
+        self.next(_SYM, ":")
+        dim, dim_token = self._parse_dim("wire")
         total = math.prod(self.spec.factor_dims) * dim
         if total > qcore.MAX_TOTAL_DIM:
-            raise dim_token.error(
-                f"total dimension {total} exceeds the maximum {qcore.MAX_TOTAL_DIM}"
-            )
+            raise self.error(f"total dimension {total} exceeds the maximum {qcore.MAX_TOTAL_DIM}", dim_token)
         self.spec.wires += ((name, dim),)
 
-    def _wire_dim(self, token: _Token) -> int:
+    def _wire_dim(self, token: tuple[str, ...]) -> int:
         for wire, dim in self.spec.wires:
-            if wire == token.text:
+            if wire == token[_IDENT]:
                 return dim
-        raise token.error(f"undefined wire {token.text!r}")
+        raise self.error(f"undefined wire {token[_IDENT]!r}", token)
 
-    def _parse_state(self, lp: _LineParser) -> None:
+    def _parse_state(self) -> None:
         if not self.spec.wires:
-            raise lp.error("state declared before any wire")
-        name_token = lp.next("IDENT")
+            raise self.error("state declared before any wire")
+        name_token = self.next(_IDENT)
         name = self._declare(name_token)
-        lp.next("SYM", "=")
+        self.next(_SYM, "=")
         dims = self.spec.factor_dims
         amps = np.zeros(math.prod(dims), dtype=complex)
         sign = 1.0
         while True:
-            scalar, ket_token = self._parse_term(lp)
+            scalar, ket_token = self._parse_term()
             amps[self._ket_index(ket_token, dims)] += sign * scalar
-            token = lp.peek()
-            if token is None:
+            token = self.peek()
+            if token is _END:
                 break
-            if token.kind == "SYM" and token.text in "+-":
-                sign = 1.0 if token.text == "+" else -1.0
-                lp.next()
+            if token[_SYM] in ("+", "-"):
+                sign = 1.0 if self.next(_SYM)[_SYM] == "+" else -1.0
                 continue
-            raise lp.error("expected '+', '-', or end of state expression")
+            raise self.error("expected '+', '-', or end of state expression")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= qcore.MODEL_TOL:
-            raise name_token.error(f"state {name!r} is not normalized (norm={norm:.12g})")
+            raise self.error(f"state {name!r} is not normalized (norm={norm:.12g})", name_token)
         self.spec.states[name] = amps
 
-    def _parse_term(self, lp: _LineParser) -> tuple[complex, _Token]:
-        token = lp.peek()
-        if token is None:
-            raise lp.error("expected a term")
-        if token.kind == "KET":
-            return 1.0 + 0.0j, lp.next()
-        scalar = self._parse_scalar(lp)
-        lp.next("SYM", "*")
-        return scalar, lp.next("KET")
+    def _parse_term(self) -> tuple[complex, tuple[str, ...]]:
+        token = self.peek()
+        if token is _END:
+            raise self.error("expected a term")
+        if token[_KET]:
+            return 1.0 + 0.0j, self.next(_KET)
+        scalar = self._parse_scalar()
+        self.next(_SYM, "*")
+        return scalar, self.next(_KET)
 
-    def _parse_scalar(self, lp: _LineParser) -> complex:
-        token = lp.peek()
-        if token is None:
-            raise lp.error("expected a scalar")
-        if token.kind in ("NUMBER", "COMPLEX"):
-            return parse_complex(lp.next())
-        if token.kind == "IDENT" and token.text == "sqrt":
-            lp.next()
-            lp.next("SYM", "(")
-            arg_token = lp.next("NUMBER")
-            value = parse_complex(arg_token).real
+    def _parse_scalar(self) -> complex:
+        token = self.peek()
+        if token is _END:
+            raise self.error("expected a scalar")
+        if token[_NUMBER] or token[_COMPLEX]:
+            self.pos += 1
+            return self._parse_complex(token)
+        if token[_IDENT] == "sqrt":
+            self.pos += 1
+            self.next(_SYM, "(")
+            arg_token = self.next(_NUMBER)
+            value = self._parse_complex(arg_token).real
             if value < 0:
-                raise arg_token.error("sqrt argument must be non-negative")
-            lp.next("SYM", ")")
+                raise self.error("sqrt argument must be non-negative", arg_token)
+            self.next(_SYM, ")")
             return complex(math.sqrt(value), 0.0)
-        raise lp.error("expected a number, complex literal, or sqrt(...)")
+        raise self.error("expected a number, complex literal, or sqrt(...)")
 
-    def _ket_index(self, token: _Token, dims: tuple[int, ...]) -> int:
-        chars = token.text[1:-1]
+    def _parse_complex(self, token: tuple[str, ...]) -> complex:
+        """The value of a NUMBER or COMPLEX token."""
+        if token[_NUMBER]:
+            value = complex(float(token[_NUMBER]), 0.0)
+        else:
+            match = _COMPLEX_RE.match(token[_COMPLEX])
+            if not match:
+                raise self.error("malformed complex literal", token)
+            re_part = float(match.group("re")) if match.group("re") else 0.0
+            value = complex(re_part, float(match.group("im")))
+        if not cmath.isfinite(value):
+            raise self.error("literal is not finite", token)
+        return value
+
+    def _ket_index(self, token: tuple[str, ...], dims: tuple[int, ...]) -> int:
+        chars = token[_KET][1:-1]
         if len(chars) != len(dims):
-            raise token.error(f"ket must have one character per wire ({len(dims)} expected)")
+            raise self.error(f"ket must have one character per wire ({len(dims)} expected)", token)
         index = 0
         for ch, dim in zip(chars, dims):
             if ch == "u":
@@ -394,156 +369,154 @@ class _Parser:
             elif ch.isdigit():
                 level = int(ch)
             else:
-                raise token.error(f"invalid ket character {ch!r}")
+                raise self.error(f"invalid ket character {ch!r}", token)
             if level >= dim:
-                raise token.error(f"ket level {level} out of range for wire dimension {dim}")
+                raise self.error(f"ket level {level} out of range for wire dimension {dim}", token)
             index = index * dim + level
         return index
 
-    def _parse_matrix(self, lp: _LineParser) -> np.ndarray:
-        open_token = lp.next("SYM", "[")
+    def _parse_matrix(self) -> np.ndarray:
+        open_token = self.next(_SYM, "[")
         rows = []
         while True:
-            rows.append(self._parse_row(lp))
-            token = lp.next("SYM")
-            if token.text == ",":
+            rows.append(self._parse_row())
+            token = self.next(_SYM)
+            if token[_SYM] == ",":
                 continue
-            if token.text == "]":
+            if token[_SYM] == "]":
                 break
-            raise token.error("expected ',' or ']' in matrix")
+            raise self.error("expected ',' or ']' in matrix", token)
         width = len(rows[0])
         if any(len(row) != width for row in rows):
-            raise open_token.error("matrix rows have unequal lengths")
+            raise self.error("matrix rows have unequal lengths", open_token)
         return np.array(rows, dtype=complex)
 
-    def _parse_row(self, lp: _LineParser) -> list[complex]:
-        lp.next("SYM", "[")
+    def _parse_row(self) -> list[complex]:
+        self.next(_SYM, "[")
         entries = []
         while True:
-            token = lp.peek()
-            if token is not None and token.kind in ("NUMBER", "COMPLEX"):
-                entries.append(parse_complex(lp.next()))
-            else:
-                raise lp.error("expected a matrix entry")
-            token = lp.next("SYM")
-            if token.text == ",":
+            token = self.peek()
+            if not (token[_NUMBER] or token[_COMPLEX]):
+                raise self.error("expected a matrix entry")
+            self.pos += 1
+            entries.append(self._parse_complex(token))
+            token = self.next(_SYM)
+            if token[_SYM] == ",":
                 continue
-            if token.text == "]":
+            if token[_SYM] == "]":
                 return entries
-            raise token.error("expected ',' or ']' in matrix row")
+            raise self.error("expected ',' or ']' in matrix row", token)
 
-    def _parse_unitary(self, lp: _LineParser) -> None:
-        name_token = lp.next("IDENT")
+    def _parse_unitary(self) -> None:
+        name_token = self.next(_IDENT)
         name = self._declare(name_token)
-        lp.next("SYM", "=")
-        matrix = self._parse_matrix(lp)
+        self.next(_SYM, "=")
+        matrix = self._parse_matrix()
         if not qcore.matrix_is(matrix, "unitary"):
-            raise name_token.error(f"matrix {name!r} is not unitary")
+            raise self.error(f"matrix {name!r} is not unitary", name_token)
         self.spec.unitaries[name] = matrix
 
-    def _parse_detector(self, lp: _LineParser) -> None:
-        name_token = lp.next("IDENT")
-        lp.next("SYM", "=")
-        kind = lp.next("IDENT")
-        if kind.text == "effect":
-            model = (self._parse_matrix(lp),)
+    def _parse_detector(self) -> None:
+        name_token = self.next(_IDENT)
+        self.next(_SYM, "=")
+        kind = self.next(_IDENT)
+        if kind[_IDENT] == "effect":
+            model = (self._parse_matrix(),)
             build = EffectDetector
-        elif kind.text == "ancilla":
-            dim, _ = self._parse_dim(lp, "ancilla")
-            lp.next("IDENT", "coupling")
-            coupling = self._parse_matrix(lp)
-            lp.next("IDENT", "projector")
-            model = (dim, coupling, self._parse_matrix(lp))
+        elif kind[_IDENT] == "ancilla":
+            dim, _ = self._parse_dim("ancilla")
+            self.next(_IDENT, "coupling")
+            coupling = self._parse_matrix()
+            self.next(_IDENT, "projector")
+            model = (dim, coupling, self._parse_matrix())
             build = AncillaDetector
         else:
-            raise kind.error("expected 'effect' or 'ancilla'")
+            raise self.error("expected 'effect' or 'ancilla'", kind)
         name = self._declare(name_token)
         try:
             self.spec.detectors[name] = build(*model)
         except ValueError as exc:
-            raise name_token.error(f"invalid detector {name!r}: {exc}") from exc
+            raise self.error(f"invalid detector {name!r}: {exc}", name_token) from exc
 
-    def _parse_prepare(self, lp: _LineParser) -> None:
-        token = lp.next("IDENT")
-        if token.text not in self.spec.states:
-            raise token.error(f"undefined state {token.text!r}")
+    def _parse_prepare(self) -> None:
+        token = self.next(_IDENT)
+        if token[_IDENT] not in self.spec.states:
+            raise self.error(f"undefined state {token[_IDENT]!r}", token)
         if self.spec.prepare is not None:
-            raise token.error("prepare already given")
-        self.spec.prepare = token.text
+            raise self.error("prepare already given", token)
+        self.spec.prepare = token[_IDENT]
 
-    def _parse_gate(self, lp: _LineParser) -> None:
-        name_token = lp.next("IDENT")
-        if name_token.text not in self.spec.unitaries:
-            raise name_token.error(f"undefined unitary {name_token.text!r}")
-        lp.next("IDENT", "on")
+    def _parse_gate(self) -> None:
+        name_token = self.next(_IDENT)
+        name = name_token[_IDENT]
+        if name not in self.spec.unitaries:
+            raise self.error(f"undefined unitary {name!r}", name_token)
+        self.next(_IDENT, "on")
         wires = []
         span = 1
-        while lp.peek() is not None:
-            wire_token = lp.next("IDENT")
+        while self.peek() is not _END:
+            wire_token = self.next(_IDENT)
             span *= self._wire_dim(wire_token)
-            wires.append(wire_token.text)
+            wires.append(wire_token[_IDENT])
         if not wires:
-            raise lp.error("gate needs at least one wire")
+            raise self.error("gate needs at least one wire")
         if len(set(wires)) != len(wires):
-            raise name_token.error("gate wires must be distinct")
-        matrix = self.spec.unitaries[name_token.text]
+            raise self.error("gate wires must be distinct", name_token)
+        matrix = self.spec.unitaries[name]
         if matrix.shape != (span, span):
-            raise name_token.error(
-                f"unitary is {matrix.shape[0]}x{matrix.shape[1]} but wires span "
-                f"dimension {span}"
+            raise self.error(
+                f"unitary is {matrix.shape[0]}x{matrix.shape[1]} but wires span dimension {span}", name_token
             )
-        self.spec.steps += (GateRef(name_token.text, tuple(wires)),)
+        self.spec.steps += (GateRef(name, tuple(wires)),)
 
-    def _parse_measure(self, lp: _LineParser) -> None:
-        wire_token = lp.next("IDENT")
+    def _parse_measure(self) -> None:
+        wire_token = self.next(_IDENT)
         if self._wire_dim(wire_token) != 2:
-            raise wire_token.error("only spin wires (dimension 2) are measurable")
-        kind_token = lp.next("IDENT")
-        if kind_token.text == "SG":
+            raise self.error("only spin wires (dimension 2) are measurable", wire_token)
+        kind_token = self.next(_IDENT)
+        if kind_token[_IDENT] == "SG":
             kind = "sg"
-        elif kind_token.text == "det":
-            det_token = lp.next("IDENT")
-            if det_token.text not in self.spec.detectors:
-                raise det_token.error(f"undefined detector {det_token.text!r}")
-            kind = det_token.text
+        elif kind_token[_IDENT] == "det":
+            det_token = self.next(_IDENT)
+            kind = det_token[_IDENT]
+            if kind not in self.spec.detectors:
+                raise self.error(f"undefined detector {kind!r}", det_token)
         else:
-            raise kind_token.error("expected 'SG' or 'det'")
-        lp.next("ARROW")
-        label_token = lp.next("IDENT")
-        if label_token.text in self.measure_kinds:
-            raise label_token.error(f"measurement label {label_token.text!r} already used")
-        self.measure_kinds[label_token.text] = kind
-        self.spec.steps += (MeasureRef(wire_token.text, kind, label_token.text),)
+            raise self.error("expected 'SG' or 'det'", kind_token)
+        self.next(_ARROW)
+        label_token = self.next(_IDENT)
+        label = label_token[_IDENT]
+        if label in self.measure_kinds:
+            raise self.error(f"measurement label {label!r} already used", label_token)
+        self.measure_kinds[label] = kind
+        self.spec.steps += (MeasureRef(wire_token[_IDENT], kind, label),)
 
-    def _parse_query(self, lp: _LineParser) -> None:
-        name_token = lp.next("IDENT")
-        if name_token.text in self.spec.queries:
-            raise name_token.error(f"query {name_token.text!r} already declared")
-        lp.next("SYM", ":")
+    def _parse_query(self) -> None:
+        name_token = self.next(_IDENT)
+        if name_token[_IDENT] in self.spec.queries:
+            raise self.error(f"query {name_token[_IDENT]!r} already declared", name_token)
+        self.next(_SYM, ":")
         assignments = []
         seen = set()
-        more = lp.peek() is not None
+        more = self.peek() is not _END
         while more:
-            label_token = lp.next("IDENT")
-            if label_token.text not in self.measure_kinds:
-                raise label_token.error(f"unknown measurement label {label_token.text!r}")
-            if label_token.text in seen:
-                raise label_token.error(f"label {label_token.text!r} assigned twice")
-            seen.add(label_token.text)
-            lp.next("SYM", "=")
-            outcome_token = lp.next("IDENT")
-            valid = (
-                circuits.SG_OUTCOMES
-                if self.measure_kinds[label_token.text] == "sg"
-                else circuits.DETECTOR_OUTCOMES
-            )
-            if outcome_token.text not in valid:
-                raise outcome_token.error(f"outcome must be one of {valid}")
-            assignments.append((label_token.text, outcome_token.text))
-            more = lp.peek() is not None
+            label_token = self.next(_IDENT)
+            label = label_token[_IDENT]
+            if label not in self.measure_kinds:
+                raise self.error(f"unknown measurement label {label!r}", label_token)
+            if label in seen:
+                raise self.error(f"label {label!r} assigned twice", label_token)
+            seen.add(label)
+            self.next(_SYM, "=")
+            outcome_token = self.next(_IDENT)
+            valid = circuits.SG_OUTCOMES if self.measure_kinds[label] == "sg" else circuits.DETECTOR_OUTCOMES
+            if outcome_token[_IDENT] not in valid:
+                raise self.error(f"outcome must be one of {valid}", outcome_token)
+            assignments.append((label, outcome_token[_IDENT]))
+            more = self.peek() is not _END
             if more:
-                lp.next("SYM", ",")
-        self.spec.queries[name_token.text] = tuple(sorted(assignments))
+                self.next(_SYM, ",")
+        self.spec.queries[name_token[_IDENT]] = tuple(sorted(assignments))
 
 
 def parse(source: str) -> ExperimentSpec:

@@ -1,9 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bornverifier import circuits, detectors, qcore
+from bornverifier import circuits, derivation, detectors, dsl, qcore
 from bornverifier.circuits import (
     Circuit,
     Gate,
@@ -20,6 +21,7 @@ from bornverifier.qcore import StateVector, spin_pair_state
 from bornverifier.reporting import VerificationReport
 
 UP = StateVector((2,), [1, 0])
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestSgMeasure:
@@ -585,3 +587,79 @@ class TestBatchedWalk:
             Circuit(pair, (Gate((0,), np.stack([np.eye(2)] * 3)),))
         with pytest.raises(TypeError, match="^a circuit's measurement takes one detector, not a detector sequence$"):
             Circuit(pair, (Measure(0, "m", [detectors.sg_up_detector()]),))
+
+
+def _assert_post_states_change_nothing(tens, steps, fixed=None):
+    """The walk of ``steps`` equals, bit for bit, the walk with a trailing
+    identity gate, which builds the post states of every measurement."""
+    fast = circuits.outcome_distribution(tens, steps, fixed)
+    full = circuits.outcome_distribution(tens, (*steps, Gate((0,), np.eye(tens.shape[1]))), fixed)
+    assert list(fast) == list(full)
+    for key, values in fast.items():
+        assert values.dtype == full[key].dtype and values.tobytes() == full[key].tobytes(), key
+
+
+class TestLastMeasurement:
+    """A measurement that ends its walk yields only its probabilities."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.qexp")), ids=lambda path: path.stem)
+    def test_golden_walks(self, path):
+        spec = dsl.parse_file(path)
+        circuit = spec.to_circuit()
+        for query in (None, *(spec.query(name) for name in sorted(spec.queries))):
+            _assert_post_states_change_nothing(circuit.initial.as_tensor()[None], circuit.steps, query)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_walks_with_mixed_detectors(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        draws = [detectors.draw_detector(rng, ancilla_dim=int(rng.choice([2, 3, 4]))) for _ in range(10)]
+        never, always = detectors.EffectDetector(np.zeros((2, 2))), detectors.EffectDetector(np.eye(2))
+        dets = [*detectors.build_detectors(draws), never, always, never, always]
+        # Basis states for the last four, which no gate moves, so that no
+        # oracle click is off 0 or 1 by a rounding error (see
+        # test_live_branch_of_a_zero_kraus_operator).
+        tens = np.array(
+            [qcore.random_state((2, 2, 3), rng).as_tensor() for _ in draws]
+            + [np.eye(12)[i].reshape(2, 2, 3) for i in (0, 7, 5, 10)]
+        )
+        probe = Measure(0, "m", dets)
+        u_env = np.stack([qcore.random_unitary(6, rng) for _ in draws] + [np.eye(6)] * 4)
+        for steps in [
+            (probe,),
+            (Measure(0, "s"),),
+            (Measure(1, "s"), probe),
+            (Gate((0, 2), u_env), probe),
+            (probe, Measure(1, "s")),
+            (Measure(0, "s"), probe, Measure(1, "t")),
+        ]:
+            for fixed in (None, {"m": "click"}, {"m": "noclick"}, {"s": "u"}, {"s": "d", "t": "u"}):
+                _assert_post_states_change_nothing(tens, steps, fixed)
+
+    @pytest.mark.parametrize("effect", [np.zeros((2, 2)), np.eye(2), np.diag([1.0, 0.0])], ids=["never", "always", "up"])
+    def test_zero_probability_branches(self, effect):
+        det = detectors.EffectDetector(effect)
+        tens = np.array([UP.as_tensor(), StateVector((2,), [0, 1]).as_tensor(), UP.as_tensor()])
+        for steps in [(Measure(0, "m", det),), (Measure(0, "s"),), (Measure(0, "s"), Measure(0, "m", det))]:
+            for fixed in (None, {"m": "click"}, {"m": "noclick"}, {"s": "d"}):
+                _assert_post_states_change_nothing(tens, steps, fixed)
+                _assert_post_states_change_nothing(tens[:1], steps, fixed)
+
+    @pytest.mark.xfail(raises=ValueError, strict=True, reason="a live branch of a zero Kraus operator has a 0/0 post state")
+    def test_live_branch_of_a_zero_kraus_operator(self):
+        # The oracle reads "always" on this state as a click of 1 - 1.1e-16,
+        # a live no-click branch, whose Kraus operator is 0.
+        det, psi = detectors.EffectDetector(np.eye(2)), qcore.random_state((2,), 1)
+        assert 0.0 < 1.0 - circuits._probabilities(psi.as_tensor().reshape(1, 2, 1), Measure(0, "m", det))[0, 0]
+        with np.errstate(invalid="ignore"):
+            evaluate(Circuit(psi, (Measure(0, "m", det), Gate((0,), np.eye(2)))), {"m": "noclick"})
+
+    def test_a_lambda_reads_the_reference_branch(self):
+        rng = np.random.default_rng(950)
+        lam = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=9)])
+        expected = circuits._branches(qcore.spin_pair_states(lam).reshape(-1, 2, 2), Measure(1, "s"))[0][0]
+        dets = [detectors.random_detector(rng) for _ in lam]
+        _, b = circuits._check_a5(lam, Measure(0, "m", dets), (), circuits.BORN, 0.0)
+        assert b["a_lambda"].tobytes() == expected.tobytes()
+        instances = [(det, qcore.random_bloch(rng), qcore.random_bloch(rng), float(x)) for det, x in zip(dets, lam)]
+        _, details = derivation._lemma1(instances)
+        assert details["a_lambda"].tobytes() == expected.tobytes()

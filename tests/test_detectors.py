@@ -664,21 +664,30 @@ class TestDetectorCaches:
         circuits.detector_measure(psi, 0, det)
         assert "click_map" in vars(det)
 
-    def test_equivalent_effect_read_once_per_detector(self, monkeypatch):
+    def _effect_reads(self, monkeypatch, steps) -> list:
+        # The detectors whose ground-truth effect five evaluations read.
         calls = []
         original = detectors.equivalent_effect
         monkeypatch.setattr(
             detectors, "equivalent_effect", lambda det: calls.append(det) or original(det)
         )
-        rng = np.random.default_rng(37)
-        det = random_detector(rng)
-        circuit = circuits.Circuit(
-            qcore.random_state((2, 2), rng),
-            (circuits.Measure(1, "s"), circuits.Measure(0, "m", det)),
-        )
+        circuit = circuits.Circuit(qcore.random_state((2, 2), np.random.default_rng(38)), steps)
         for _ in range(5):
             circuits.evaluate(circuit, {"m": "click"})
-        assert calls == [det]
+        return calls
+
+    def test_equivalent_effect_read_once_per_detector(self, monkeypatch):
+        # A later step reads the post states, so each walk's branches of
+        # the detector need its Kraus pair: built once per measurement.
+        det = random_detector(np.random.default_rng(37))
+        steps = (circuits.Measure(1, "s"), circuits.Measure(0, "m", det), circuits.Gate((0,), np.eye(2)))
+        assert self._effect_reads(monkeypatch, steps) == [det]
+
+    def test_last_measurement_reads_no_effect(self, monkeypatch):
+        # Nothing follows the detector, so no walk builds its post states.
+        det = random_detector(np.random.default_rng(37))
+        steps = (circuits.Measure(1, "s"), circuits.Measure(0, "m", det))
+        assert self._effect_reads(monkeypatch, steps) == []
 
     @pytest.mark.parametrize("make", [sg_up_detector, cnot_click_detector])
     def test_deleted_detector_is_freed(self, make):

@@ -247,11 +247,28 @@ def _reference_tokens(text: str, line_no: int):
     return tokens
 
 
+def _started(text: str, line_no: int = 1):
+    """A parser whose cursor is at the first token of the line ``text``."""
+    parser = dsl._Parser()
+    parser._start(text, line_no)
+    return parser
+
+
 def _lexed(text: str, line_no: int):
+    """(kind, text, line, column) of each token the parser reads from a
+    line, its column found as an error at that token finds it, or the
+    first error's fields."""
     try:
-        return [tuple(token) for token in dsl._tokenize_line(text, line_no)]
+        parser = _started(text, line_no)
     except DslParseError as err:
         return ("error", err.line, err.column, err.message, err.token)
+    lexed = []
+    for token in parser.tokens[:-1]:
+        (kind,) = [k for k, part in enumerate(token) if part]
+        err = parser.error("", token)
+        assert (err.line, err.token) == (line_no, token[kind])
+        lexed.append((dsl._KINDS[kind], token[kind], line_no, err.column))
+    return lexed
 
 
 # Lines of short runs of the characters that numeric literals are made
@@ -290,6 +307,30 @@ class TestLexer:
     @example("1.1.i 1..1i 1e11.i .11.i 1+1e1i 1..1e1i 1e11e1i 12i", 1)
     def test_tokens_and_first_error_match_the_reference(self, line, line_no):
         assert _lexed(line, line_no) == _reference_tokens(line, line_no)
+
+    # A bad character on the third line, after each line boundary that
+    # str.splitlines honours, after comments, and after leading tabs or
+    # no-break spaces; and the end of a line with trailing blanks or a
+    # comment.
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            *(
+                (newline.join(["wire w : 2", "state s = |u> # a comment", "prepare s @"]), (3, 11))
+                for newline in ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+            ),
+            ("wire w : 2 # first\n# second \u00a1@\nprepare @ # third", (3, 9)),
+            ("wire w : 2\n\t\tstate s = |u>\n\t\t@", (3, 3)),
+            ("wire w : 2\n\u00a0state s = |u>\n\u00a0\u00a0prepare s \u00a0@", (3, 14)),
+            ("wire w : 2\nstate s = |u>\nprepare   # no name", (3, 11, "expected IDENT", "")),
+            ("wire w : 2\n\tstate s = |u>\n\t\u00a0prepare\t\u00a0", (3, 12, "expected IDENT", "")),
+        ],
+        ids=lambda value: repr(value) if isinstance(value, str) else None,
+    )
+    def test_error_positions_on_the_third_line(self, source, expected):
+        if len(expected) == 2:
+            expected += ("unexpected character", "@")
+        assert _error(source) == expected
 
     @pytest.mark.parametrize(
         "literal",
@@ -458,8 +499,8 @@ class TestPrint:
         assert dsl.format_complex(1 - 2j) == "1-2i"
         assert dsl.format_complex(-1.5 + 0.25j) == "-1.5+0.25i"
         for value in (0.5, 2j, 1 - 2j, -1.5 + 0.25j, complex(-0.0, 1e-300)):
-            token = dsl._tokenize_line(dsl.format_complex(value), 1)[0]
-            assert dsl.parse_complex(token) == value
+            parser = _started(dsl.format_complex(value))
+            assert parser._parse_complex(parser.tokens[0]) == value
 
     def test_canonical_section_order(self):
         printed = print_spec(parse(PAIR_SOURCE))
