@@ -4,11 +4,11 @@ Three rules replace the squared-amplitude probabilities: a threshold
 rule driven by an external random stream, a modified-inner-product rule,
 and a cubic reshaping.  ``run_battery`` checks the seven bracket
 identities under a rule and records which of them survive.  It runs the
-derivation suite's own sweep, ``circuits.sweep_identities``: the
+derivation suite's own sweep, ``identities.sweep_identities``: the
 brackets are exact ground-truth values, and the rule reads them, in one
 way for a bracket compared with a single other bracket and in another
 for a bracket that enters a sum or a product.  The squared-amplitude
-rule, ``BornRule``, comes from ``circuits``.
+rule, ``BornRule``, comes from ``identities``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuits, detectors as _det, qcore
-from .circuits import IDENTITY_NAMES, BornRule
+from . import circuits, detectors as _det, identities, qcore
+from .identities import IDENTITY_NAMES, BornRule
 from .qcore import DEFAULT_TOL, POSITIVE_FLOOR
 
 
@@ -196,7 +196,7 @@ def run_battery(
     """Check the seven bracket identities with brackets read through the
     rule.
 
-    ``circuits.sweep_identities`` draws the derivation suite's kind of
+    ``identities.sweep_identities`` draws the derivation suite's kind of
     random instance, each with its ``rule.draw``, and the rule reads the
     exact ground-truth brackets of all instances at once.  A hand-checked witness
     follows: the decomposition at lambda = 0.3 with a projective click
@@ -216,9 +216,9 @@ def run_battery(
         return _modified_battery(rule, seed, tolerance)
 
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0xBA7)))
-    deviations, _, born_deviation = circuits.sweep_identities(rng, 20, rule)
+    deviations, _, born_deviation = identities.sweep_identities(rng, 20, rule)
     probe = circuits.Measure(0, "m", tilted_projector(math.pi / 3))
-    witness = float(circuits._check_a5([0.3], probe, (), rule, rule.draw(rng))[0][0])
+    witness = float(identities.check_a5([0.3], probe, (), rule, rule.draw(rng))[0][0])
     deviations["a5-decomposition"] = max(deviations["a5-decomposition"], witness)
 
     notes: list[str] = []

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import SeedSequence
 
-from . import circuits, coordinate, detectors as _det, qcore
+from . import circuits, coordinate, detectors as _det, identities, qcore
 from .detectors import Detector
 from .qcore import DEFAULT_TOL, DEGENERACY_TOL, FLAT_SEGMENT_THRESHOLD, BlochVector
 from .reporting import VerificationReport, merge_reports
@@ -81,7 +81,7 @@ def verify_envariance(
     norms = np.linalg.norm(amps, axis=(2, 3), keepdims=True)
     amps = amps / np.where(norms > 0.0, norms, np.nan)
     for states in amps:
-        qcore._checked((2, _ENV_DIM), states.reshape(trials, -1))
+        qcore.checked_rows((2, _ENV_DIM), states.reshape(trials, -1))
     clicks = [_det.click_probabilities(det, states) for states in amps]
     worst_prob = float(np.max(np.abs(clicks[0] - clicks[1])))
     unitaries = qcore.envariance_unitaries(sources, targets)
@@ -136,7 +136,7 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     amps[:, :, 0], amps[:, :, 3] = c0 * psi0, c1 * psi1
     amps = amps.reshape(n, 16)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    qcore._checked((2,) * 4, amps)
+    qcore.checked_rows((2,) * 4, amps)
 
     # The relabelling maps |psi0>|u> and |psi1>|d> on spins 0-2 onto
     # |uuu> and |uud>.
@@ -151,7 +151,7 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     points = np.concatenate([ends, mids[:, None]], axis=1).reshape(3 * n, 3)
     f0, f1, f_mid = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(n, 3).T
     f_big = _det.click_probabilities(dets, amps.reshape(n, 2, 8))
-    a_lam = circuits._probabilities(circuits._spin_first(pairs, 1), circuits.Measure(1, "s"))[0]  # outcome "u"
+    a_lam = circuits.probabilities(qcore.spin_first(pairs, 1), circuits.Measure(1, "s"))[0]  # outcome "u"
     low, high = np.minimum(f0, f1), np.maximum(f0, f1)
     details = {
         "polarization_deviation": np.abs(qcore.bloch_polarizations(amps.reshape(n, 2, 8)) - mids).max(1),
@@ -434,7 +434,7 @@ def _segments(rng, count: int, extra) -> list[tuple]:
 
 def _identity_reports(stream, tolerance: float, instances: int) -> list[VerificationReport]:
     """Random-instance sweep of the seven bracket identities."""
-    worst, _, _ = circuits.sweep_identities(qcore.as_rng(stream), instances)
+    worst, _, _ = identities.sweep_identities(qcore.as_rng(stream), instances)
     inputs, details = f"instances={instances}", (("instances", float(instances)),)
     return [
         VerificationReport.from_deviation(f"identity:{name}", inputs, worst[name], tolerance, details)
@@ -532,7 +532,7 @@ STEPS: tuple[Step, ...] = (
          lambda seed: (SeedSequence((seed, 0x71)), SeedSequence((seed, 0x72))), _run_theorems),
     Step(lambda ctx: tuple(f"isospin-born[{label}]" for label in [*_ISOSPIN, *(wf[0] for wf in ctx.wavefunctions)]),
          lambda seed: (), _run_isospin),
-    Step(lambda ctx: tuple(f"identity:{name}" for name in circuits.IDENTITY_NAMES),
+    Step(lambda ctx: tuple(f"identity:{name}" for name in identities.IDENTITY_NAMES),
          lambda seed: (SeedSequence((seed, 0x1D)),), _run_identities),
 )
 

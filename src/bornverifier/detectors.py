@@ -223,7 +223,8 @@ class PovmEffect:
 def click_probability(det: Detector, psi: StateVector, spin_factor: int = 0) -> float:
     """Probability that the detector clicks on the given spin factor (a
     batch of one of ``click_probabilities``)."""
-    return float(click_probabilities(det, qcore._spin_first(psi, spin_factor)[None])[0])
+    qcore.check_spin_factor(psi, spin_factor)
+    return float(click_probabilities(det, qcore.spin_first(psi.as_tensor()[None], spin_factor))[0])
 
 
 def click_probabilities(det: Detector | Sequence[Detector] | ModelStacks, amps: np.ndarray) -> np.ndarray:
@@ -419,7 +420,9 @@ def mixed_click_probability(
         raise ValueError("ensemble weights must be non-negative and sum to 1")
     if len({psi.factor_dims for _, psi in ensemble}) > 1:
         raise ValueError("ensemble members must share their factor dimensions")
-    amps = np.stack([qcore._spin_first(psi, spin_factor) for _, psi in ensemble])
+    for _, psi in ensemble:
+        qcore.check_spin_factor(psi, spin_factor)
+    amps = np.concatenate([qcore.spin_first(psi.as_tensor()[None], spin_factor) for _, psi in ensemble])
     return float(weights @ click_probabilities(det, amps))
 
 

@@ -71,7 +71,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims, rows = _checked(self.factor_dims, [self.amplitudes])
+        dims, rows = checked_rows(self.factor_dims, [self.amplitudes])
         object.__setattr__(self, "factor_dims", dims)
         object.__setattr__(self, "amplitudes", rows[0])
 
@@ -112,7 +112,7 @@ class StateVector:
         return StateVector(tuple(factor_dims), amps / norm)
 
 
-def _checked(factor_dims, rows) -> tuple[tuple[int, ...], np.ndarray]:
+def checked_rows(factor_dims, rows) -> tuple[tuple[int, ...], np.ndarray]:
     """``StateVector``'s checks: factor dims of at least 2 within the size
     cap, then (N, size) amplitude rows of matching length, finite and of
     unit norm.  Returns the dims and the read-only rows."""
@@ -175,14 +175,16 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
 def reduced_density(psi: StateVector, spin_factor: int = 0) -> np.ndarray:
     """Reduced 2x2 density matrix of one spin factor (partial trace over
     the rest)."""
-    moved = _spin_first(psi, spin_factor)
+    check_spin_factor(psi, spin_factor)
+    moved = spin_first(psi.as_tensor()[None], spin_factor)[0]
     return moved @ moved.conj().T
 
 
 def bloch_polarization(psi: StateVector, spin_factor: int = 0) -> BlochVector:
     """Pauli expectation values of the designated spin factor (a batch of
     one of ``bloch_polarizations``)."""
-    return BlochVector.from_array(bloch_polarizations(_spin_first(psi, spin_factor)[None])[0])
+    check_spin_factor(psi, spin_factor)
+    return BlochVector.from_array(bloch_polarizations(spin_first(psi.as_tensor()[None], spin_factor))[0])
 
 
 def bloch_polarizations(amps: np.ndarray) -> np.ndarray:
@@ -193,10 +195,12 @@ def bloch_polarizations(amps: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * off.real, -2.0 * off.imag, (rho[:, 0, 0] - rho[:, 1, 1]).real], axis=1)
 
 
-def _spin_first(psi: StateVector, spin_factor: int) -> np.ndarray:
-    """(2, rest) amplitudes: the designated spin first, the rest flattened."""
-    _check_spin_factor(psi, spin_factor)
-    return np.moveaxis(psi.as_tensor(), spin_factor, 0).reshape(2, -1)
+def spin_first(tens: np.ndarray, wire: int) -> np.ndarray:
+    """The (N, 2, rest) amplitudes of N stacked states, an (N,
+    *factor_dims) tensor, with spin ``wire`` first: a view where numpy can
+    make one.  ``wire`` is not checked (see ``check_spin_factor``)."""
+    order = (0, wire + 1) + tuple(i for i in range(1, tens.ndim) if i != wire + 1)
+    return tens.transpose(order).reshape(len(tens), 2, -1)
 
 
 def density_from_bloch(p: BlochVector) -> np.ndarray:
@@ -401,8 +405,8 @@ def build_unitaries(gaussians: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def build_states(draws: Sequence[tuple[tuple[int, ...], np.ndarray]]) -> list[np.ndarray]:
     """Amplitude rows of (factor_dims, (2, size) Gaussians) draws: one
-    normalization and one ``_checked`` per stack of equal factor dims."""
-    return in_stacks(draws, lambda draw: draw[0], lambda stack: _checked(
+    normalization and one ``checked_rows`` per stack of equal factor dims."""
+    return in_stacks(draws, lambda draw: draw[0], lambda stack: checked_rows(
         stack[0][0], normalized_amplitudes(np.stack([g for _, g in stack]))
     )[1])
 
@@ -445,7 +449,7 @@ def spin_pair_states(lams: Sequence[float]) -> np.ndarray:
     amps = np.zeros((len(lams), 4), dtype=complex)
     amps[:, 0] = [math.sqrt(1.0 - lam) for lam in lams]
     amps[:, 3] = [math.sqrt(lam) for lam in lams]
-    return _checked((2, 2), amps)[1]
+    return checked_rows((2, 2), amps)[1]
 
 
 def bell_state() -> StateVector:
@@ -483,7 +487,8 @@ def check_matrix(m: np.ndarray, name: str, *props: str) -> None:
             raise ValueError(f"{name} must be {prop}")
 
 
-def _check_spin_factor(psi: StateVector, spin_factor: int) -> None:
+def check_spin_factor(psi: StateVector, spin_factor: int) -> None:
+    """Raise a ``ValueError`` unless factor ``spin_factor`` of ``psi`` is a spin."""
     if not 0 <= spin_factor < psi.num_factors:
         raise ValueError(
             f"factor index {spin_factor} out of range for {psi.num_factors} factors"

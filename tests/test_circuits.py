@@ -1,20 +1,13 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bornverifier import circuits, derivation, detectors, dsl, qcore
-from bornverifier.circuits import (
-    Circuit,
-    Gate,
-    Measure,
-    check_identity_a5_decomposition,
-    check_identity_states,
-    evaluate,
-    evaluate_full,
-    sg_measure,
-)
+from bornverifier import circuits, derivation, detectors, dsl, identities, qcore
+from bornverifier.circuits import Circuit, Gate, Measure, evaluate, evaluate_full, sg_measure
+from bornverifier.identities import check_identity_a5_decomposition, check_identity_states
 from bornverifier import counterexamples as cx
 from bornverifier.counterexamples import CubicRule, p3_rule
 from bornverifier.qcore import StateVector, spin_pair_state
@@ -239,18 +232,18 @@ def _read_one(rule, x, det, single, ancilla, psi, env_unitary, pair, sg_outcome,
     checks make them, with empty inputs strings."""
     probe = Measure(0, "m", det)
     batch = [state.as_tensor()[None] for state in (single, ancilla, pair)]
-    deviations, b = circuits._check_states(
+    deviations, b = identities.check_states(
         probe, *batch[:2], [psi.as_tensor()], [env_unitary], batch[2], [sg_outcome], rule, x
     )
-    rows = [(deviation, b, keys) for deviation, keys in zip(deviations[:, 0], circuits._DETAILS)]
+    rows = [(deviation, b, keys) for deviation, keys in zip(deviations[:, 0], identities._DETAILS)]
     if a5 is not None:
-        deviation, b5 = circuits._check_a5([a5[1]], probe, (a5[0],), rule, x)
+        deviation, b5 = identities.check_a5([a5[1]], probe, (a5[0],), rule, x)
         rows.append((deviation[0], b5, tuple(b5)))
     return [
         VerificationReport.from_deviation(
             f"identity:{name}", "", deviation, qcore.DEFAULT_TOL, tuple((k, float(read[k][0])) for k in keys)
         )
-        for name, (deviation, read, keys) in zip(circuits.IDENTITY_NAMES, rows)
+        for name, (deviation, read, keys) in zip(identities.IDENTITY_NAMES, rows)
     ]
 
 
@@ -291,7 +284,7 @@ class TestIdentityFamilies:
             det, UP, UP, spin_pair_state(0.3), np.eye(2), spin_pair_state(0.6), "d"
         )
         names = [r.name for r in reports]
-        assert names == [f"identity:{n}" for n in circuits.IDENTITY_NAMES[:-1]]
+        assert names == [f"identity:{n}" for n in identities.IDENTITY_NAMES[:-1]]
 
     def test_single_instance_checks_its_circuits(self):
         # The batched walk checks nothing, so the single-instance checks
@@ -358,7 +351,7 @@ class TestRuleReadings:
         reports = _states(det, psi=psi, env_unitary=u_env, pair=pair)
         assert all(r.passed for r in reports.values())
         assert {k: dataclasses.replace(r, inputs="") for k, r in reports.items()} == _states(
-            det, psi=psi, env_unitary=u_env, pair=pair, rule=circuits.BornRule()
+            det, psi=psi, env_unitary=u_env, pair=pair, rule=identities.BornRule()
         )
 
     def test_cubic_brackets_break_additivity_under_multiplication(self):
@@ -409,10 +402,10 @@ class TestBatchedWalk:
             u_spin, lam, x = zip(*(drawn[k][1] for k in index))
             probe = circuits.Measure(0, "m", dets)
             tensors = [np.array([state.as_tensor() for state in column]) for column in (single, ancilla, pair)]
-            states, b = circuits._check_states(
+            states, b = identities.check_states(
                 probe, *tensors[:2], [state.as_tensor() for state in psi], u_env, tensors[2], sg_outcome, rule, np.array(x)
             )
-            a5, b5 = circuits._check_a5(lam, probe, (np.stack(u_spin),), rule, np.array(x))
+            a5, b5 = identities.check_a5(lam, probe, (np.stack(u_spin),), rule, np.array(x))
             table[:, index] = np.vstack([states, a5])
             for column, k in enumerate(index):
                 brackets[k] = ({key: v[column] for key, v in b.items()}, {key: v[column] for key, v in b5.items()})
@@ -428,7 +421,7 @@ class TestBatchedWalk:
             detectors.ModelStacks, "of", classmethod(lambda cls, dets: calls.append("of") or real_of(cls, dets))
         )
         monkeypatch.setattr(detectors, "kraus_pairs", lambda dets: calls.append("kraus") or real_pairs(dets))
-        circuits.sweep_identities(np.random.default_rng(42), 200)
+        identities.sweep_identities(np.random.default_rng(42), 200)
         assert sorted(calls) == ["kraus", "of"]
 
     def test_sweep_builds_no_state_objects(self, monkeypatch):
@@ -439,7 +432,7 @@ class TestBatchedWalk:
             StateVector, "_trusted", classmethod(lambda cls, *a: built.append(a) or real_trusted(cls, *a))
         )
         monkeypatch.setattr(StateVector, "__post_init__", lambda self: built.append(self) or real_init(self))
-        circuits.sweep_identities(np.random.default_rng(42), 200)
+        identities.sweep_identities(np.random.default_rng(42), 200)
         assert len(built) == 0
 
     @pytest.mark.parametrize("rest", [1, 3, 8])
@@ -488,10 +481,10 @@ class TestBatchedWalk:
                 for key, expected in one.details:
                     assert read[key] == pytest.approx(expected, abs=1e-14), (one.name, key)
 
-        worst, worst_instance, born_deviation = circuits.sweep_identities(
+        worst, worst_instance, born_deviation = identities.sweep_identities(
             np.random.default_rng(seed), instances, rule=rule
         )
-        for row, name in enumerate(circuits.IDENTITY_NAMES):
+        for row, name in enumerate(identities.IDENTITY_NAMES):
             deviations = [reports[row].max_deviation for reports in single]
             assert worst[name] == pytest.approx(max(deviations), abs=1e-14), name
             # The argmax names an instance whose batch of one reaches the worst.
@@ -509,18 +502,18 @@ class TestBatchedWalk:
         rng = np.random.default_rng(seed)
         drawn = [self.draw(rng, rule) for _ in range(20)]
         table, brackets, _ = self.table(drawn, rule)
-        names = circuits.IDENTITY_NAMES
+        names = identities.IDENTITY_NAMES
         clicks = [(float(states["lhs"]), extra[2]) for (states, _), (_, extra) in zip(brackets, drawn)]
         expected = (
             dict(zip(names, table.max(axis=1).tolist())),
             dict(zip(names, table.argmax(axis=1).tolist())),
             max(abs(rule.compared(click, x) - click) for click, x in clicks),
         )
-        assert circuits.sweep_identities(np.random.default_rng(seed), 20, rule=rule) == expected
+        assert identities.sweep_identities(np.random.default_rng(seed), 20, rule=rule) == expected
 
     def test_sweep_needs_an_instance(self):
         with pytest.raises(ValueError, match="instances must be >= 1"):
-            circuits.sweep_identities(np.random.default_rng(0), 0)
+            identities.sweep_identities(np.random.default_rng(0), 0)
 
     @pytest.mark.parametrize("options", [(2, 3, 4), ("u", "d"), (2, 4)])
     def test_indexed_draws_keep_the_stream_of_choice(self, options):
@@ -562,8 +555,8 @@ class TestBatchedWalk:
         assert distribution[("d", "click")][0] == 0.0
         assert distribution[("d", "noclick")][0] == 0.0
         assert distribution[("u", "noclick")][0] == 1.0
-        assert circuits._mass(distribution, "d")[0] == 0.0
-        assert circuits._mass(distribution, "u", "click")[0] == 0.0
+        assert circuits.mass(distribution, "d")[0] == 0.0
+        assert circuits.mass(distribution, "u", "click")[0] == 0.0
         single = Circuit(other, (Measure(1, "s"), Measure(0, "m", live)))
         for key, values in distribution.items():
             if len(key) == 2:
@@ -644,21 +637,22 @@ class TestLastMeasurement:
                 _assert_post_states_change_nothing(tens, steps, fixed)
                 _assert_post_states_change_nothing(tens[:1], steps, fixed)
 
-    @pytest.mark.xfail(raises=ValueError, strict=True, reason="a live branch of a zero Kraus operator has a 0/0 post state")
     def test_live_branch_of_a_zero_kraus_operator(self):
         # The oracle reads "always" on this state as a click of 1 - 1.1e-16,
-        # a live no-click branch, whose Kraus operator is 0.
+        # a live no-click branch, whose Kraus operator is 0: the branch ends
+        # there, with no 0/0 post state.
         det, psi = detectors.EffectDetector(np.eye(2)), qcore.random_state((2,), 1)
-        assert 0.0 < 1.0 - circuits._probabilities(psi.as_tensor().reshape(1, 2, 1), Measure(0, "m", det))[0, 0]
-        with np.errstate(invalid="ignore"):
-            evaluate(Circuit(psi, (Measure(0, "m", det), Gate((0,), np.eye(2)))), {"m": "noclick"})
+        assert 0.0 < 1.0 - circuits.probabilities(psi.as_tensor().reshape(1, 2, 1), Measure(0, "m", det))[0, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert evaluate(Circuit(psi, (Measure(0, "m", det), Gate((0,), np.eye(2)))), {"m": "noclick"}) == 0.0
 
     def test_a_lambda_reads_the_reference_branch(self):
         rng = np.random.default_rng(950)
         lam = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=9)])
-        expected = circuits._branches(qcore.spin_pair_states(lam).reshape(-1, 2, 2), Measure(1, "s"))[0][0]
+        expected = circuits.branches(qcore.spin_pair_states(lam).reshape(-1, 2, 2), Measure(1, "s"))[0][0]
         dets = [detectors.random_detector(rng) for _ in lam]
-        _, b = circuits._check_a5(lam, Measure(0, "m", dets), (), circuits.BORN, 0.0)
+        _, b = identities.check_a5(lam, Measure(0, "m", dets), (), identities.BORN, 0.0)
         assert b["a_lambda"].tobytes() == expected.tobytes()
         instances = [(det, qcore.random_bloch(rng), qcore.random_bloch(rng), float(x)) for det, x in zip(dets, lam)]
         _, details = derivation._lemma1(instances)

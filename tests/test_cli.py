@@ -237,6 +237,25 @@ class TestEval:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("eval", str(tmp_path / "none.qexp"), "q") == 2
 
+    def test_no_click_of_an_always_detector_then_a_gate(self, tmp_path, capsys):
+        # The oracle reads the click as 1 - 1.1e-16 on this state, but the
+        # no-click Kraus operator is 0, so that branch ends before the gate.
+        path = tmp_path / "always.qexp"
+        path.write_text(
+            "wire w : 2\n"
+            "detector always = effect [[1, 0], [0, 1]]\n"
+            "unitary X = [[0, 1], [1, 0]]\n"
+            "state s = sqrt(0.1)*|u> + sqrt(0.9)*|d>\n"
+            "prepare s\n"
+            "measure w det always -> m\n"
+            "gate X on w\n"
+            "query q : m = noclick\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("eval", str(path), "q") == 0
+        assert abs(float(capsys.readouterr().out)) <= 1e-12
+
 
 class TestTomography:
     def test_projective_spec(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bornverifier import circuits, coordinate, derivation, detectors, qcore, reporting
+from bornverifier import circuits, coordinate, derivation, detectors, identities, qcore, reporting
 from bornverifier.derivation import (
     run_full_suite,
     standard_battery,
@@ -418,7 +418,7 @@ class TestFullSuite:
         real = circuits.outcome_distribution
         monkeypatch.setattr(circuits, "outcome_distribution", lambda *a: calls.append(a) or real(*a))
         reports = derivation._identity_reports(derivation.STEPS[-1].stream(42)[0], 1e-9, 200)
-        assert len(reports) == len(circuits.IDENTITY_NAMES)
+        assert len(reports) == len(identities.IDENTITY_NAMES)
         assert len(calls) <= 17
         groups = [_walk_group(tens) for tens, *_ in calls]
         assert max(groups.count(g) for g in groups) <= 11
@@ -465,7 +465,7 @@ class TestSteps:
         assert names[:3] == [("envariance",), ("lemma1", "lemma2"), ("lemma3[depth=20]",)]
         assert names[3] == tuple(f"theorem{t}[{label}]" for label, _ in standard_battery(42) for t in (1, 2))
         assert names[4] == ("isospin-born[gaussian]", "isospin-born[uniform]", "isospin-born[w.txt]")
-        assert names[5] == tuple(f"identity:{name}" for name in circuits.IDENTITY_NAMES)
+        assert names[5] == tuple(f"identity:{name}" for name in identities.IDENTITY_NAMES)
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_each_step_makes_exactly_its_declared_names(self, seed):

@@ -402,12 +402,12 @@ class TestStackedBuilds:
         with pytest.raises(ValueError) as one:
             StateVector(dims, rows[-1])
         with pytest.raises(type(one.value), match=f"^{re.escape(str(one.value))}$"):
-            qcore._checked(dims, rows)
+            qcore.checked_rows(dims, rows)
 
     def test_stack_of_the_wrong_rank_names_its_shape(self):
         message = "expected (N, 2) amplitude rows for dims (2,), got shape (2,)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            qcore._checked((2,), [1, 0])
+            qcore.checked_rows((2,), [1, 0])
 
     def test_spin_pairs_match_successive_builds(self):
         weights = [0.0, 0.3, 0.5, 1.0]
