@@ -31,6 +31,7 @@ from .qcore import (
 )
 
 _CENTROID = np.array([0.25, 0.25, 0.25])
+_ZERO, _ONE = np.array([0.0]), np.array([1.0])  # ufunc operands without a scalar's conversion
 # Tomography probes: canonical purifications of the ball center and the +x, +y, +z poles.
 _REFERENCE_STATES = qcore.purify_batch(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -246,7 +247,7 @@ def click_probabilities(det: Detector | Sequence[Detector] | ModelStacks, amps: 
         for family, slot, models in (det if isinstance(det, ModelStacks) else ModelStacks.of(det)).groups:
             rows = np.flatnonzero(slot >= 0)
             p[rows] = family._clicks(models[slot[rows]], amps[rows])
-    return np.minimum(np.maximum(p, 0.0), 1.0)  # np.clip, without its call overhead
+    return np.minimum(np.maximum(p, _ZERO), _ONE)  # np.clip, without its call and scalar-conversion overhead
 
 
 def kraus_pairs(dets: Sequence[Detector]) -> np.ndarray:
@@ -290,7 +291,7 @@ def probe_fclick(det: Detector | Sequence[Detector] | ModelStacks, p):
     ``click_probabilities``.
     """
     if isinstance(p, BlochVector):
-        return float(probe_fclick(det, p.as_array()[None])[0])
+        return float(probe_fclick(det, np.array([[p.px, p.py, p.pz]]))[0])
     amps = qcore.purify_batch(p)
     return click_probabilities(det, amps.reshape(-1, 2, 2))
 

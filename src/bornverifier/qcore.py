@@ -301,6 +301,10 @@ def purify(p: BlochVector) -> StateVector:
 
 
 _SIGNS = np.array([[1.0], [-1.0]])  # the +- in c1^2, c2^2 = (1 +- |p|)/2 and a2's minus
+_HALF_SIGNS = 0.5 * _SIGNS
+# One-element array operands: a ufunc converts a Python scalar on every call.
+_BALL_EDGE, _AXIS_WIDTH = np.array([1.0 + PHYSICAL_SLACK]), np.array([2.0 * DEGENERACY_TOL])
+_ZERO, _HALF, _ONE, _I = np.array([0.0]), np.array([0.5]), np.array([1.0]), np.array([1j])
 
 
 def purify_batch(points) -> np.ndarray:
@@ -323,26 +327,28 @@ def purify_batch(points) -> np.ndarray:
     px, py, pz = pts.T
     transverse = np.hypot(px, py)
     radius = np.hypot(pz, transverse)
-    inside = radius <= 1.0 + PHYSICAL_SLACK  # also false for non-finite components
-    if not inside.all():
+    inside = radius <= _BALL_EDGE  # also false for non-finite components
+    if np.count_nonzero(inside) < len(pts):
         raise ValueError(f"|p| = {radius[~inside][0]} lies outside the Bloch ball")
-    north = pz >= 0.0
+    north = pz >= _ZERO
     big = radius + np.abs(pz)
     # Rows (cos t, sin t) are (big, transverse) / scale in the north and
     # (transverse, big) / scale in the south.
-    scale = np.sqrt(2.0 * radius * big)
-    on_axis = transverse <= 2.0 * DEGENERACY_TOL
-    cs = np.where(north, (big, transverse), (transverse, big))
-    phase = (px + 1j * py) / np.where(on_axis, 1.0, transverse)
-    if on_axis.any():
-        upper = north[on_axis] | (radius[on_axis] <= 2.0 * DEGENERACY_TOL)
+    scale = np.sqrt((radius + radius) * big)
+    on_axis = transverse <= _AXIS_WIDTH
+    pair = np.array((big, transverse))
+    cs = np.where(north, pair, pair[::-1])
+    phase = px + _I * py
+    if np.count_nonzero(on_axis):
+        upper = north[on_axis] | (radius[on_axis] <= _AXIS_WIDTH)
         cs[:, on_axis] = upper, ~upper
-        scale[on_axis] = 1.0
+        scale[on_axis] = transverse[on_axis] = 1.0  # unit divisors of cs and phase
         phase[on_axis] = np.where(upper, -1.0, 1.0)
     cs /= scale
-    # Rows c1, c2.  Clipping c1 to 1 on the boundary slack of the ball
-    # plays the part of normalizing the amplitudes.
-    c = np.sqrt(np.minimum(np.maximum(0.5 + 0.5 * radius * _SIGNS, 0.0), 1.0))
+    phase /= transverse
+    # Rows c1, c2.  Clipping |p| to 1 on the boundary slack of the ball
+    # plays the part of normalizing the amplitudes (0.5 +- 0.5|p| is then in [0, 1]).
+    c = np.sqrt(_HALF + np.minimum(radius, _ONE) * _HALF_SIGNS)
     # kron(a1, UP) + kron(a2, DOWN) in big-endian order, written as columns.
     out = np.empty((len(pts), 4), dtype=complex)
     out.T[:2] = c * cs
@@ -419,13 +425,16 @@ def random_bloch(rng, surface: bool = False) -> BlochVector:
 
 def random_bloch_points(rng, n: int, surface: bool = False) -> np.ndarray:
     """(n, 3) uniform points of the Bloch ball (or its boundary sphere),
-    drawn point by point: three normals, then the radius.  Norm and radius
-    are Python floats, as in the scalar draw; array forms move last bits."""
+    drawn point by point: three normals, then the radius.  The arithmetic
+    is on Python floats, as in the scalar draw; array forms move last bits."""
     rng = as_rng(rng)
     points = np.empty((n, 3))
     for k in range(n):
         v = rng.standard_normal(3)
-        points[k] = v / math.sqrt(v.dot(v)) * (1.0 if surface else rng.uniform() ** (1.0 / 3.0))
+        norm = math.sqrt(v.dot(v))
+        r = 1.0 if surface else rng.uniform() ** (1.0 / 3.0)
+        x, y, z = v.tolist()
+        points[k] = (x / norm * r, y / norm * r, z / norm * r)
     return points
 
 

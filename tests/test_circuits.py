@@ -657,3 +657,24 @@ class TestLastMeasurement:
         instances = [(det, qcore.random_bloch(rng), qcore.random_bloch(rng), float(x)) for det, x in zip(dets, lam)]
         _, details = derivation._lemma1(instances)
         assert details["a_lambda"].tobytes() == expected.tobytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the walk's two measurement paths disagree: a measurement that ends the walk reads the "
+        "oracle's no-click of 1.1e-16, where a following gate ends the branch at 0",
+    )
+    def test_no_click_of_always_reads_the_same_with_or_without_a_following_gate(self):
+        source = (
+            "wire w : 2\n"
+            "detector always = effect [[1, 0], [0, 1]]\n"
+            "unitary X = [[0, 1], [1, 0]]\n"
+            "state s = sqrt(0.1)*|u> + sqrt(0.9)*|d>\n"
+            "prepare s\n"
+            "measure w det always -> m\n"
+            "{gate}query q : m = noclick\n"
+        )
+        readings = []
+        for gate in ("gate X on w\n", ""):
+            spec = dsl.parse(source.format(gate=gate))
+            readings.append(evaluate(spec.to_circuit(), spec.query("q")))
+        assert readings == [0.0, 0.0]

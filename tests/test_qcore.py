@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -32,6 +33,40 @@ _EDGE_POINTS = [[0, 0, 0], [1e-13, 0, 0], [0, 0, -1e-13], [0, 0, 1], [0, 0, -1]]
 _SLACK_POINTS = [[0, 0, 1 + 1e-10], [0, 0, -1 - 1e-10], [0.6, -0.8 - 5e-10, 0]] + [
     [-1, 0, 0], [0, -1, 0], [-0.0, 0.5, -0.0], [0.5, -0.0, -0.3]
 ]
+
+
+_FORMER_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def former_purify_batch(points) -> np.ndarray:
+    """``qcore.purify_batch`` before its numpy calls were made cheaper,
+    frozen as the reference the current one must match byte for byte."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array of Bloch points, got shape {pts.shape}")
+    px, py, pz = pts.T
+    transverse = np.hypot(px, py)
+    radius = np.hypot(pz, transverse)
+    inside = radius <= 1.0 + qcore.PHYSICAL_SLACK
+    if not inside.all():
+        raise ValueError(f"|p| = {radius[~inside][0]} lies outside the Bloch ball")
+    north = pz >= 0.0
+    big = radius + np.abs(pz)
+    scale = np.sqrt(2.0 * radius * big)
+    on_axis = transverse <= 2.0 * qcore.DEGENERACY_TOL
+    cs = np.where(north, (big, transverse), (transverse, big))
+    phase = (px + 1j * py) / np.where(on_axis, 1.0, transverse)
+    if on_axis.any():
+        upper = north[on_axis] | (radius[on_axis] <= 2.0 * qcore.DEGENERACY_TOL)
+        cs[:, on_axis] = upper, ~upper
+        scale[on_axis] = 1.0
+        phase[on_axis] = np.where(upper, -1.0, 1.0)
+    cs /= scale
+    c = np.sqrt(np.minimum(np.maximum(0.5 + 0.5 * radius * _FORMER_SIGNS, 0.0), 1.0))
+    out = np.empty((len(pts), 4), dtype=complex)
+    out.T[:2] = c * cs
+    out.T[2:] = (c * cs[::-1] * _FORMER_SIGNS) * phase
+    return out
 
 
 def partial_trace_oracle(psi: StateVector, keep: int) -> np.ndarray:
@@ -274,6 +309,26 @@ class TestPurify:
             for alone in (one, purify(BlochVector.from_array(p)).amplitudes):
                 assert np.array_equal(rows[k], alone) and rows[k].tobytes() == alone.tobytes(), p
         assert qcore.purify_batch(np.empty((0, 3))).shape == (0, 4)
+
+    def test_rows_match_the_former_closed_form_byte_for_byte(self):
+        rng = np.random.default_rng(27)
+        normals = rng.standard_normal((120_000, 3))
+        directions = normals / np.linalg.norm(normals, axis=1)[:, None]
+        ball = directions[:100_000] * np.cbrt(rng.uniform(size=(100_000, 1)))
+        sphere = directions[100_000:]
+        # Transverse parts up to 3 DEGENERACY_TOL, so both sides of the
+        # 2 DEGENERACY_TOL threshold, at heights from the poles to the center.
+        axis = np.column_stack([
+            rng.uniform(-2.0, 2.0, (20_000, 2)) * qcore.DEGENERACY_TOL,
+            rng.uniform(-1.0, 1.0, 20_000) * rng.choice([1.0, 1e-11, 1e-12, 0.0, -0.0], 20_000),
+        ])
+        components = [0.0, -0.0, 0.6, -0.6, 0.8, -0.8, 1.0, -1.0, 1e-13, -1e-13, 5e-324]
+        signed_zeros = [p for p in itertools.product(components, repeat=3) if math.hypot(*p) <= 1.0]
+        special = np.array(_EDGE_POINTS + _SLACK_POINTS + signed_zeros, dtype=float)
+        for points in (ball, sphere, axis, special):
+            assert qcore.purify_batch(points).tobytes() == former_purify_batch(points).tobytes()
+        for p in np.concatenate([special, ball[:300], sphere[:300], axis[:300]]):
+            assert qcore.purify_batch(p[None]).tobytes() == former_purify_batch(p[None]).tobytes(), p
 
     @pytest.mark.parametrize(
         "points, message",
