@@ -9,8 +9,9 @@ collapsed onto the outcome eigenstate; a measurement that is the walk's
 last step yields only its probabilities, from the same function, since
 no step reads its post states.  A query's bracket is the sum
 over the branches that agree with it (additive rule).  The walk takes N
-initial states as one (N, *factor_dims) tensor, with per-row gates and
-detectors; a ``Circuit`` is one state, checked, and a batch of one.
+initial states as one (N, *factor_dims) tensor, with per-row gates, and
+per-row detectors as one ``detectors.ModelStacks``; a ``Circuit`` is one
+state, checked, and a batch of one.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ class Gate:
 @dataclass(frozen=True)
 class Measure:
     """Measurement step; ``detector`` None means the reference
-    Stern-Gerlach apparatus, otherwise a black-box click detector, or a
-    sequence of N detectors of any families, one per row of a batched
-    walk."""
+    Stern-Gerlach apparatus, otherwise a black-box click detector, or the
+    ``ModelStacks`` of N detectors of any families, one per row of a
+    batched walk."""
 
     wire: int
     label: str
-    detector: Detector | Sequence[Detector] | None = None
+    detector: Detector | _det.ModelStacks | None = None
 
     @property
     def outcomes(self) -> tuple[str, str]:
@@ -72,33 +73,15 @@ class Measure:
         later step follows."""
         if self.detector is None:
             return _PROJECTORS
-        if "_picked_from" in self.__dict__:  # rows or a wire of another measurement
-            source, index = self.__dict__["_picked_from"]
-            return source.kraus[:, index]
-        return _det.kraus_pairs(self.detector if _per_row(self.detector) else [self.detector])
-
-    @cached_property
-    def models(self) -> _det.ModelStacks:
-        """A detector sequence's ``ModelStacks``, built once per measurement."""
-        return _det.ModelStacks.of(self.detector)
+        stacked = isinstance(self.detector, _det.ModelStacks)
+        return _det.kraus_pairs(self.detector.detectors if stacked else [self.detector])
 
     def on_rows(self, index: Sequence[int]) -> "Measure":
-        """This measurement on the listed rows of its batch: a detector
-        sequence and its model stacks are picked row by row, and so is its
-        Kraus stack, once some step needs it."""
-        if not _per_row(self.detector):
+        """This measurement on the listed rows of its batch: per-row
+        detectors are picked row by row, and a lone one serves them all."""
+        if not isinstance(self.detector, _det.ModelStacks):
             return self
-        picked = Measure(self.wire, self.label, [self.detector[i] for i in index])
-        picked.__dict__.update(models=self.models.on_rows(index), _picked_from=(self, index))
-        return picked
-
-    def on_wire(self, wire: int) -> "Measure":
-        """This measurement of another wire, sharing its model stacks, and
-        its Kraus stack once some step needs it."""
-        moved = Measure(wire, self.label, self.detector)
-        if _per_row(self.detector):
-            moved.__dict__.update(models=self.models, _picked_from=(self, slice(None)))
-        return moved
+        return Measure(self.wire, self.label, self.detector.on_rows(index))
 
 
 Step = Gate | Measure
@@ -153,8 +136,8 @@ class Circuit:
                     raise ValueError("measurement label must be non-empty")
                 if step.label in seen_labels:
                     raise ValueError(f"duplicate measurement label {step.label!r}")
-                if _per_row(step.detector):
-                    raise TypeError("a circuit's measurement takes one detector, not a detector sequence")
+                if not (step.detector is None or isinstance(step.detector, Detector)):
+                    raise TypeError(f"a circuit's measurement takes one detector, not a {type(step.detector).__name__}")
                 seen_labels.add(step.label)
             else:
                 raise TypeError(f"unknown step type {type(step).__name__}")
@@ -173,11 +156,6 @@ class EvalResult:
     def conditional_undefined(self) -> bool:
         """Whether a queried branch has zero probability."""
         return bool(self.undefined_labels)
-
-
-def _per_row(detector) -> bool:
-    """Whether a measurement's ``detector`` is a sequence, one per row."""
-    return not (detector is None or isinstance(detector, Detector))
 
 
 def _to_front(tens: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
@@ -218,8 +196,7 @@ def probabilities(amps: np.ndarray, measure: Measure) -> np.ndarray:
     if measure.detector is None:
         raw = _squared_norms(_PROJECTORS @ amps)
     else:
-        detector = measure.detector
-        click = _det.click_probabilities(measure.models if _per_row(detector) else detector, amps)
+        click = _det.click_probabilities(measure.detector, amps)
         raw = np.array([click, 1.0 - click])
     return np.where(raw > ZERO_BRANCH, np.minimum(raw, 1.0), 0.0)
 

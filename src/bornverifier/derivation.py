@@ -149,8 +149,9 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     expected[:, 0], expected[:, 3] = c0[:, 0], c1[:, 0]
 
     points = np.concatenate([ends, mids[:, None]], axis=1).reshape(3 * n, 3)
-    f0, f1, f_mid = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(n, 3).T
-    f_big = _det.click_probabilities(dets, amps.reshape(n, 2, 8))
+    models = _det.ModelStacks.of(dets)
+    f0, f1, f_mid = _det.probe_fclick(models.on_rows(np.repeat(np.arange(n), 3)), points).reshape(n, 3).T
+    f_big = _det.click_probabilities(models, amps.reshape(n, 2, 8))
     a_lam = circuits.probabilities(qcore.spin_first(pairs, 1), circuits.Measure(1, "s"))[0]  # outcome "u"
     low, high = np.minimum(f0, f1), np.maximum(f0, f1)
     details = {
@@ -183,7 +184,8 @@ def _lemma2(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     dets, p0, p1 = list(zip(*instances))[:3]
     ends = np.array([(a.as_array(), b.as_array()) for a, b in zip(p0, p1)])
     points = np.concatenate([0.5 * (ends[:, :1] + ends[:, 1:]), ends], axis=1).reshape(-1, 3)
-    f_mid, f0, f1 = _det.probe_fclick([det for det in dets for _ in range(3)], points).reshape(-1, 3).T
+    models = _det.ModelStacks.of(dets).on_rows(np.repeat(np.arange(len(dets)), 3))
+    f_mid, f0, f1 = _det.probe_fclick(models, points).reshape(-1, 3).T
     a_half = circuits.sg_measure(qcore.bell_state(), 1)[0].probability  # outcome "u"
     dev_mid = np.abs(f_mid - 0.5 * (f0 + f1))
     details = {"midpoint_deviation": dev_mid, "balanced_weight": np.full(len(dets), a_half)}
@@ -306,7 +308,7 @@ def _theorems(rows, n_points: int, n_states: int, tolerance: float) -> list[Veri
     th1, th2 = ([(k, *row[t]) for k, row in enumerate(rows) if row[t]] for t in (1, 2))
     dets = [det for det, _, _ in rows] + [_det.complement_detector(rows[k][0]) for k, _, _ in th2]
     models = _det.ModelStacks.of(dets)
-    resps = _det.extract_affines(models.on_rows(np.repeat(np.arange(len(dets)), 4)), len(dets))
+    resps = _det.extract_affines(models)
 
     draws1 = []
     for _, _, seed in th1:

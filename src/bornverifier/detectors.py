@@ -152,9 +152,10 @@ Detector = EffectDetector | AncillaDetector
 
 @dataclass(frozen=True)
 class ModelStacks:
-    """A detector sequence's models stacked by family and shape: per stack
-    the family, each row's slot in the stack (-1 off it) and the models."""
+    """N rows' detectors, an (N,) object array, and their models stacked by
+    family and shape: per stack the family, each row's slot (-1 off it) and the models."""
 
+    detectors: np.ndarray
     groups: tuple[tuple[type, np.ndarray, np.ndarray], ...]
 
     @classmethod
@@ -162,18 +163,24 @@ class ModelStacks:
         rows: dict[tuple, list[int]] = {}
         for i, det in enumerate(dets):
             if not isinstance(det, Detector):
-                raise TypeError("not a detector, nor a sequence of detectors")
+                raise TypeError(f"ModelStacks.of takes detectors, not a {type(det).__name__}")
             rows.setdefault((type(det), det._model.shape), []).append(i)
         groups = []
         for (family, _), index in rows.items():
             slot = np.full(len(dets), -1)
             slot[index] = np.arange(len(index))
             groups.append((family, slot, np.stack([dets[i]._model for i in index])))
-        return cls(tuple(groups))
+        return cls(np.array(dets, dtype=object), tuple(groups))
 
     def on_rows(self, index: Sequence[int]) -> "ModelStacks":
         """The stacks of the listed rows, in the order of ``index``."""
-        return ModelStacks(tuple((family, slot[index], models) for family, slot, models in self.groups))
+        return ModelStacks(self.detectors[index], tuple((f, slot[index], m) for f, slot, m in self.groups))
+
+
+def _stacks(det) -> ModelStacks:
+    if isinstance(det, ModelStacks):
+        return det
+    raise TypeError(f"expected a Detector or a ModelStacks.of(detectors), not a {type(det).__name__}")
 
 
 @dataclass(frozen=True)
@@ -228,13 +235,13 @@ def click_probability(det: Detector, psi: StateVector, spin_factor: int = 0) -> 
     return float(click_probabilities(det, qcore.spin_first(psi.as_tensor()[None], spin_factor))[0])
 
 
-def click_probabilities(det: Detector | Sequence[Detector] | ModelStacks, amps: np.ndarray) -> np.ndarray:
+def click_probabilities(det: Detector | ModelStacks, amps: np.ndarray) -> np.ndarray:
     """Click probabilities of N stacked states.
 
     ``amps`` has shape (N, 2, rest): axis 1 is the measured spin and
     axis 2 runs over every other factor.  ``det`` is one detector for
-    every row, or N detectors of any families, one per row, or their
-    ``ModelStacks``.  An effect detector gives sum_r <a_r|E|a_r>; an
+    every row, or the ``ModelStacks`` of N detectors of any families, one
+    per row.  An effect detector gives sum_r <a_r|E|a_r>; an
     ancilla detector is simulated exactly, as the squared norm of its
     projected spin+ancilla amplitudes.  A family's one formula takes its
     model matrix alone or stacked one per row, so a row's value never
@@ -244,7 +251,7 @@ def click_probabilities(det: Detector | Sequence[Detector] | ModelStacks, amps: 
         p = det._clicks(det._model, amps)
     else:
         p = np.empty(len(amps))
-        for family, slot, models in (det if isinstance(det, ModelStacks) else ModelStacks.of(det)).groups:
+        for family, slot, models in _stacks(det).groups:
             rows = np.flatnonzero(slot >= 0)
             p[rows] = family._clicks(models[slot[rows]], amps[rows])
     return np.minimum(np.maximum(p, _ZERO), _ONE)  # np.clip, without its call and scalar-conversion overhead
@@ -282,7 +289,7 @@ def complement_detector(det: Detector) -> Detector:
     )
 
 
-def probe_fclick(det: Detector | Sequence[Detector] | ModelStacks, p):
+def probe_fclick(det: Detector | ModelStacks, p):
     """Click probability at a Bloch point, probed through the canonical
     purification (purification independence is tested, not assumed).
 
@@ -302,11 +309,13 @@ def extract_affine(det: Detector) -> AffineResponse:
     return extract_affines(det)[0]
 
 
-def extract_affines(det: Detector | ModelStacks, count: int = 1) -> list[AffineResponse]:
-    """Tomography of ``count`` detectors in one oracle call on their 4
-    ``count`` reference rows: ``det`` is one detector, or the
-    ``ModelStacks`` of those rows, four consecutive rows per detector."""
-    values = click_probabilities(det, np.tile(_REFERENCE_STATES, (count, 1, 1))).reshape(count, 4)
+def extract_affines(det: Detector | ModelStacks) -> list[AffineResponse]:
+    """Tomography of one detector, or of each row's of a ``ModelStacks``, in
+    one oracle call on four reference rows per detector."""
+    stacked = not isinstance(det, Detector)
+    count = len(_stacks(det).detectors) if stacked else 1
+    rows = det.on_rows(np.repeat(np.arange(count), 4)) if stacked else det
+    values = click_probabilities(rows, np.tile(_REFERENCE_STATES, (count, 1, 1))).reshape(count, 4)
     alphas = values[:, 1:] - values[:, :1]
     return [AffineResponse(alpha=a, beta=b) for a, b in zip(alphas, values[:, 0].tolist())]
 

@@ -77,7 +77,7 @@ def check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, rul
     with the draws ``x``: ``single``, ``ancilla`` and ``pair`` are
     (N, *factor_dims) tensors, ``psi`` N tensors, the rest N values each,
     except ``probe``, the ``Measure`` "m" of wire 0 by one detector, None,
-    or one per row.  Each distinct circuit is walked once, the ``psi``
+    or a ``ModelStacks``.  Each distinct circuit is walked once, the ``psi``
     circuits once per shape.  Returns the (6, N) deviations of the six
     identities, in ``IDENTITY_NAMES`` order, and the brackets read."""
     rows = len(single)
@@ -88,8 +88,8 @@ def check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, rul
 
     b = {"lhs": bracket(single)}
     # Products and recorded posts of valid rows are valid by construction.
-    outer = ancilla.reshape(rows, -1, 1) * single.reshape(rows, 1, -1)
-    b["rhs"] = bracket(outer.reshape(ancilla.shape + single.shape[1:]), (probe.on_wire(ancilla.ndim - 1),))
+    outer = (ancilla.reshape(rows, -1, 1) * single.reshape(rows, 1, -1)).reshape(ancilla.shape + single.shape[1:])
+    b["rhs"] = bracket(outer, (Measure(ancilla.ndim - 1, "m", probe.detector),))
     b["click"], b["no_click"], b["later"], b["before"] = np.zeros((4, rows))
     for shape in {state.shape for state in psi}:
         index = [i for i, state in enumerate(psi) if state.shape == shape]
@@ -233,7 +233,7 @@ def sweep_identities(rng, instances: int, rule=BORN) -> tuple[dict[str, float], 
     pair, single, ancilla = np.array(states[1::4]).reshape(-1, 2, 2), np.array(states[2::4]), np.array(states[3::4])
     u_env, u_spin = unitaries[::2], unitaries[1::2]
     sg_outcome, lam, x = map(np.array, zip(*rest))
-    probe = Measure(0, "m", dets)  # one Kraus stack and one ModelStacks for the whole sweep
+    probe = Measure(0, "m", _det.ModelStacks.of(dets))  # one ModelStacks for the whole sweep
     deviations, b = check_states(probe, single, ancilla, psi, u_env, pair, sg_outcome, rule, x)
     deviations = np.vstack([deviations, check_a5(lam, probe, (np.stack(u_spin),), rule, x)[0]])
     worst = dict(zip(IDENTITY_NAMES, deviations.max(axis=1).tolist()))

@@ -400,7 +400,7 @@ class TestBatchedWalk:
         for index in groups.values():
             dets, single, ancilla, psi, u_env, pair, sg_outcome = zip(*(drawn[k][0] for k in index))
             u_spin, lam, x = zip(*(drawn[k][1] for k in index))
-            probe = circuits.Measure(0, "m", dets)
+            probe = circuits.Measure(0, "m", detectors.ModelStacks.of(dets))
             tensors = [np.array([state.as_tensor() for state in column]) for column in (single, ancilla, pair)]
             states, b = identities.check_states(
                 probe, *tensors[:2], [state.as_tensor() for state in psi], u_env, tensors[2], sg_outcome, rule, np.array(x)
@@ -412,17 +412,22 @@ class TestBatchedWalk:
         return table, brackets, len(groups)
 
     def test_sweep_stacks_its_detectors_once(self, monkeypatch):
-        # One measurement serves the state checks, the ancilla-extended
+        # One ModelStacks serves the state checks, the ancilla-extended
         # states on another wire and the decomposition, so the sweep groups
-        # its 200 models once and stacks their Kraus pairs once.
-        calls = []
+        # its 200 models once.  Only the psi circuits, whose gate follows the
+        # probe, need Kraus pairs: one stack per psi shape, on disjoint rows,
+        # so that each row's pair is built exactly once.
+        stacked, paired = [], []
         real_of, real_pairs = detectors.ModelStacks.of.__func__, detectors.kraus_pairs
         monkeypatch.setattr(
-            detectors.ModelStacks, "of", classmethod(lambda cls, dets: calls.append("of") or real_of(cls, dets))
+            detectors.ModelStacks, "of", classmethod(lambda cls, dets: stacked.append(len(dets)) or real_of(cls, dets))
         )
-        monkeypatch.setattr(detectors, "kraus_pairs", lambda dets: calls.append("kraus") or real_pairs(dets))
+        monkeypatch.setattr(detectors, "kraus_pairs", lambda dets: paired.append(list(dets)) or real_pairs(dets))
         identities.sweep_identities(np.random.default_rng(42), 200)
-        assert sorted(calls) == ["kraus", "of"]
+        assert stacked == [200]
+        assert len(paired) == 3  # environment dimensions 2, 3 and 4
+        assert sum(len(dets) for dets in paired) == 200
+        assert len({id(det) for dets in paired for det in dets}) == 200  # no detector twice
 
     def test_sweep_builds_no_state_objects(self, monkeypatch):
         # The sweep's states stay amplitude tensors from draw to walk.
@@ -437,26 +442,33 @@ class TestBatchedWalk:
 
     @pytest.mark.parametrize("rest", [1, 3, 8])
     def test_picked_rows_keep_their_lone_clicks(self, rest):
-        # Bit for bit: a row picked from a measurement's model stacks, in
-        # any order, repeated, or picked twice over, gets the value of its
-        # detector alone.
+        # Bit for bit: a row picked from a measurement's ModelStacks, in any
+        # order, repeated, or picked twice over, gets the clicks and the
+        # Kraus pair of its detector alone.
         rng = np.random.default_rng(48)
         dets = detectors.build_detectors([detectors.draw_detector(rng) for _ in range(60)])
         dets[5] = dets[0]  # a shared detector serves two rows
         amps = qcore.random_amplitudes((2, rest), len(dets), rng).reshape(len(dets), 2, rest)
-        lone = [detectors.click_probabilities(det, amps[i : i + 1])[0] for i, det in enumerate(dets)]
-        measure = Measure(0, "m", dets)
-        assert detectors.click_probabilities(measure.models, amps).tolist() == lone
-        picks = [np.arange(60), np.arange(60)[::-1], rng.permutation(60)[:25],
+        lone = [detectors.click_probabilities(det, amps[i : i + 1]) for i, det in enumerate(dets)]
+        lone_kraus = [detectors.kraus_pairs([det]) for det in dets]
+
+        def assert_lone(measure, index):
+            assert list(measure.detector.detectors) == [dets[i] for i in index]
+            clicks = detectors.click_probabilities(measure.detector, amps[index])
+            assert clicks.tobytes() == np.array([lone[i][0] for i in index]).tobytes()
+            assert measure.kraus.shape == (2, len(index), 2, 2)
+            for k, i in enumerate(index):
+                assert measure.kraus[:, k].tobytes() == lone_kraus[i][:, 0].tobytes()
+
+        measure = Measure(0, "m", detectors.ModelStacks.of(dets))
+        assert_lone(measure, np.arange(60))
+        picks = [np.arange(60), np.arange(60)[::-1], rng.permutation(60), rng.permutation(60)[:25],
                  np.flatnonzero(rng.uniform(size=60) < 0.3), np.array([7, 7, 3, 0, 5]), np.array([], dtype=int)]
         for index in picks:
             picked = measure.on_rows(index)
-            assert picked.detector == [dets[i] for i in index]
-            assert picked.kraus.tobytes() == measure.kraus[:, index].tobytes()
-            assert detectors.click_probabilities(picked.models, amps[index]).tolist() == [lone[i] for i in index]
+            assert_lone(picked, index)
             positions = np.arange(len(index))[::-2]  # a pick of the pick
-            again = picked.on_rows(positions).models
-            assert detectors.click_probabilities(again, amps[index[positions]]).tolist() == [lone[i] for i in index[positions]]
+            assert_lone(picked.on_rows(positions), index[positions])
 
     @pytest.mark.parametrize("seed", [42, 7, 1234])
     @pytest.mark.parametrize("rule_name", ["born", "cubic3", "random1"])
@@ -547,7 +559,7 @@ class TestBatchedWalk:
         live = detectors.random_effect_detector(rng)
         uu = StateVector((2, 2), [1, 0, 0, 0])
         other = qcore.random_state((2, 2), rng)
-        steps = (Measure(1, "s"), Measure(0, "m", [never, live]))
+        steps = (Measure(1, "s"), Measure(0, "m", detectors.ModelStacks.of([never, live])))
         distribution = circuits.outcome_distribution(np.array([uu.as_tensor(), other.as_tensor()]), steps)
 
         assert np.isnan(distribution[("d",)][0]) and distribution[("d",)][1] == 0.0
@@ -578,8 +590,12 @@ class TestBatchedWalk:
             Circuit([pair, pair], (Measure(0, "m"),))
         with pytest.raises(ValueError, match=r"^a circuit's gate takes one matrix, not a stack of shape \(3, 2, 2\)$"):
             Circuit(pair, (Gate((0,), np.stack([np.eye(2)] * 3)),))
-        with pytest.raises(TypeError, match="^a circuit's measurement takes one detector, not a detector sequence$"):
-            Circuit(pair, (Measure(0, "m", [detectors.sg_up_detector()]),))
+        det = detectors.sg_up_detector()
+        for given in ([det], (det,), detectors.ModelStacks.of([det]), "sg-up", np.eye(2)):
+            with pytest.raises(
+                TypeError, match=f"^a circuit's measurement takes one detector, not a {type(given).__name__}$"
+            ):
+                Circuit(pair, (Measure(0, "m", given),))
 
 
 def _assert_post_states_change_nothing(tens, steps, fixed=None):
@@ -615,7 +631,7 @@ class TestLastMeasurement:
             [qcore.random_state((2, 2, 3), rng).as_tensor() for _ in draws]
             + [np.eye(12)[i].reshape(2, 2, 3) for i in (0, 7, 5, 10)]
         )
-        probe = Measure(0, "m", dets)
+        probe = Measure(0, "m", detectors.ModelStacks.of(dets))
         u_env = np.stack([qcore.random_unitary(6, rng) for _ in draws] + [np.eye(6)] * 4)
         for steps in [
             (probe,),
@@ -652,7 +668,7 @@ class TestLastMeasurement:
         lam = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(size=9)])
         expected = circuits.branches(qcore.spin_pair_states(lam).reshape(-1, 2, 2), Measure(1, "s"))[0][0]
         dets = [detectors.random_detector(rng) for _ in lam]
-        _, b = identities.check_a5(lam, Measure(0, "m", dets), (), identities.BORN, 0.0)
+        _, b = identities.check_a5(lam, Measure(0, "m", detectors.ModelStacks.of(dets)), (), identities.BORN, 0.0)
         assert b["a_lambda"].tobytes() == expected.tobytes()
         instances = [(det, qcore.random_bloch(rng), qcore.random_bloch(rng), float(x)) for det, x in zip(dets, lam)]
         _, details = derivation._lemma1(instances)

@@ -502,9 +502,12 @@ class TestStackedBuild:
         assert EffectDetector.stack(np.empty((0, 2, 2))) == []
         assert AncillaDetector.stack(4, np.empty((0, 8, 8)), np.empty((0, 4, 4))) == []
         assert detectors.kraus_pairs([]).shape == (2, 0, 2, 2)
-        assert click_probabilities([], np.empty((0, 2, 3), dtype=complex)).shape == (0,)
         stacks = detectors.ModelStacks.of([])
-        assert stacks.groups == () and stacks.on_rows(np.array([], dtype=int)).groups == ()
+        assert click_probabilities(stacks, np.empty((0, 2, 3), dtype=complex)).shape == (0,)
+        assert stacks.groups == () and stacks.detectors.shape == (0,)
+        picked = stacks.on_rows(np.array([], dtype=int))
+        assert picked.groups == () and picked.detectors.shape == (0,)
+        assert detectors.extract_affines(stacks) == []
 
 
 class TestKrausPairs:
@@ -595,17 +598,31 @@ class TestBatchedOracle:
         dets = [makers[k](rng) for k in rng.permutation(np.arange(15) % 3)]
         dets[3] = dets[0]  # a shared detector serves two rows
         amps = qcore.random_amplitudes((2, rest), len(dets), rng).reshape(len(dets), 2, rest)
-        mixed = click_probabilities(dets, amps)
+        mixed = click_probabilities(detectors.ModelStacks.of(dets), amps)
         assert mixed.shape == (len(dets),)
         for i, det in enumerate(dets):
             assert mixed[i] == click_probabilities(det, amps)[i]
             assert mixed[i] == click_probabilities(det, amps[i : i + 1])[0]
 
-    @pytest.mark.parametrize("intruder", ["detector", np.eye(2), None])
+    @pytest.mark.parametrize("intruder", ["detector", np.eye(2), None, sg_up_detector()])
     def test_sequence_with_a_non_detector_rejected(self, intruder):
+        # ModelStacks.of names the element that is not a detector; the
+        # oracle and the tomography take no plain sequence, and say how to
+        # stack one.
+        if not isinstance(intruder, detectors.Detector):
+            with pytest.raises(TypeError, match=f"^ModelStacks.of takes detectors, not a {type(intruder).__name__}$"):
+                detectors.ModelStacks.of([sg_up_detector(), intruder])
         amps = qcore.random_amplitudes((2, 2), 2, 43).reshape(2, 2, 2)
-        with pytest.raises(TypeError):
-            click_probabilities([sg_up_detector(), intruder], amps)
+        for given in ([sg_up_detector(), intruder], (sg_up_detector(), intruder)):
+            message = rf"^expected a Detector or a ModelStacks\.of\(detectors\), not a {type(given).__name__}$"
+            with pytest.raises(TypeError, match=message):
+                click_probabilities(given, amps)
+            with pytest.raises(TypeError, match=message):
+                probe_fclick(given, np.zeros((2, 3)))
+            with pytest.raises(TypeError, match=message):
+                probe_fclick(given, BlochVector(0.0, 0.0, 1.0))
+            with pytest.raises(TypeError, match=message):
+                detectors.extract_affines(given)
 
     def test_bad_point_arrays_rejected(self):
         det = sg_up_detector()
