@@ -35,6 +35,7 @@ from .detectors import (
     extract_affine,
     linear_extension,
     mixed_click_probability,
+    outcome_probabilities,
     probe_fclick,
     to_povm,
 )

@@ -196,8 +196,7 @@ def probabilities(amps: np.ndarray, measure: Measure) -> np.ndarray:
     if measure.detector is None:
         raw = _squared_norms(_PROJECTORS @ amps)
     else:
-        click = _det.click_probabilities(measure.detector, amps)
-        raw = np.array([click, 1.0 - click])
+        raw = _det.outcome_probabilities(measure.detector, amps)
     return np.where(raw > ZERO_BRANCH, np.minimum(raw, 1.0), 0.0)
 
 

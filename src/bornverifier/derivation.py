@@ -284,8 +284,9 @@ def verify_theorem2(
     their orthogonality and extremal probabilities, then compares the
     oracle on random pure states and mixtures against
     (Pmax - Pmin) |<phi|psi>|^2 + Pmin, which reduces to the squared
-    amplitude when Pmax = 1 and Pmin = 0.  The complement outcome must
-    satisfy the mirrored extremal relations.  A batch of one of ``_theorems``.
+    amplitude when Pmax = 1 and Pmin = 0.  The no-click outcome, read
+    from the same oracle, must satisfy the mirrored extremal relations.  A
+    batch of one of ``_theorems``.
     """
     return _theorems([(det, None, (name, seed))], 0, n_states, tolerance)[0]
 
@@ -296,9 +297,9 @@ def _theorems(rows, n_points: int, n_states: int, tolerance: float) -> list[Veri
 
     Each report draws from its own seed's stream in its verifier's order:
     theorem 1 its points, then its mixtures; theorem 2 its pure states,
-    then its mixtures.  The detectors, and the complements of theorem 2's,
-    are tomographed in one probe, and each kind of probe goes to the
-    oracle in one call on rows of one ``ModelStacks``: theorem 1's points,
+    then its mixtures.  Both outcomes of every detector are tomographed in
+    one probe, and each kind of probe goes to the oracle in one call on
+    rows of one ``ModelStacks`` of the rows' detectors: theorem 1's points,
     its mixture members, and theorem 2's extremes, pure states and mixture
     members together.  Predictions and reports are made report by report."""
     if n_points < 0:
@@ -306,9 +307,8 @@ def _theorems(rows, n_points: int, n_states: int, tolerance: float) -> list[Veri
     if n_states < 0:
         raise ValueError("n_states must be >= 0")
     th1, th2 = ([(k, *row[t]) for k, row in enumerate(rows) if row[t]] for t in (1, 2))
-    dets = [det for det, _, _ in rows] + [_det.complement_detector(rows[k][0]) for k, _, _ in th2]
-    models = _det.ModelStacks.of(dets)
-    resps = _det.extract_affines(models)
+    models = _det.ModelStacks.of([det for det, _, _ in rows])
+    resps, resps_down = _det.extract_affines(models)
 
     draws1 = []
     for _, _, seed in th1:
@@ -341,8 +341,8 @@ def _theorems(rows, n_points: int, n_states: int, tolerance: float) -> list[Veri
         draws2.append((phis.T, qcore.random_amplitudes((2,), n_states, rng), *_draw_mixtures(rng, 20, (2,))))
     probes = [np.concatenate([phis, states, members])[:, :, None] for phis, states, _, members, _ in draws2]
     at_probes = _oracle(_det.click_probabilities, models, [k for k, _, _ in th2], probes)
-    for j, ((k, name, _), (phis, states, weights, members, starts), clicks) in enumerate(zip(th2, draws2, at_probes)):
-        resp, resp_down = resps[k], resps[len(rows) + j]
+    for (k, name, _), (phis, states, weights, members, starts), clicks in zip(th2, draws2, at_probes):
+        resp, resp_down = resps[k], resps_down[k]
         p_max, p_min = resp.beta + resp.alpha_norm, resp.beta - resp.alpha_norm
         dev_orth = float(abs(np.vdot(*phis)))
         dev_extremes = float(np.max(np.abs(clicks[:2] - [p_max, p_min])))

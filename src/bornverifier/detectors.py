@@ -1,17 +1,17 @@
 """Black-box spin detectors and the tomography that recovers their
 affine Bloch response and POVM effect.
 
-A detector is a probability oracle: it reports the chance of a "click"
-when fed the spin factor of a composite state.  Two hidden ground-truth
-models exist (a 2x2 effect operator, or an ancilla coupling followed by
-a projector), but the tomography path only ever calls the oracle.
+A detector is a probability oracle: it reports the chances of a "click"
+and of no click when fed the spin factor of a composite state.  It holds
+its hidden ground-truth model (a 2x2 effect operator, or an ancilla
+coupling followed by a projector) as one stack over its two outcomes, and
+the oracle, the circuit walk and the tomography read both from it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +39,9 @@ _REFERENCE_STATES = qcore.purify_batch(
 
 
 class _DerivedData:
-    """Data derived from a detector's hidden model, computed on first use
-    or at a stacked build (alone, or in a batch with other detectors) and
-    stored on the instance itself as its own arrays, so it lives and dies
-    with the detector and is never shared between two detectors."""
+    """A detector's model, checked at its build (alone or in a stack) and
+    stored on the instance as its own arrays, so it lives and dies with the
+    detector and is never shared between two detectors."""
 
     def _hold(self, **fields) -> "Detector":
         """Store a checked model, each array the detector's own, read-only."""
@@ -62,7 +61,7 @@ class EffectDetector(_DerivedData):
     def __post_init__(self):
         m = np.array(self.effect, dtype=complex)
         self._check(m[None])
-        self._hold(effect=m)
+        self._hold(effect=m, _model=self._models(m[None])[0])
 
     @staticmethod
     def _check(effects: np.ndarray) -> None:
@@ -77,17 +76,22 @@ class EffectDetector(_DerivedData):
 
     @classmethod
     def stack(cls, effects: np.ndarray) -> list["EffectDetector"]:
-        """Detectors of an (N, 2, 2) stack of effects, checked as one."""
+        """Detectors of an (N, 2, 2) stack of effects, checked as one, with their models."""
         effects = np.asarray(effects, dtype=complex)
         cls._check(effects)
-        return [object.__new__(cls)._hold(effect=e.copy()) for e in effects]
-
-    _model = property(lambda self: self.effect)  # what the family's formula takes
+        return [object.__new__(cls)._hold(effect=e.copy(), _model=k.copy())
+                for e, k in zip(effects, cls._models(effects))]
 
     @staticmethod
-    def _clicks(effect: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        """The family's one formula, unclipped: sum_r <a_r|E|a_r> per row."""
-        return np.einsum("nir,nir->n", amps.conj(), effect @ amps).real
+    def _models(effects: np.ndarray) -> np.ndarray:
+        """(N, 2, 2, 2) models of a stack, one effect per outcome: E and 1 - E."""
+        return np.stack([effects, IDENTITY_2 - effects], axis=1)
+
+    @staticmethod
+    def _clicks(models: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """The family's one formula, unclipped: sum_r <a_r|E_k|a_r> per
+        outcome k and row, a (K, N) array."""
+        return np.einsum("nir,nkir->kn", amps.conj(), models @ amps[:, None]).real
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ class AncillaDetector(_DerivedData):
         coupling = np.array(self.coupling, dtype=complex)
         projector = np.array(self.projector, dtype=complex)
         self._check(m, coupling[None], projector[None])
-        self._hold(ancilla_dim=m, coupling=coupling, projector=projector)
+        self._hold(ancilla_dim=m, coupling=coupling, projector=projector,
+                   _model=self._models(coupling[None], projector[None])[0])
 
     @staticmethod
     def _check(m: int, couplings: np.ndarray, projectors: np.ndarray) -> None:
@@ -118,33 +123,28 @@ class AncillaDetector(_DerivedData):
 
     @classmethod
     def stack(cls, m: int, couplings: np.ndarray, projectors: np.ndarray) -> list["AncillaDetector"]:
-        """Detectors of N couplings and N projectors, checked as one, with click maps."""
+        """Detectors of N couplings and N projectors, checked as one, with their models."""
         m, couplings, projectors = int(m), np.asarray(couplings, dtype=complex), np.asarray(projectors, dtype=complex)
         cls._check(m, couplings, projectors)
-        return [object.__new__(cls)._hold(ancilla_dim=m, coupling=u.copy(), projector=p.copy(), click_map=c.copy())
-                for u, p, c in zip(couplings, projectors, cls._click_maps(couplings, projectors))]
+        return [object.__new__(cls)._hold(ancilla_dim=m, coupling=u.copy(), projector=p.copy(), _model=k.copy())
+                for u, p, k in zip(couplings, projectors, cls._models(couplings, projectors))]
 
     @staticmethod
-    def _click_maps(couplings: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-        """(N, 2m, 2) click maps (1 (x) P) U of a stack, U restricted to
-        ancilla input |0>: P applied to each half of U's two columns."""
+    def _models(couplings: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+        """(N, 2, 2m, 2) models of a stack, one map per outcome from spin to
+        spin+ancilla amplitudes: (1 (x) P) U and (1 (x) (1 - P)) U on ancilla
+        input |0>, each projector applied to each half of U's two columns."""
         n, size = couplings.shape[:2]
-        halves = couplings[:, :, :: size // 2].reshape(n, 2, size // 2, 2)
-        return (projectors[:, None] @ halves).reshape(n, size, 2)
-
-    @cached_property
-    def click_map(self) -> np.ndarray:
-        """(2m, 2) map (1 (x) P) U, ancilla input |0>, from spin amplitudes to
-        projected spin+ancilla ones (a batch of one of ``_click_maps``)."""
-        return self._click_maps(self.coupling[None], self.projector[None])[0]
-
-    _model = property(lambda self: self.click_map)  # what the family's formula takes
+        halves = couplings[:, :, :: size // 2].reshape(n, 1, 2, size // 2, 2)
+        outcomes = np.stack([projectors, np.eye(size // 2) - projectors], axis=1)
+        return (outcomes[:, :, None] @ halves).reshape(n, 2, size, 2)
 
     @staticmethod
-    def _clicks(click_map: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        """The family's one formula, unclipped: |M a|^2 per row."""
-        projected = click_map @ amps
-        return np.einsum("nkr,nkr->n", projected.conj(), projected).real
+    def _clicks(models: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """The family's one formula, unclipped: |M_k a|^2 per outcome k and
+        row, a (K, N) array."""
+        projected = models @ amps[:, None]
+        return np.einsum("nkir,nkir->kn", projected.conj(), projected).real
 
 
 Detector = EffectDetector | AncillaDetector
@@ -235,25 +235,33 @@ def click_probability(det: Detector, psi: StateVector, spin_factor: int = 0) -> 
     return float(click_probabilities(det, qcore.spin_first(psi.as_tensor()[None], spin_factor))[0])
 
 
-def click_probabilities(det: Detector | ModelStacks, amps: np.ndarray) -> np.ndarray:
-    """Click probabilities of N stacked states.
+def outcome_probabilities(det: Detector | ModelStacks, amps: np.ndarray) -> np.ndarray:
+    """The (2, N) click and no-click probabilities of N stacked states.
 
-    ``amps`` has shape (N, 2, rest): axis 1 is the measured spin and
-    axis 2 runs over every other factor.  ``det`` is one detector for
-    every row, or the ``ModelStacks`` of N detectors of any families, one
-    per row.  An effect detector gives sum_r <a_r|E|a_r>; an
-    ancilla detector is simulated exactly, as the squared norm of its
-    projected spin+ancilla amplitudes.  A family's one formula takes its
-    model matrix alone or stacked one per row, so a row's value never
-    depends on its batch.
+    ``amps`` has shape (N, 2, rest): axis 1 is the measured spin and axis 2
+    runs over every other factor.  ``det`` is one detector for every row, or
+    the ``ModelStacks`` of N detectors of any families, one per row.  Each
+    outcome's probability comes from its own model by the family's one
+    formula, which takes its models alone or stacked one per row, so a
+    row's value never depends on its batch.
     """
+    return _oracle(det, amps, slice(None))
+
+
+def click_probabilities(det: Detector | ModelStacks, amps: np.ndarray) -> np.ndarray:
+    """The (N,) click row of ``outcome_probabilities``, from the click model alone."""
+    return _oracle(det, amps, slice(1))[0]
+
+
+def _oracle(det: Detector | ModelStacks, amps: np.ndarray, outcomes: slice) -> np.ndarray:
+    """The clipped probabilities of the ``outcomes`` rows of each model."""
     if isinstance(det, Detector):
-        p = det._clicks(det._model, amps)
+        p = det._clicks(det._model[outcomes], amps)
     else:
-        p = np.empty(len(amps))
+        p = np.empty((2, len(amps)))[outcomes]
         for family, slot, models in _stacks(det).groups:
             rows = np.flatnonzero(slot >= 0)
-            p[rows] = family._clicks(models[slot[rows]], amps[rows])
+            p[:, rows] = family._clicks(models[slot[rows], outcomes], amps[rows])
     return np.minimum(np.maximum(p, _ZERO), _ONE)  # np.clip, without its call and scalar-conversion overhead
 
 
@@ -268,25 +276,16 @@ def kraus_pairs(dets: Sequence[Detector]) -> np.ndarray:
 
 
 def equivalent_effect(det: Detector) -> np.ndarray:
-    """Ground-truth 2x2 effect of a detector.
+    """Ground-truth 2x2 click effect of a detector.
 
     Reads the hidden model; it exists for consistency tests and for the
     circuit evaluator's post-measurement states, never for tomography.
     """
     if isinstance(det, EffectDetector):
-        return np.array(det.effect)
+        return np.array(det._model[0])
     # <i, anc0| U^dagger (1 (x) P) U |j, anc0> = (M^dagger M)_ij for the
     # click map M, since 1 (x) P is a projector.
-    return det.click_map.conj().T @ det.click_map
-
-
-def complement_detector(det: Detector) -> Detector:
-    """Detector whose click is the original's no-click outcome."""
-    if isinstance(det, EffectDetector):
-        return EffectDetector(IDENTITY_2 - det.effect)
-    return AncillaDetector(
-        det.ancilla_dim, det.coupling, np.eye(det.ancilla_dim) - det.projector
-    )
+    return det._model[0].conj().T @ det._model[0]
 
 
 def probe_fclick(det: Detector | ModelStacks, p):
@@ -304,20 +303,21 @@ def probe_fclick(det: Detector | ModelStacks, p):
 
 
 def extract_affine(det: Detector) -> AffineResponse:
-    """Tomography from four reference probes: the ball center and the
-    three positive axis poles (a batch of one of ``extract_affines``)."""
-    return extract_affines(det)[0]
+    """Tomography of the click from four reference probes: the ball center
+    and the three positive axis poles (a batch of one of ``extract_affines``)."""
+    return extract_affines(det)[0][0]
 
 
-def extract_affines(det: Detector | ModelStacks) -> list[AffineResponse]:
-    """Tomography of one detector, or of each row's of a ``ModelStacks``, in
-    one oracle call on four reference rows per detector."""
+def extract_affines(det: Detector | ModelStacks) -> list[list[AffineResponse]]:
+    """Tomography of both outcomes of one detector, or of each row's of a
+    ``ModelStacks``, in one oracle call on four reference rows per detector:
+    the click responses, then the no-click ones, one per detector."""
     stacked = not isinstance(det, Detector)
     count = len(_stacks(det).detectors) if stacked else 1
     rows = det.on_rows(np.repeat(np.arange(count), 4)) if stacked else det
-    values = click_probabilities(rows, np.tile(_REFERENCE_STATES, (count, 1, 1))).reshape(count, 4)
-    alphas = values[:, 1:] - values[:, :1]
-    return [AffineResponse(alpha=a, beta=b) for a, b in zip(alphas, values[:, 0].tolist())]
+    values = outcome_probabilities(rows, np.tile(_REFERENCE_STATES, (count, 1, 1))).reshape(2, count, 4)
+    alphas = values[..., 1:] - values[..., :1]
+    return [[AffineResponse(alpha=a, beta=b) for a, b in zip(al, v[:, 0].tolist())] for al, v in zip(alphas, values)]
 
 
 def linear_extension(resp: AffineResponse, p: BlochVector) -> float:

@@ -324,7 +324,7 @@ def purify_batch(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array of Bloch points, got shape {pts.shape}")
-    px, py, pz = pts.T
+    px, py, pz = pts[:, 0], pts[:, 1], pts[:, 2]  # three indexings: cheaper than unpacking pts.T
     transverse = np.hypot(px, py)
     radius = np.hypot(pz, transverse)
     inside = radius <= _BALL_EDGE  # also false for non-finite components

@@ -326,6 +326,26 @@ class TestIdentityFamilies:
         report = _states(det, psi=psi, env_unitary=counter)["nosignal-unitary"]
         assert report.passed
 
+    @pytest.mark.parametrize("family", ["effect", "ancilla"])
+    def test_normalization_fails_on_a_skewed_no_click_model(self, family):
+        # The no-click bracket is the oracle's own no-click reading, not
+        # 1 - click: a detector whose no-click model is off by 1e-6 breaks
+        # normalization and nothing else.
+        det = detectors.random_effect_detector(5) if family == "effect" else detectors.random_ancilla_detector(5)
+        skewed = object.__new__(type(det))
+        vars(skewed)["_model"] = det._model * [[[1.0]], [[1.0 + 1e-6]]]
+        fine, broken = _states(det), _states(skewed)
+        assert fine["normalization"].passed
+        assert not broken["normalization"].passed and broken["normalization"].max_deviation > 1e-8
+        assert all(broken[name].passed for name in broken if name != "normalization")
+
+    @pytest.mark.parametrize("seed", [42, 7, 1234])
+    def test_suite_normalization_reads_round_off(self, seed):
+        # Click and no-click come from two models, so the suite's worst
+        # normalization gap is round-off, not an exact 0.
+        (report,) = derivation.run_full_suite(seed, subset="identity:normalization")
+        assert 0.0 < report.max_deviation <= 1e-14
+
     def test_multiplication_on_reference_pair(self):
         # Assumption-5 post-states make the chain rule exact on the pair.
         det = detectors.sg_up_detector()
@@ -623,16 +643,16 @@ class TestLastMeasurement:
         rng = np.random.default_rng(900 + seed)
         draws = [detectors.draw_detector(rng, ancilla_dim=int(rng.choice([2, 3, 4]))) for _ in range(10)]
         never, always = detectors.EffectDetector(np.zeros((2, 2))), detectors.EffectDetector(np.eye(2))
-        dets = [*detectors.build_detectors(draws), never, always, never, always]
-        # Basis states for the last four, which no gate moves, so that no
-        # oracle click is off 0 or 1 by a rounding error (see
-        # test_live_branch_of_a_zero_kraus_operator).
-        tens = np.array(
-            [qcore.random_state((2, 2, 3), rng).as_tensor() for _ in draws]
-            + [np.eye(12)[i].reshape(2, 2, 3) for i in (0, 7, 5, 10)]
-        )
+        cnot = detectors.cnot_click_detector().coupling
+        ancilla_never, ancilla_always = (detectors.AncillaDetector(2, cnot, np.diag(p)) for p in ([0.0, 0.0], [1.0, 1.0]))
+        dets = [*detectors.build_detectors(draws), never, always, never, always, ancilla_never, ancilla_always]
+        # Random states for the never and always rows too, whose oracle
+        # reads a click of 1 - 1.1e-16 on some: each outcome's model reads
+        # its own probability, so the branch whose Kraus operator is 0
+        # reads 0 whether or not a step follows.
+        tens = np.array([qcore.random_state((2, 2, 3), rng).as_tensor() for _ in dets])
         probe = Measure(0, "m", detectors.ModelStacks.of(dets))
-        u_env = np.stack([qcore.random_unitary(6, rng) for _ in draws] + [np.eye(6)] * 4)
+        u_env = np.stack([qcore.random_unitary(6, rng) for _ in dets])
         for steps in [
             (probe,),
             (Measure(0, "s"),),
@@ -655,10 +675,11 @@ class TestLastMeasurement:
 
     def test_live_branch_of_a_zero_kraus_operator(self):
         # The oracle reads "always" on this state as a click of 1 - 1.1e-16,
-        # a live no-click branch, whose Kraus operator is 0: the branch ends
-        # there, with no 0/0 post state.
+        # and its no-click, from the model 1 - E = 0, as 0: the no-click
+        # branch, whose Kraus operator is 0, ends there, with no 0/0 post state.
         det, psi = detectors.EffectDetector(np.eye(2)), qcore.random_state((2,), 1)
-        assert 0.0 < 1.0 - circuits.probabilities(psi.as_tensor().reshape(1, 2, 1), Measure(0, "m", det))[0, 0]
+        click, no_click = circuits.probabilities(psi.as_tensor().reshape(1, 2, 1), Measure(0, "m", det))[:, 0]
+        assert 0.0 < 1.0 - click and no_click == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert evaluate(Circuit(psi, (Measure(0, "m", det), Gate((0,), np.eye(2)))), {"m": "noclick"}) == 0.0
@@ -674,11 +695,6 @@ class TestLastMeasurement:
         _, details = derivation._lemma1(instances)
         assert details["a_lambda"].tobytes() == expected.tobytes()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the walk's two measurement paths disagree: a measurement that ends the walk reads the "
-        "oracle's no-click of 1.1e-16, where a following gate ends the branch at 0",
-    )
     def test_no_click_of_always_reads_the_same_with_or_without_a_following_gate(self):
         source = (
             "wire w : 2\n"

@@ -238,8 +238,9 @@ class TestEval:
         assert run_cli("eval", str(tmp_path / "none.qexp"), "q") == 2
 
     def test_no_click_of_an_always_detector_then_a_gate(self, tmp_path, capsys):
-        # The oracle reads the click as 1 - 1.1e-16 on this state, but the
-        # no-click Kraus operator is 0, so that branch ends before the gate.
+        # The oracle reads the click as 1 - 1.1e-16 on this state and the
+        # no-click, from its own model, as 0; the no-click Kraus operator is
+        # 0 too, so that branch ends before the gate.
         path = tmp_path / "always.qexp"
         path.write_text(
             "wire w : 2\n"
@@ -254,7 +255,7 @@ class TestEval:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run_cli("eval", str(path), "q") == 0
-        assert abs(float(capsys.readouterr().out)) <= 1e-12
+        assert float(capsys.readouterr().out) == 0.0
 
 
 class TestTomography:

@@ -382,33 +382,35 @@ class TestFullSuite:
             assert found[f"theorem2[{label}]"] == th2
 
     def test_theorem_oracle_budget(self, monkeypatch):
-        # One tomography probe, theorem 1's points, its mixture members, and
-        # theorem 2's extremes, pure states and mixtures: four oracle calls
-        # for the whole battery, on rows of one ModelStacks.
+        # One tomography probe of both outcomes, theorem 1's points, its
+        # mixture members, and theorem 2's extremes, pure states and
+        # mixtures: four oracle calls for the whole battery, on rows of one
+        # ModelStacks of the battery's detectors alone.
         calls, stacks = [], []
-        real_clicks, real_of = detectors.click_probabilities, detectors.ModelStacks.of.__func__
-        monkeypatch.setattr(detectors, "click_probabilities", lambda d, a: calls.append(len(a)) or real_clicks(d, a))
+        real_oracle, real_of = detectors._oracle, detectors.ModelStacks.of.__func__
+        monkeypatch.setattr(detectors, "_oracle", lambda d, a, k: calls.append((len(a), k)) or real_oracle(d, a, k))
         monkeypatch.setattr(
             detectors.ModelStacks, "of", classmethod(lambda cls, dets: stacks.append(len(dets)) or real_of(cls, dets))
         )
         reports = run_full_suite(42, subset="theorem")
         battery = len(standard_battery(42))
         assert len(reports) == 2 * battery
-        assert len(calls) <= 4 and calls[0] == 4 * 2 * battery
-        assert stacks == [2 * battery]
+        assert len(calls) == 4 and calls[0] == (4 * battery, slice(None))
+        assert all(k == slice(1) for _, k in calls[1:])  # the probes read the click row alone
+        assert stacks == [battery]
 
-    @pytest.mark.parametrize("subset, models", [("theorem1[effect:sg-up]", 1), ("theorem2[effect:noisy]", 2)])
-    def test_theorem_subset_stacks_only_matched_rows(self, subset, models, monkeypatch):
-        # A detector and, for theorem 2, its complement: no other battery row
-        # is tomographed or probed.
+    @pytest.mark.parametrize("subset", ["theorem1[effect:sg-up]", "theorem2[effect:noisy]"])
+    def test_theorem_subset_stacks_only_matched_rows(self, subset, monkeypatch):
+        # One detector, whose model serves both outcomes: no other battery
+        # row is tomographed or probed.
         stacks, rows = [], []
-        real_of, real_clicks = detectors.ModelStacks.of.__func__, detectors.click_probabilities
+        real_of, real_oracle = detectors.ModelStacks.of.__func__, detectors._oracle
         monkeypatch.setattr(
             detectors.ModelStacks, "of", classmethod(lambda cls, dets: stacks.append(len(dets)) or real_of(cls, dets))
         )
-        monkeypatch.setattr(detectors, "click_probabilities", lambda d, a: rows.append(len(a)) or real_clicks(d, a))
+        monkeypatch.setattr(detectors, "_oracle", lambda d, a, k: rows.append(len(a)) or real_oracle(d, a, k))
         assert [r.name for r in run_full_suite(42, subset=subset)] == [subset]
-        assert stacks == [models] and rows[0] == 4 * models
+        assert stacks == [1] and rows[0] == 4
 
     def test_identity_sweep_evaluation_budget(self, monkeypatch):
         # Each counted call is one batched walk over all 200 instances,
@@ -554,7 +556,7 @@ def _former_theorems(det, seed1, seed2, n_points=40, n_states=200):
     span = p_max - p_min
     weights, members, starts, law = mixtures(rng, 20, 2)
     overlaps = np.abs(members @ np.conj(phi_up)) ** 2
-    alpha_down, beta_down = tomography(detectors.complement_detector(det))
+    alpha_down, beta_down = tomography(_complement(det))
     norm_down = float(np.linalg.norm(alpha_down))
     th2 = {
         "orthogonality": float(abs(np.vdot(phi_up, phi_down))),
@@ -570,6 +572,13 @@ def _former_theorems(det, seed1, seed2, n_points=40, n_states=200):
         "p_min": p_min,
     }
     return th1, th2
+
+
+def _complement(det):
+    """A detector whose click is ``det``'s no-click, built from its model."""
+    if isinstance(det, detectors.EffectDetector):
+        return detectors.EffectDetector(qcore.IDENTITY_2 - det.effect)
+    return detectors.AncillaDetector(det.ancilla_dim, det.coupling, np.eye(det.ancilla_dim) - det.projector)
 
 
 def _walk_group(tens):

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bornverifier import circuits, derivation, detectors, qcore
+from bornverifier import circuits, coordinate, derivation, detectors, qcore
 from bornverifier.detectors import (
     AffineResponse,
     AncillaDetector,
@@ -12,11 +12,11 @@ from bornverifier.detectors import (
     click_probabilities,
     click_probability,
     cnot_click_detector,
-    complement_detector,
     equivalent_effect,
     extract_affine,
     linear_extension,
     mixed_click_probability,
+    outcome_probabilities,
     probe_fclick,
     random_ancilla_detector,
     random_detector,
@@ -269,14 +269,15 @@ class TestMixedClick:
 
 class TestComplement:
     def test_probabilities_complement(self):
+        # Each outcome is read from its own model; the click row is the
+        # click probability, bit for bit, and the two rows sum to 1.
         rng = np.random.default_rng(12)
         for _ in range(20):
             det = random_detector(rng)
             psi = qcore.random_state((2, 2), rng)
-            total = click_probability(det, psi, 0) + click_probability(
-                complement_detector(det), psi, 0
-            )
-            assert total == pytest.approx(1.0, abs=1e-10)
+            click, no_click = outcome_probabilities(det, psi.as_tensor()[None])[:, 0]
+            assert click == click_probability(det, psi, 0)
+            assert click + no_click == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDetectorValidation:
@@ -402,13 +403,23 @@ def _stacked(models):
     return AncillaDetector.stack(columns[0][0], *columns[1:])
 
 
-def _kron_click_map(det):
-    """(1 (x) P) U restricted to ancilla input |0>, written out with np.kron."""
-    return np.kron(np.eye(2), det.projector) @ det.coupling[:, :: det.ancilla_dim]
+def _kron_maps(det):
+    """(1 (x) P) U and (1 (x) (1 - P)) U restricted to ancilla input |0>,
+    written out with np.kron."""
+    m = det.ancilla_dim
+    return np.array([np.kron(np.eye(2), p) @ det.coupling[:, ::m] for p in (det.projector, np.eye(m) - det.projector)])
+
+
+def _sealed(det):
+    """A detector of ``det``'s family that holds its per-outcome model and
+    nothing else: reading its effect, coupling or projector raises."""
+    sealed = object.__new__(type(det))
+    vars(sealed)["_model"] = det._model
+    return sealed
 
 
 class TestStackedBuild:
-    FIELDS = ("effect", "ancilla_dim", "coupling", "projector", "click_map")
+    FIELDS = ("effect", "ancilla_dim", "coupling", "projector", "_model")
 
     @staticmethod
     def named():
@@ -422,7 +433,9 @@ class TestStackedBuild:
             if hasattr(lone, name):
                 assert np.asarray(getattr(stacked, name)).tobytes() == np.asarray(getattr(lone, name)).tobytes(), name
         if isinstance(lone, AncillaDetector):
-            assert lone.click_map.tobytes() == _kron_click_map(lone).tobytes()
+            assert lone._model.tobytes() == _kron_maps(lone).tobytes()
+        else:
+            assert lone._model.tobytes() == np.array([lone.effect, np.eye(2) - lone.effect]).tobytes()
 
     def test_random_stacks_equal_lone_constructors_bit_for_bit(self):
         rng = np.random.default_rng(41)
@@ -507,7 +520,7 @@ class TestStackedBuild:
         assert stacks.groups == () and stacks.detectors.shape == (0,)
         picked = stacks.on_rows(np.array([], dtype=int))
         assert picked.groups == () and picked.detectors.shape == (0,)
-        assert detectors.extract_affines(stacks) == []
+        assert detectors.extract_affines(stacks) == [[], []]
 
 
 class TestKrausPairs:
@@ -598,11 +611,29 @@ class TestBatchedOracle:
         dets = [makers[k](rng) for k in rng.permutation(np.arange(15) % 3)]
         dets[3] = dets[0]  # a shared detector serves two rows
         amps = qcore.random_amplitudes((2, rest), len(dets), rng).reshape(len(dets), 2, rest)
-        mixed = click_probabilities(detectors.ModelStacks.of(dets), amps)
-        assert mixed.shape == (len(dets),)
+        stacks = detectors.ModelStacks.of(dets)
+        mixed, both = click_probabilities(stacks, amps), outcome_probabilities(stacks, amps)
+        assert mixed.shape == (len(dets),) and both.shape == (2, len(dets))
+        assert both[0].tobytes() == mixed.tobytes()
         for i, det in enumerate(dets):
             assert mixed[i] == click_probabilities(det, amps)[i]
             assert mixed[i] == click_probabilities(det, amps[i : i + 1])[0]
+            assert both[:, i].tobytes() == outcome_probabilities(det, amps[i : i + 1])[:, 0].tobytes()
+
+    @pytest.mark.parametrize("rest", range(1, 9))
+    def test_rows_do_not_depend_on_their_memory_layout(self, rest):
+        # Bit for bit: the same rows as a C-ordered stack and as a strided
+        # view give the same click and no-click, for both families, lone
+        # and stacked.
+        rng = np.random.default_rng(11)
+        dets = [make(rng) for make in (random_effect_detector, random_ancilla_detector) for _ in range(5)]
+        amps = qcore.random_amplitudes((2, rest), 10 * len(dets), rng).reshape(-1, 2, rest)
+        strided = np.ascontiguousarray(amps.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert np.array_equal(strided, amps) and strided.flags.c_contiguous == (rest == 1)
+        for det in dets:
+            assert outcome_probabilities(det, strided).tobytes() == outcome_probabilities(det, amps).tobytes()
+        stacks = detectors.ModelStacks.of(dets).on_rows(np.repeat(np.arange(len(dets)), 10))
+        assert outcome_probabilities(stacks, strided).tobytes() == outcome_probabilities(stacks, amps).tobytes()
 
     @pytest.mark.parametrize("intruder", ["detector", np.eye(2), None, sg_up_detector()])
     def test_sequence_with_a_non_detector_rejected(self, intruder):
@@ -657,20 +688,53 @@ class TestBlackBoxContract:
 
     @pytest.mark.parametrize("family", [random_effect_detector, random_ancilla_detector])
     def test_oracle_call_counts(self, family, monkeypatch):
-        # Tomography asks the oracle once, for its four reference points;
-        # the linear extension rebuilds a value from those alone.
+        # Tomography asks the oracle once, for both outcomes at its four
+        # reference points; the linear extension rebuilds a value from
+        # those alone.
         rng = np.random.default_rng(35)
         det = family(rng)
         batches = []
-        real = detectors.click_probabilities
+        real = detectors._oracle
         monkeypatch.setattr(
-            detectors, "click_probabilities",
-            lambda d, amps: batches.append(len(amps)) or real(d, amps),
+            detectors, "_oracle",
+            lambda d, amps, outcomes: batches.append((len(amps), outcomes)) or real(d, amps, outcomes),
         )
         resp = extract_affine(det)
-        assert batches == [4]
+        assert batches == [(4, slice(None))]
         linear_extension(resp, qcore.random_bloch(rng))
-        assert batches == [4]
+        assert batches == [(4, slice(None))]
+        probe_fclick(det, BlochVector(0.0, 0.0, 1.0))
+        assert batches[1:] == [(1, slice(1))]  # a probe reads the click model alone
+
+    @pytest.mark.parametrize("family", [random_effect_detector, random_ancilla_detector])
+    def test_sealed_detectors_run_every_verifier(self, family):
+        # A detector that holds only its per-outcome model gives every
+        # verifier the same report, bit for bit, as the detector it was
+        # sealed from: no verifier reads the hidden model's fields.
+        rng = np.random.default_rng(36)
+        det = family(rng)
+        sealed = _sealed(det)
+        for name in ("effect", "ancilla_dim", "coupling", "projector"):
+            with pytest.raises(AttributeError):
+                getattr(sealed, name)
+        p0, p1, lam = qcore.random_bloch(rng), qcore.random_bloch(rng), 0.3
+        verifiers = [
+            lambda d: derivation.verify_envariance(d, trials=20, seed=37),
+            lambda d: derivation.verify_lemma1(d, p0, p1, lam),
+            lambda d: derivation.verify_lemma2(d, p0, p1),
+            lambda d: derivation.verify_lemma3_dyadic(d, p0, p1, depth=12, seed=38)[1],
+            lambda d: derivation.verify_theorem1(d, n_points=30, seed=39),
+            lambda d: derivation.verify_theorem2(d, n_states=50, seed=40),
+        ]
+        for verify in verifiers:
+            report = verify(sealed)
+            assert report.passed and report == verify(det), report.name
+        resp, expected = extract_affine(sealed), extract_affine(det)
+        assert resp.alpha.tobytes() == expected.alpha.tobytes() and resp.beta == expected.beta
+        assert linear_extension(resp, p0) == linear_extension(expected, p0)
+        wf, interval = coordinate.uniform_wavefunction(0.0, 1.0, 1000), coordinate.IntervalDetector(0.0, 0.4995)
+        report = coordinate.verify_isospin_born(_sealed(sg_up_detector()), wf, interval)
+        assert report.passed and report == coordinate.verify_isospin_born(sg_up_detector(), wf, interval)
 
 
 class TestDetectorCaches:
@@ -679,7 +743,7 @@ class TestDetectorCaches:
         probe_fclick(det, BlochVector(0.1, 0.2, 0.3))
         psi = qcore.random_state((2, 2), 36)
         circuits.detector_measure(psi, 0, det)
-        assert "click_map" in vars(det)
+        assert "_model" in vars(det)
 
     def _effect_reads(self, monkeypatch, steps) -> list:
         # The detectors whose ground-truth effect five evaluations read.
@@ -718,9 +782,10 @@ class TestDetectorCaches:
     def test_detectors_never_share_derived_data(self):
         a = cnot_click_detector()
         b = cnot_click_detector()
-        c = complement_detector(a)
+        c = AncillaDetector(2, a.coupling, np.eye(2) - a.projector)  # a's outcomes swapped
         for det in (a, b, c):
             probe_fclick(det, BlochVector(0.0, 0.0, 1.0))
             circuits.detector_measure(qcore.random_state((2,), 40), 0, det)
-        assert a.click_map is not b.click_map
-        assert not np.allclose(c.click_map, a.click_map)
+        assert a._model is not b._model and not np.shares_memory(a._model, b._model)
+        assert not np.allclose(c._model, a._model)
+        assert np.array_equal(c._model, a._model[::-1])
