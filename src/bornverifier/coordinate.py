@@ -110,14 +110,12 @@ def uniform_wavefunction(x_min: float, x_max: float, n: int) -> Wavefunction1D:
     return Wavefunction1D.from_values(x_min, x_max, np.ones(n))
 
 
-def gaussian_wavefunction(
-    x_min: float, x_max: float, n: int, sigma: float = 1.0, center: float = 0.0
-) -> Wavefunction1D:
-    """Amplitude whose squared magnitude is the normal density with the
-    given center and standard deviation, renormalized on the grid."""
+def gaussian_wavefunction(x_min: float, x_max: float, n: int, sigma: float = 1.0) -> Wavefunction1D:
+    """Amplitude whose squared magnitude is the normal density centered at
+    0 with the given standard deviation, renormalized on the grid."""
     dx = (x_max - x_min) / n
     xs = x_min + np.arange(n) * dx
-    values = np.exp(-((xs - center) ** 2) / (4.0 * sigma**2))
+    values = np.exp(-(xs**2) / (4.0 * sigma**2))
     return Wavefunction1D.from_values(x_min, x_max, values)
 
 

@@ -120,7 +120,7 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     states and the relabelling unitaries are built in stacks, and the
     oracle is asked twice, for the ends and midpoints of every segment
     and for every four-spin state, each detector on its own rows; every
-    a_lambda comes from one reference measurement of the stacked pairs.
+    pair's up and down weights come from one reference measurement.
     Returns the (N,) deviations and the (N,) arrays of their details."""
     dets, p0, p1, lams = zip(*instances)
     n = len(instances)
@@ -152,12 +152,12 @@ def _lemma1(instances) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     models = _det.ModelStacks.of(dets)
     f0, f1, f_mid = _det.probe_fclick(models.on_rows(np.repeat(np.arange(n), 3)), points).reshape(n, 3).T
     f_big = _det.click_probabilities(models, amps.reshape(n, 2, 8))
-    a_lam = circuits.probabilities(qcore.spin_first(pairs, 1), circuits.Measure(1, "s"))[0]  # outcome "u"
+    a_lam, a_down = circuits.probabilities(qcore.spin_first(pairs, 1), circuits.Measure(1, "s"))  # "u", "d"
     low, high = np.minimum(f0, f1), np.maximum(f0, f1)
     details = {
         "polarization_deviation": np.abs(qcore.bloch_polarizations(amps.reshape(n, 2, 8)) - mids).max(1),
         "relabelling_residual": np.linalg.norm(relabelled.reshape(n, 16) - expected, axis=1),
-        "mixture_deviation": np.abs(f_mid - (a_lam * f0 + (1.0 - a_lam) * f1)),
+        "mixture_deviation": np.abs(f_mid - (a_lam * f0 + a_down * f1)),
         "four_spin_probe_deviation": np.abs(f_big - f_mid),
         "betweenness_violation": np.maximum(low - f_mid, f_mid - high).clip(0.0),
     }
@@ -400,10 +400,21 @@ def _oracle(probe, models: _det.ModelStacks, rows: list[int], stacks: list[np.nd
     return np.split(values, np.cumsum(sizes)[:-1])
 
 
+# The battery's named detectors in report order: each label and the maker of a fresh detector.
+_NAMED_BATTERY = (
+    ("effect:sg-up", _det.sg_up_detector),
+    ("effect:sigma-x", lambda: _det.EffectDetector(0.5 * (qcore.IDENTITY_2 + qcore.SIGMA_X))),
+    ("effect:constant-half", lambda: _det.EffectDetector(0.5 * qcore.IDENTITY_2)),
+    ("effect:never", lambda: _det.EffectDetector(np.zeros((2, 2)))),
+    ("effect:always", lambda: _det.EffectDetector(qcore.IDENTITY_2)),
+    ("effect:noisy", lambda: _det.EffectDetector(0.8 * np.diag([1.0, 0.0]) + 0.1 * qcore.IDENTITY_2)),
+    ("ancilla:cnot-up", _det.cnot_click_detector),
+)
+
+
 def _battery_labels(n_random: int = 4) -> list[str]:
     """The labels of ``standard_battery``'s detectors, in its order."""
-    named = ["effect:sg-up", "effect:sigma-x", "effect:constant-half", "effect:never", "effect:always",
-             "effect:noisy", "ancilla:cnot-up"]
+    named = [label for label, _ in _NAMED_BATTERY]
     return named + [f"{family}:random-{i}" for family in ("effect", "ancilla") for i in range(n_random)]
 
 
@@ -411,15 +422,7 @@ def standard_battery(seed: int, n_random: int = 4) -> list[tuple[str, Detector]]
     """Named detectors plus seeded random ones from both ground-truth
     families."""
     rng = qcore.as_rng(np.random.SeedSequence((seed, 0xD37)))
-    named = [
-        _det.sg_up_detector(),
-        _det.EffectDetector(0.5 * (qcore.IDENTITY_2 + qcore.SIGMA_X)),
-        _det.EffectDetector(0.5 * qcore.IDENTITY_2),
-        _det.EffectDetector(np.zeros((2, 2))),
-        _det.EffectDetector(qcore.IDENTITY_2),
-        _det.EffectDetector(0.8 * np.diag([1.0, 0.0]) + 0.1 * qcore.IDENTITY_2),
-        _det.cnot_click_detector(),
-    ]
+    named = [make() for _, make in _NAMED_BATTERY]
     draws = [_det.draw_detector(rng, family) for family in ("effect", "ancilla") for _ in range(n_random)]
     return list(zip(_battery_labels(n_random), named + _det.build_detectors(draws), strict=True))
 

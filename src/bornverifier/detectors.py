@@ -177,12 +177,6 @@ class ModelStacks:
         return ModelStacks(self.detectors[index], tuple((f, slot[index], m) for f, slot, m in self.groups))
 
 
-def _stacks(det) -> ModelStacks:
-    if isinstance(det, ModelStacks):
-        return det
-    raise TypeError(f"expected a Detector or a ModelStacks.of(detectors), not a {type(det).__name__}")
-
-
 @dataclass(frozen=True)
 class AffineResponse:
     """Affine click response alpha . p + beta over the Bloch ball."""
@@ -257,11 +251,13 @@ def _oracle(det: Detector | ModelStacks, amps: np.ndarray, outcomes: slice) -> n
     """The clipped probabilities of the ``outcomes`` rows of each model."""
     if isinstance(det, Detector):
         p = det._clicks(det._model[outcomes], amps)
-    else:
+    elif isinstance(det, ModelStacks):
         p = np.empty((2, len(amps)))[outcomes]
-        for family, slot, models in _stacks(det).groups:
+        for family, slot, models in det.groups:
             rows = np.flatnonzero(slot >= 0)
             p[:, rows] = family._clicks(models[slot[rows], outcomes], amps[rows])
+    else:
+        raise TypeError(f"expected a Detector or a ModelStacks.of(detectors), not a {type(det).__name__}")
     return np.minimum(np.maximum(p, _ZERO), _ONE)  # np.clip, without its call and scalar-conversion overhead
 
 
@@ -303,18 +299,21 @@ def probe_fclick(det: Detector | ModelStacks, p):
 
 
 def extract_affine(det: Detector) -> AffineResponse:
-    """Tomography of the click from four reference probes: the ball center
-    and the three positive axis poles (a batch of one of ``extract_affines``)."""
-    return extract_affines(det)[0][0]
+    """Tomography of the click from four reference probes, in one oracle
+    call on their click row: the ball center and the three positive axis
+    poles."""
+    values = click_probabilities(det, _REFERENCE_STATES)
+    return AffineResponse(alpha=values[1:] - values[:1], beta=values[0])
 
 
-def extract_affines(det: Detector | ModelStacks) -> list[list[AffineResponse]]:
-    """Tomography of both outcomes of one detector, or of each row's of a
-    ``ModelStacks``, in one oracle call on four reference rows per detector:
-    the click responses, then the no-click ones, one per detector."""
-    stacked = not isinstance(det, Detector)
-    count = len(_stacks(det).detectors) if stacked else 1
-    rows = det.on_rows(np.repeat(np.arange(count), 4)) if stacked else det
+def extract_affines(stacks: ModelStacks) -> list[list[AffineResponse]]:
+    """Tomography of both outcomes of each row's detector of a
+    ``ModelStacks``, in one oracle call on four reference rows per
+    detector: the click responses, then the no-click ones, one per row."""
+    if not isinstance(stacks, ModelStacks):
+        raise TypeError(f"extract_affines takes a ModelStacks, not a {type(stacks).__name__} (one detector: extract_affine)")
+    count = len(stacks.detectors)
+    rows = stacks.on_rows(np.repeat(np.arange(count), 4))
     values = outcome_probabilities(rows, np.tile(_REFERENCE_STATES, (count, 1, 1))).reshape(2, count, 4)
     alphas = values[..., 1:] - values[..., :1]
     return [[AffineResponse(alpha=a, beta=b) for a, b in zip(al, v[:, 0].tolist())] for al, v in zip(alphas, values)]

@@ -376,36 +376,33 @@ class _Parser:
         return index
 
     def _parse_matrix(self) -> np.ndarray:
-        open_token = self.next(_SYM, "[")
-        rows = []
-        while True:
-            rows.append(self._parse_row())
-            token = self.next(_SYM)
-            if token[_SYM] == ",":
-                continue
-            if token[_SYM] == "]":
-                break
-            raise self.error("expected ',' or ']' in matrix", token)
+        open_token = self.peek()
+        rows = self._parse_list(lambda: self._parse_list(self._parse_entry, "matrix row"), "matrix")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise self.error("matrix rows have unequal lengths", open_token)
         return np.array(rows, dtype=complex)
 
-    def _parse_row(self) -> list[complex]:
+    def _parse_list(self, item, what: str) -> list:
+        """A bracketed, comma-separated, non-empty list of ``item()``s,
+        named ``what`` in its errors."""
         self.next(_SYM, "[")
-        entries = []
+        items = []
         while True:
-            token = self.peek()
-            if not (token[_NUMBER] or token[_COMPLEX]):
-                raise self.error("expected a matrix entry")
-            self.pos += 1
-            entries.append(self._parse_complex(token))
+            items.append(item())
             token = self.next(_SYM)
             if token[_SYM] == ",":
                 continue
             if token[_SYM] == "]":
-                return entries
-            raise self.error("expected ',' or ']' in matrix row", token)
+                return items
+            raise self.error(f"expected ',' or ']' in {what}", token)
+
+    def _parse_entry(self) -> complex:
+        token = self.peek()
+        if not (token[_NUMBER] or token[_COMPLEX]):
+            raise self.error("expected a matrix entry")
+        self.pos += 1
+        return self._parse_complex(token)
 
     def _parse_unitary(self) -> None:
         name_token = self.next(_IDENT)

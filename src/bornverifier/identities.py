@@ -180,10 +180,11 @@ def check_a5(lam, probe, unitaries, rule, x) -> tuple[np.ndarray, dict[str, np.n
         return mass(circuits.outcome_distribution(tens, steps, {"m": "click"}))
 
     pairs = qcore.spin_pair_states(lam).reshape(-1, 2, 2)
-    b = {"lhs": click(pairs), "a_lambda": probabilities(qcore.spin_first(pairs, 1), Measure(1, "s"))[0]}
+    a_up, a_down = probabilities(qcore.spin_first(pairs, 1), Measure(1, "s"))  # both reference branch weights
+    b = {"lhs": click(pairs), "a_lambda": a_up}
     b["up"], b["down"] = (click(np.tile(v, (len(lam), 1))) for v in (qcore.UP, qcore.DOWN))
-    s, a = (lambda p: rule.combined(p, x)), b["a_lambda"]
-    return np.abs(s(b["lhs"]) - (s(a) * s(b["up"]) + s(1.0 - a) * s(b["down"]))), b
+    s = lambda p: rule.combined(p, x)
+    return np.abs(s(b["lhs"]) - (s(a_up) * s(b["up"]) + s(a_down) * s(b["down"]))), b
 
 
 def check_identity_a5_decomposition(

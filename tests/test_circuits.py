@@ -15,6 +15,8 @@ from bornverifier.reporting import VerificationReport
 
 UP = StateVector((2,), [1, 0])
 GOLDEN = Path(__file__).parent / "golden"
+# The reference apparatus with its down projector off by 1e-6.
+SKEWED_PROJECTORS = circuits._PROJECTORS * np.array([1.0, 1.0 + 1e-6])[:, None, None, None]
 
 
 class TestSgMeasure:
@@ -338,6 +340,26 @@ class TestIdentityFamilies:
         assert fine["normalization"].passed
         assert not broken["normalization"].passed and broken["normalization"].max_deviation > 1e-8
         assert all(broken[name].passed for name in broken if name != "normalization")
+
+    # Clicks on spin down, so the decomposition's down branch carries weight.
+    DOWN_CLICKS = [detectors.EffectDetector(np.diag([0.0, 1.0])),
+                   detectors.AncillaDetector(2, detectors.cnot_click_detector().coupling, np.diag([0.0, 1.0]))]
+
+    @pytest.mark.parametrize("det", DOWN_CLICKS, ids=["effect", "ancilla"])
+    def test_a5_decomposition_fails_on_a_skewed_down_projector(self, det, monkeypatch):
+        # The decomposition weighs the down branch by the reference
+        # apparatus's own down reading, not 1 - up: a down projector off
+        # by 1e-6 breaks it.
+        assert check_identity_a5_decomposition(0.5, det).passed
+        monkeypatch.setattr(circuits, "_PROJECTORS", SKEWED_PROJECTORS)
+        report = check_identity_a5_decomposition(0.5, det)
+        assert not report.passed and report.max_deviation > 1e-7
+
+    def test_suite_a5_decomposition_fails_on_a_skewed_down_projector(self, monkeypatch):
+        (fine,) = derivation.run_full_suite(42, subset="identity:a5-decomposition")
+        monkeypatch.setattr(circuits, "_PROJECTORS", SKEWED_PROJECTORS)
+        (broken,) = derivation.run_full_suite(42, subset="identity:a5-decomposition")
+        assert fine.passed and not broken.passed and broken.max_deviation > 1e-8
 
     @pytest.mark.parametrize("seed", [42, 7, 1234])
     def test_suite_normalization_reads_round_off(self, seed):

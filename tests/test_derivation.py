@@ -73,6 +73,17 @@ class TestLemma1:
         with pytest.raises(ValueError):
             verify_lemma1(det, BlochVector(0, 0, 0), BlochVector(0, 0, 1), 1.5)
 
+    def test_mixture_fails_on_a_skewed_down_projector(self, monkeypatch):
+        # The mixture weighs the lambda end by the reference apparatus's
+        # own down reading, not 1 - a_lambda: a down projector off by 1e-6
+        # breaks it.
+        det, p0, p1 = detectors.EffectDetector(np.diag([0.0, 1.0])), BlochVector(0, 0, 1), BlochVector(0, 0, -1)
+        assert verify_lemma1(det, p0, p1, 0.5).passed
+        skewed = circuits._PROJECTORS * np.array([1.0, 1.0 + 1e-6])[:, None, None, None]
+        monkeypatch.setattr(circuits, "_PROJECTORS", skewed)
+        report = verify_lemma1(det, p0, p1, 0.5)
+        assert not report.passed and dict(report.details)["mixture_deviation"] > 1e-7
+
     def test_stack_matches_per_instance_runs(self):
         # Both detector families and several ancilla shapes in one stack.
         rng = np.random.default_rng(29)

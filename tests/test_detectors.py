@@ -117,6 +117,21 @@ class TestExtractAffine:
         np.testing.assert_allclose(resp.alpha, [0, 0, 0], atol=1e-12)
         assert resp.beta == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("det", [pytest.param(det, id=label) for label, det in derivation.standard_battery(0)])
+    def test_lone_response_is_the_click_of_a_stack_of_one(self, det):
+        # Bit for bit, for every battery detector of both families: the
+        # click row alone gives the click response that the tomography of
+        # both outcomes gives.
+        resp = extract_affine(det)
+        (stacked,), _ = detectors.extract_affines(detectors.ModelStacks.of([det]))
+        assert resp.alpha.tobytes() == stacked.alpha.tobytes() and resp.beta == stacked.beta
+
+    @pytest.mark.parametrize("det", [sg_up_detector(), cnot_click_detector()])
+    def test_stacked_tomography_rejects_a_lone_detector(self, det):
+        message = rf"^extract_affines takes a ModelStacks, not a {type(det).__name__} \(one detector: extract_affine\)$"
+        with pytest.raises(TypeError, match=message):
+            detectors.extract_affines(det)
+
     def test_linearity_over_random_detectors(self):
         rng = np.random.default_rng(5)
         for _ in range(60):
@@ -652,7 +667,7 @@ class TestBatchedOracle:
                 probe_fclick(given, np.zeros((2, 3)))
             with pytest.raises(TypeError, match=message):
                 probe_fclick(given, BlochVector(0.0, 0.0, 1.0))
-            with pytest.raises(TypeError, match=message):
+            with pytest.raises(TypeError, match=rf"^extract_affines takes a ModelStacks, not a {type(given).__name__} "):
                 detectors.extract_affines(given)
 
     def test_bad_point_arrays_rejected(self):
@@ -688,7 +703,7 @@ class TestBlackBoxContract:
 
     @pytest.mark.parametrize("family", [random_effect_detector, random_ancilla_detector])
     def test_oracle_call_counts(self, family, monkeypatch):
-        # Tomography asks the oracle once, for both outcomes at its four
+        # Tomography asks the oracle once, for the click alone at its four
         # reference points; the linear extension rebuilds a value from
         # those alone.
         rng = np.random.default_rng(35)
@@ -700,9 +715,9 @@ class TestBlackBoxContract:
             lambda d, amps, outcomes: batches.append((len(amps), outcomes)) or real(d, amps, outcomes),
         )
         resp = extract_affine(det)
-        assert batches == [(4, slice(None))]
+        assert batches == [(4, slice(1))]
         linear_extension(resp, qcore.random_bloch(rng))
-        assert batches == [(4, slice(None))]
+        assert batches == [(4, slice(1))]
         probe_fclick(det, BlochVector(0.0, 0.0, 1.0))
         assert batches[1:] == [(1, slice(1))]  # a probe reads the click model alone
 
