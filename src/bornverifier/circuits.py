@@ -152,11 +152,6 @@ class EvalResult:
     probability: float
     undefined_labels: tuple[str, ...] = ()
 
-    @property
-    def conditional_undefined(self) -> bool:
-        """Whether a queried branch has zero probability."""
-        return bool(self.undefined_labels)
-
 
 def _to_front(tens: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
     """A view of ``tens`` with the listed axes moved, in order, right after

@@ -1,14 +1,16 @@
 """Alternative probability rules and the assumption-necessity battery.
 
 Three rules replace the squared-amplitude probabilities: a threshold
-rule driven by an external random stream, a modified-inner-product rule,
-and a cubic reshaping.  ``run_battery`` checks the seven bracket
-identities under a rule and records which of them survive.  It runs the
-derivation suite's own sweep, ``identities.sweep_identities``: the
-brackets are exact ground-truth values, and the rule reads them, in one
-way for a bracket compared with a single other bracket and in another
-for a bracket that enters a sum or a product.  The squared-amplitude
-rule, ``BornRule``, comes from ``identities``.
+rule driven by an external random stream (``p1_rule``), a
+modified-inner-product rule (``p2_rules``, for K outcome vectors on N
+states at once) and a cubic reshaping (``p3_rule``).  ``run_battery``
+checks the seven bracket identities under a rule and records which of
+them survive.  It runs the derivation suite's own sweep,
+``identities.sweep_identities``: the brackets are exact ground-truth
+values, and the rule reads them, in one way for a bracket compared with
+a single other bracket and in another for a bracket that enters a sum or
+a product.  The squared-amplitude rule, ``BornRule``, comes from
+``identities``.
 """
 
 from __future__ import annotations
@@ -38,12 +40,6 @@ def _check_unit(values, what: str) -> None:
     outside = ~((0.0 <= values) & (values <= 1.0))
     if outside.any():
         raise ValueError(f"{what} out of range: {values[outside][0]}")
-
-
-def p2_rule(a: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> float:
-    """Modified-inner-product rule |<phi|A|psi>|^2 / <psi|A|psi>: a batch
-    of one of ``p2_rules``."""
-    return float(p2_rules(a, np.asarray(phi)[None], np.asarray(psi)[None])[0, 0])
 
 
 def p2_rules(a: np.ndarray, phis: np.ndarray, psis: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ def verify_envariance(
     trials: int = 200,
     seed: int = DEFAULT_SEED,
     tolerance: float = DEFAULT_TOL,
-    name: str = "envariance",
 ) -> VerificationReport:
     """Environment-assisted invariance: two states sharing Schmidt data
     have equal click probability, and the constructed environment
@@ -90,7 +89,7 @@ def verify_envariance(
     worst_map = float(np.max(residuals))
     details = (("probability_deviation", worst_prob), ("mapping_residual", worst_map))
     return VerificationReport.from_deviation(
-        name, f"trials={trials} env_dim={_ENV_DIM}", max(worst_prob, worst_map), tolerance, details)
+        "envariance", f"trials={trials} env_dim={_ENV_DIM}", max(worst_prob, worst_map), tolerance, details)
 
 
 def verify_lemma1(
@@ -262,12 +261,11 @@ def verify_theorem1(
     n_points: int = 100,
     seed: int = DEFAULT_SEED,
     tolerance: float = DEFAULT_TOL,
-    name: str = "theorem1",
 ) -> VerificationReport:
     """Affine response: tomography prediction matches the probed click
     probability across the ball, on the poles, and on mixtures (a batch
     of one of ``_theorems``)."""
-    return _theorems([(det, (name, seed), None)], n_points, 0, tolerance)[0]
+    return _theorems([(det, ("theorem1", seed), None)], n_points, 0, tolerance)[0]
 
 
 def verify_theorem2(
@@ -275,7 +273,6 @@ def verify_theorem2(
     n_states: int = 1000,
     seed: int = DEFAULT_SEED,
     tolerance: float = DEFAULT_TOL,
-    name: str = "theorem2",
 ) -> VerificationReport:
     """Squared-amplitude rule for ideal two-outcome devices, and its
     max/min-probability generalization otherwise.
@@ -288,7 +285,7 @@ def verify_theorem2(
     from the same oracle, must satisfy the mirrored extremal relations.  A
     batch of one of ``_theorems``.
     """
-    return _theorems([(det, None, (name, seed))], 0, n_states, tolerance)[0]
+    return _theorems([(det, None, ("theorem2", seed))], 0, n_states, tolerance)[0]
 
 
 def _theorems(rows, n_points: int, n_states: int, tolerance: float) -> list[VerificationReport]:
@@ -473,7 +470,7 @@ class ReportNameClash(ValueError):
 
 def _run_envariance(ctx: Context, selected: list[str]) -> list[VerificationReport]:
     det = _det.random_detector(qcore.as_rng(ctx.streams[0]))
-    return [verify_envariance(det, trials=200, seed=ctx.streams[1], tolerance=ctx.tolerance, name="envariance")]
+    return [verify_envariance(det, trials=200, seed=ctx.streams[1], tolerance=ctx.tolerance)]
 
 
 def _run_lemmas(ctx: Context, selected: list[str]) -> list[VerificationReport]:

@@ -5,32 +5,29 @@ from the walk of ``circuits``, plus the comparison it makes.
 The comparison reads the brackets through a rule: the derivation suite
 uses the default, ``BornRule`` (the squared-amplitude rule), and the
 counterexample battery the alternative rules, each reading whole arrays
-of brackets at once.  ``check_identity_states`` checks six identities on
-one instance and ``check_identity_a5_decomposition`` the seventh, both
-under the squared-amplitude rule; ``sweep_identities`` checks all seven
-on random instances for both, in one batch whatever the detectors'
-families.  A rule reads the brackets ``p`` of N instances elementwise,
-with each instance's draw ``x``: ``compared`` for a bracket compared
-with a single other bracket, ``combined`` for one that enters a sum or a
-product.  ``draw(rng)`` takes one instance's draw from the sweep's stream.
+of brackets at once.  ``check_states`` checks six identities on N
+instances and ``check_a5`` the seventh; ``sweep_identities`` checks all
+seven on random instances for both, in one batch whatever the detectors'
+families.  None of them builds a report: ``derivation`` and
+``counterexamples`` do.  A rule reads the brackets ``p`` of N instances
+elementwise, with each instance's draw ``x``: ``compared`` for a bracket
+compared with a single other bracket, ``combined`` for one that enters a
+sum or a product.  ``draw(rng)`` takes one instance's draw from the
+sweep's stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import circuits, detectors as _det, qcore
-from .circuits import SG_OUTCOMES, Circuit, Gate, Measure, branches, mass, probabilities
-from .detectors import Detector
-from .qcore import StateVector, DEFAULT_TOL
-from .reporting import VerificationReport
+from .circuits import SG_OUTCOMES, Gate, Measure, branches, mass, probabilities
 
-# The seven bracket identities; ``check_identity_*`` reports each one as
-# "identity:<name>".
+# The seven bracket identities, in the order of the checks' deviation rows;
+# the reports name each one "identity:<name>".
 IDENTITY_NAMES = (
     "a1-extension",
     "normalization",
@@ -61,25 +58,27 @@ class BornRule:
 BORN = BornRule()
 
 
-# The brackets each state identity reports, in ``IDENTITY_NAMES`` order.
-_DETAILS = (
-    ("lhs", "rhs"),
-    ("click", "no_click"),
-    ("joint_up", "joint_down", "unread", "marginal", "conditional"),
-    ("click", "later"),
-    ("click", "before"),
-    ("alone", "unread"),
-)
-
-
 def check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, rule, x):
-    """``check_identity_states`` on N rows at once, read through ``rule``
+    """The six state identities on N rows at once, read through ``rule``
     with the draws ``x``: ``single``, ``ancilla`` and ``pair`` are
     (N, *factor_dims) tensors, ``psi`` N tensors, the rest N values each,
-    except ``probe``, the ``Measure`` "m" of wire 0 by one detector, None,
-    or a ``ModelStacks``.  Each distinct circuit is walked once, the ``psi``
-    circuits once per shape.  Returns the (6, N) deviations of the six
-    identities, in ``IDENTITY_NAMES`` order, and the brackets read."""
+    except ``probe``, the ``Measure`` "m" of wire 0 by one detector, None
+    (the reference apparatus), or a ``ModelStacks``.  Every bracket asks
+    the probe for its first outcome, the click:
+      - a1-extension: ``single`` alone, and with ``ancilla`` prepended;
+      - normalization: the click and no-click brackets of ``psi`` sum to 1;
+      - multiplication (the classical product and sum rules): on ``pair``,
+        the joint bracket of ``sg_outcome`` on wire 1 and a click is the
+        marginal times the click on the recorded post state, and the
+        bracket with wire 1 measured but unread is the sum of both joints;
+      - causality, nosignal-unitary: ``env_unitary`` on wire 1 of ``psi``,
+        after or before the measurement, leaves the click unchanged;
+      - nosignal-measure: that unread measurement leaves the click
+        unchanged.
+    Nothing checks the circuits, so the rows must be valid.  Each
+    distinct circuit is walked once, the ``psi`` circuits once per shape.
+    Returns the (6, N) deviations of the six identities, in
+    ``IDENTITY_NAMES`` order, and the brackets read."""
     rows = len(single)
     click, no_click = probe.outcomes
 
@@ -123,57 +122,14 @@ def check_states(probe, single, ancilla, psi, env_unitary, pair, sg_outcome, rul
     ]), b
 
 
-def check_identity_states(
-    det: Detector | None,
-    single: StateVector,
-    ancilla: StateVector,
-    psi: StateVector,
-    env_unitary: np.ndarray,
-    pair: StateVector,
-    sg_outcome: str,
-    tolerance: float = DEFAULT_TOL,
-) -> list[VerificationReport]:
-    """The six state identities on one instance, in ``IDENTITY_NAMES``
-    order, under the squared-amplitude rule, evaluating each distinct
-    bracket once.
-
-    ``det`` (None: the reference apparatus) measures spin 0, and every
-    bracket asks for its first outcome, the click.
-      - a1-extension: ``single`` alone, and with ``ancilla`` prepended;
-      - normalization: the click and no-click brackets of ``psi`` sum to 1;
-      - causality, nosignal-unitary: ``env_unitary`` on wire 1 of ``psi``,
-        after or before the measurement, leaves the click unchanged;
-      - multiplication (the classical product and sum rules): on ``pair``,
-        the joint bracket of ``sg_outcome`` on wire 1 and a click is the
-        marginal times the click on the recorded post state, and the
-        bracket with wire 1 measured but unread is the sum of both joints;
-      - nosignal-measure: that unread measurement leaves the click
-        unchanged.
-    """
-    if sg_outcome not in SG_OUTCOMES:
-        raise ValueError(f"sg_outcome must be one of {SG_OUTCOMES}, got {sg_outcome!r}")
-    probe = Measure(0, "m", det)
-    for state, steps in ((single, (probe,)), (psi, (Gate((1,), env_unitary), probe)), (pair, (Measure(1, "s"), probe))):
-        Circuit(state, steps)  # the checks that the batched walk skips
-    batch = [state.as_tensor()[None] for state in (single, ancilla, pair)]
-    deviations, b = check_states(probe, *batch[:2], [psi.as_tensor()], [env_unitary], batch[2], [sg_outcome], BORN, 0.0)
-    psi_dims, pair_dims = f"dims={psi.factor_dims}", f"dims={pair.factor_dims}"
-    inputs = (f"dims={single.factor_dims}+{ancilla.factor_dims}", psi_dims,
-              f"{pair_dims} a={sg_outcome}", psi_dims, psi_dims, pair_dims)
-    return [
-        VerificationReport.from_deviation(
-            f"identity:{name}", shown, deviation, tolerance, tuple((k, float(b[k][0])) for k in keys)
-        )
-        for name, shown, deviation, keys in zip(IDENTITY_NAMES, inputs, deviations[:, 0], _DETAILS)
-    ]
-
-
 def check_a5(lam, probe, unitaries, rule, x) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``check_identity_a5_decomposition`` on N rows at once, read through
-    ``rule``: ``lam`` and ``x`` hold N values, ``probe`` is the ``Measure``
-    "m" of wire 0, and each of ``unitaries`` is a 2x2 matrix or an (N, 2, 2)
-    stack.  Returns the (N,) deviations and the (N,) arrays of the brackets
-    read."""
+    """The decomposition identity on N rows at once, read through
+    ``rule``: the correlated-pair bracket splits into reference-branch-
+    weighted conditionals on the collapsed single-spin states.  ``lam``
+    and ``x`` hold N values, ``probe`` is the ``Measure`` "m" of wire 0,
+    and each of ``unitaries``, applied to spin 0 before the probe, is a 2x2
+    matrix or an (N, 2, 2) stack.  Returns the (N,) deviations and the
+    (N,) arrays of the brackets read."""
     steps = tuple(Gate((0,), u) for u in unitaries) + (probe,)
 
     def click(tens) -> np.ndarray:
@@ -185,25 +141,6 @@ def check_a5(lam, probe, unitaries, rule, x) -> tuple[np.ndarray, dict[str, np.n
     b["up"], b["down"] = (click(np.tile(v, (len(lam), 1))) for v in (qcore.UP, qcore.DOWN))
     s = lambda p: rule.combined(p, x)
     return np.abs(s(b["lhs"]) - (s(a_up) * s(b["up"]) + s(a_down) * s(b["down"]))), b
-
-
-def check_identity_a5_decomposition(
-    lam: float,
-    det: Detector,
-    unitaries: Sequence[np.ndarray] = (),
-    tolerance: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """The correlated-pair bracket splits into reference-branch-weighted
-    conditionals on the collapsed single-spin states, under the
-    squared-amplitude rule.  Each bracket applies the 2x2 ``unitaries``
-    to spin 0 and then asks ``det`` for a click on it."""
-    probe = Measure(0, "m", det)
-    Circuit(qcore.spin_pair_state(lam), (*(Gate((0,), u) for u in unitaries), probe))  # the checks the batch skips
-    deviation, b = check_a5([lam], probe, unitaries, BORN, 0.0)
-    details = tuple((k, float(v[0])) for k, v in b.items())
-    return VerificationReport.from_deviation(
-        "identity:a5-decomposition", f"lambda={lam}", deviation[0], tolerance, details
-    )
 
 
 def sweep_identities(rng, instances: int, rule=BORN) -> tuple[dict[str, float], dict[str, int], float]:

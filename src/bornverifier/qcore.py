@@ -76,10 +76,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", rows[0])
 
     @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @property
     def num_factors(self) -> int:
         return len(self.factor_dims)
 
@@ -162,22 +158,6 @@ class BlochVector:
     def from_array(p) -> "BlochVector":
         x, y, z = np.asarray(p, dtype=float)
         return BlochVector(float(x), float(y), float(z))
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states, concatenating their factor lists."""
-    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
-        raise TypeError("tensor_product operands must both be states")
-    # The constructor enforces the size cap.
-    return StateVector(a.factor_dims + b.factor_dims, np.kron(a.amplitudes, b.amplitudes))
-
-
-def reduced_density(psi: StateVector, spin_factor: int = 0) -> np.ndarray:
-    """Reduced 2x2 density matrix of one spin factor (partial trace over
-    the rest)."""
-    check_spin_factor(psi, spin_factor)
-    moved = spin_first(psi.as_tensor()[None], spin_factor)[0]
-    return moved @ moved.conj().T
 
 
 def bloch_polarization(psi: StateVector, spin_factor: int = 0) -> BlochVector:
@@ -417,22 +397,22 @@ def build_states(draws: Sequence[tuple[tuple[int, ...], np.ndarray]]) -> list[np
     )[1])
 
 
-def random_bloch(rng, surface: bool = False) -> BlochVector:
-    """Uniform point of the Bloch ball (or its boundary sphere): a batch
-    of one of ``random_bloch_points``."""
-    return BlochVector(*random_bloch_points(rng, 1, surface)[0].tolist())
+def random_bloch(rng) -> BlochVector:
+    """Uniform point of the Bloch ball: a batch of one of
+    ``random_bloch_points``."""
+    return BlochVector(*random_bloch_points(rng, 1)[0].tolist())
 
 
-def random_bloch_points(rng, n: int, surface: bool = False) -> np.ndarray:
-    """(n, 3) uniform points of the Bloch ball (or its boundary sphere),
-    drawn point by point: three normals, then the radius.  The arithmetic
-    is on Python floats, as in the scalar draw; array forms move last bits."""
+def random_bloch_points(rng, n: int) -> np.ndarray:
+    """(n, 3) uniform points of the Bloch ball, drawn point by point:
+    three normals, then the radius.  The arithmetic is on Python floats,
+    as in the scalar draw; array forms move last bits."""
     rng = as_rng(rng)
     points = np.empty((n, 3))
     for k in range(n):
         v = rng.standard_normal(3)
         norm = math.sqrt(v.dot(v))
-        r = 1.0 if surface else rng.uniform() ** (1.0 / 3.0)
+        r = rng.uniform() ** (1.0 / 3.0)
         x, y, z = v.tolist()
         points[k] = (x / norm * r, y / norm * r, z / norm * r)
     return points

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 from pathlib import Path
 
@@ -7,7 +6,6 @@ import pytest
 
 from bornverifier import circuits, derivation, detectors, dsl, identities, qcore
 from bornverifier.circuits import Circuit, Gate, Measure, evaluate, evaluate_full, sg_measure
-from bornverifier.identities import check_identity_a5_decomposition, check_identity_states
 from bornverifier import counterexamples as cx
 from bornverifier.counterexamples import CubicRule, p3_rule
 from bornverifier.qcore import StateVector, spin_pair_state
@@ -133,7 +131,6 @@ class TestEvaluate:
         circuit = Circuit(UP, (Measure(0, "m"),))
         result = evaluate_full(circuit, {"m": "d"})
         assert result.probability == 0.0
-        assert result.conditional_undefined
         assert result.undefined_labels == ("m",)
         # Conditioning mid-circuit on the impossible branch.
         chained = Circuit(
@@ -141,7 +138,7 @@ class TestEvaluate:
         )
         result = evaluate_full(chained, {"a": "d", "b": "d"})
         assert result.probability == 0.0
-        assert result.conditional_undefined
+        assert result.undefined_labels
 
     def test_query_mapping_order_and_absent_query(self):
         circuit = Circuit(spin_pair_state(0.3), (Measure(1, "a"), Measure(0, "b")))
@@ -213,40 +210,56 @@ class TestCircuitValidation:
             Circuit(psi, (Measure(1, "m"),))
 
 
-def _states(det, psi=None, env_unitary=None, pair=None, sg_outcome="u", rule=None):
-    """The six state identities by name, on fixed states where not given;
-    with a ``rule`` that draws nothing, read through it by the batched
-    check, with empty inputs strings."""
+# The brackets each state identity reports, in ``IDENTITY_NAMES`` order.
+_DETAILS = (
+    ("lhs", "rhs"),
+    ("click", "no_click"),
+    ("joint_up", "joint_down", "unread", "marginal", "conditional"),
+    ("click", "later"),
+    ("click", "before"),
+    ("alone", "unread"),
+)
+
+
+def _report(name, deviation, read, keys):
+    return VerificationReport.from_deviation(
+        f"identity:{name}", "", deviation, qcore.DEFAULT_TOL, tuple((k, float(read[k][0])) for k in keys)
+    )
+
+
+def _states(det, psi=None, env_unitary=None, pair=None, sg_outcome="u", rule=identities.BORN):
+    """The six state identities by name, on fixed states where not given,
+    read through ``rule``."""
     psi = psi if psi is not None else spin_pair_state(0.3)
     env_unitary = env_unitary if env_unitary is not None else np.eye(psi.factor_dims[1])
     pair = pair if pair is not None else spin_pair_state(0.6)
-    if rule is None:
-        reports = check_identity_states(det, UP, UP, psi, env_unitary, pair, sg_outcome)
-    else:
-        reports = _read_one(rule, 0.0, det, UP, UP, psi, env_unitary, pair, sg_outcome)
+    reports = _read_one(rule, 0.0, det, UP, UP, psi, env_unitary, pair, sg_outcome)
     return {r.name.removeprefix("identity:"): r for r in reports}
 
 
 def _read_one(rule, x, det, single, ancilla, psi, env_unitary, pair, sg_outcome, a5=None):
-    """One instance's state identities, and with ``a5 = (u_spin, lam)`` its
-    decomposition too, read through ``rule`` with the draw ``x`` by the
-    batched checks on a batch of one: reports as the single-instance
-    checks make them, with empty inputs strings."""
+    """One instance's state identities, and with ``a5 = (unitaries, lam)``
+    its decomposition too, read through ``rule`` with the draw ``x`` by the
+    batched checks on a batch of one: reports with empty inputs strings."""
     probe = Measure(0, "m", det)
     batch = [state.as_tensor()[None] for state in (single, ancilla, pair)]
     deviations, b = identities.check_states(
         probe, *batch[:2], [psi.as_tensor()], [env_unitary], batch[2], [sg_outcome], rule, x
     )
-    rows = [(deviation, b, keys) for deviation, keys in zip(deviations[:, 0], identities._DETAILS)]
-    if a5 is not None:
-        deviation, b5 = identities.check_a5([a5[1]], probe, (a5[0],), rule, x)
-        rows.append((deviation[0], b5, tuple(b5)))
-    return [
-        VerificationReport.from_deviation(
-            f"identity:{name}", "", deviation, qcore.DEFAULT_TOL, tuple((k, float(read[k][0])) for k in keys)
-        )
-        for name, (deviation, read, keys) in zip(identities.IDENTITY_NAMES, rows)
+    reports = [
+        _report(name, deviation, b, keys)
+        for name, deviation, keys in zip(identities.IDENTITY_NAMES, deviations[:, 0], _DETAILS)
     ]
+    if a5 is not None:
+        reports.append(_a5(det, a5[1], a5[0], rule, x))
+    return reports
+
+
+def _a5(det, lam, unitaries=(), rule=identities.BORN, x=0.0):
+    """The decomposition identity on one instance, by the batched check on
+    a batch of one: a report with an empty inputs string."""
+    deviation, b = identities.check_a5([lam], Measure(0, "m", det), unitaries, rule, x)
+    return _report("a5-decomposition", deviation[0], b, tuple(b))
 
 
 class TestIdentityFamilies:
@@ -268,9 +281,9 @@ class TestIdentityFamilies:
             sg_outcome = str(rng.choice(["u", "d"]))
             # ``None`` measures with the reference apparatus instead.
             reports = [
-                *check_identity_states(det, single, phi, psi, u_env, pair, sg_outcome),
-                *check_identity_states(None, single, phi, psi, u_env, pair, sg_outcome),
-                check_identity_a5_decomposition(float(rng.uniform()), det),
+                *_read_one(identities.BORN, 0.0, det, single, phi, psi, u_env, pair, sg_outcome),
+                *_read_one(identities.BORN, 0.0, None, single, phi, psi, u_env, pair, sg_outcome),
+                _a5(det, float(rng.uniform())),
             ]
             for report in reports:
                 assert report.passed, (report.name, report.max_deviation)
@@ -282,30 +295,16 @@ class TestIdentityFamilies:
 
     def test_states_in_identity_order(self):
         det = detectors.random_detector(np.random.default_rng(52))
-        reports = check_identity_states(
-            det, UP, UP, spin_pair_state(0.3), np.eye(2), spin_pair_state(0.6), "d"
+        reports = _read_one(
+            identities.BORN, 0.0, det, UP, UP, spin_pair_state(0.3), np.eye(2), spin_pair_state(0.6), "d"
         )
         names = [r.name for r in reports]
         assert names == [f"identity:{n}" for n in identities.IDENTITY_NAMES[:-1]]
 
-    def test_single_instance_checks_its_circuits(self):
-        # The batched walk checks nothing, so the single-instance checks
-        # still run each circuit's checks on their inputs.
-        det, pair = detectors.random_detector(np.random.default_rng(53)), spin_pair_state(0.3)
-        four = StateVector((4,), [1, 0, 0, 0])
-        with pytest.raises(ValueError, match="^only spin wires"):
-            check_identity_states(det, four, UP, pair, np.eye(2), pair, "u")
-        with pytest.raises(ValueError, match="^gate matrix shape"):
-            check_identity_states(det, UP, UP, pair, np.eye(3), pair, "u")
-        with pytest.raises(ValueError, match="^gate matrix is not unitary$"):
-            check_identity_a5_decomposition(0.3, det, (np.diag([1.0, 0.5]),))
-        with pytest.raises(ValueError, match="^sg_outcome must be one of"):
-            check_identity_states(det, UP, UP, pair, np.eye(2), pair, "x")
-
     def test_a5_decomposition_edge_weights(self):
         det = detectors.random_detector(np.random.default_rng(50))
         for lam in (0.0, 1.0):
-            report = check_identity_a5_decomposition(lam, det)
+            report = _a5(det, lam)
             assert report.passed
             details = dict(report.details)
             assert details["a_lambda"] == pytest.approx(1.0 - lam, abs=1e-12)
@@ -350,9 +349,9 @@ class TestIdentityFamilies:
         # The decomposition weighs the down branch by the reference
         # apparatus's own down reading, not 1 - up: a down projector off
         # by 1e-6 breaks it.
-        assert check_identity_a5_decomposition(0.5, det).passed
+        assert _a5(det, 0.5).passed
         monkeypatch.setattr(circuits, "_PROJECTORS", SKEWED_PROJECTORS)
-        report = check_identity_a5_decomposition(0.5, det)
+        report = _a5(det, 0.5)
         assert not report.passed and report.max_deviation > 1e-7
 
     def test_suite_a5_decomposition_fails_on_a_skewed_down_projector(self, monkeypatch):
@@ -392,9 +391,7 @@ class TestRuleReadings:
         det, psi, u_env, pair = self.cubic_instance()
         reports = _states(det, psi=psi, env_unitary=u_env, pair=pair)
         assert all(r.passed for r in reports.values())
-        assert {k: dataclasses.replace(r, inputs="") for k, r in reports.items()} == _states(
-            det, psi=psi, env_unitary=u_env, pair=pair, rule=identities.BornRule()
-        )
+        assert reports == _states(det, psi=psi, env_unitary=u_env, pair=pair, rule=identities.BornRule())
 
     def test_cubic_brackets_break_additivity_under_multiplication(self):
         # p3 is not additive: the unread bracket read through p3 is not the
@@ -519,11 +516,7 @@ class TestBatchedWalk:
         instances = 60
         rng = np.random.default_rng(seed)
         drawn = [self.draw(rng, rule) for _ in range(instances)]
-        single = [_read_one(rule, x, *states, a5=(u_spin, lam)) for states, (u_spin, lam, x) in drawn]
-        if rule_name == "born":  # the single-instance checks are these batches of one
-            for (states, (u_spin, lam, _)), reports in zip(drawn, single):
-                public = check_identity_states(*states) + [check_identity_a5_decomposition(lam, states[0], (u_spin,))]
-                assert [dataclasses.replace(r, inputs="") for r in public] == reports
+        single = [_read_one(rule, x, *states, a5=((u_spin,), lam)) for states, (u_spin, lam, x) in drawn]
 
         # Each column of the table is its instance's batch of one.
         table, brackets, groups = self.table(drawn, rule)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -380,8 +381,8 @@ class TestFullSuite:
         seeds = [np.random.SeedSequence((seed, tag)).spawn(len(battery)) for tag in (0x71, 0x72)]
         expected = []
         for (label, det), s1, s2 in zip(battery, *seeds, strict=True):
-            expected.append(verify_theorem1(det, n_points=40, seed=s1, name=f"theorem1[{label}]"))
-            expected.append(verify_theorem2(det, n_states=200, seed=s2, name=f"theorem2[{label}]"))
+            expected.append(replace(verify_theorem1(det, n_points=40, seed=s1), name=f"theorem1[{label}]"))
+            expected.append(replace(verify_theorem2(det, n_states=200, seed=s2), name=f"theorem2[{label}]"))
         stacked = run_full_suite(seed, subset="theorem")
         assert stacked == sorted(expected, key=lambda r: r.name)
         # And every detail equals the per-detector code the pass replaced,
@@ -452,7 +453,7 @@ class TestFullSuite:
         real = derivation.verify_envariance
         monkeypatch.setattr(
             derivation, "verify_envariance",
-            lambda *args, **kwargs: real(*args, **{**kwargs, "name": "renamed"}),
+            lambda *args, **kwargs: replace(real(*args, **kwargs), name="renamed"),
         )
         with pytest.raises(RuntimeError, match="undeclared"):
             run_full_suite(seed=42, subset="envariance")

@@ -24,7 +24,7 @@ from bornverifier.detectors import (
     sg_up_detector,
     to_povm,
 )
-from bornverifier.qcore import BlochVector, StateVector, spin_pair_state, tensor_product
+from bornverifier.qcore import BlochVector, StateVector, spin_pair_state
 
 UP = StateVector((2,), [1, 0])
 DOWN = StateVector((2,), [0, 1])
@@ -32,7 +32,7 @@ DOWN = StateVector((2,), [0, 1])
 
 class TestClickProbability:
     def test_projective_eigenstate(self):
-        psi = tensor_product(UP, qcore.random_state((3,), 1))
+        psi = StateVector((2, 3), np.kron(UP.amplitudes, qcore.random_state((3,), 1).amplitudes))
         assert click_probability(sg_up_detector(), psi, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_trivial_half_effect(self):
@@ -92,7 +92,7 @@ class TestProbe:
             rotated = circuits.apply_unitary(
                 canonical, (1,), qcore.random_unitary(2, rng)
             )
-            bigger = tensor_product(rotated, qcore.random_state((3,), rng))
+            bigger = StateVector((2, 2, 3), np.kron(rotated.amplitudes, qcore.random_state((3,), rng).amplitudes))
             assert click_probability(det, canonical, 0) == pytest.approx(
                 click_probability(det, rotated, 0), abs=1e-9
             )
@@ -181,8 +181,8 @@ class TestLinearExtension:
     def test_surface_points(self):
         rng = np.random.default_rng(7)
         resp = extract_affine(random_detector(rng))
-        for _ in range(50):
-            p = qcore.random_bloch(rng, surface=True)
+        for v in rng.standard_normal((50, 3)):
+            p = BlochVector.from_array(v / np.linalg.norm(v))
             assert abs(linear_extension(resp, p) - resp.predict(p)) < 1e-9
 
     def test_outside_ball_rejected(self):
@@ -212,7 +212,8 @@ class TestToPovm:
             det = random_detector(rng)
             effect = to_povm(extract_affine(det))
             psi = qcore.random_state((2, 3), rng)
-            rho = qcore.reduced_density(psi, 0)
+            flat = psi.amplitudes.reshape(2, -1)
+            rho = flat @ flat.conj().T  # the reduced density of spin 0
             assert np.trace(effect.matrix @ rho).real == pytest.approx(
                 click_probability(det, psi, 0), abs=1e-9
             )

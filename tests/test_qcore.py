@@ -16,9 +16,7 @@ from bornverifier.qcore import (
     envariance_unitary,
     purify,
     random_state,
-    reduced_density,
     spin_pair_state,
-    tensor_product,
 )
 
 UP = StateVector((2,), [1, 0])
@@ -77,6 +75,11 @@ def partial_trace_oracle(psi: StateVector, keep: int) -> np.ndarray:
     return np.einsum("ik,jk->ij", flat, flat.conj())
 
 
+def _kron(a: StateVector, b: StateVector) -> StateVector:
+    """The product state of ``a`` and ``b``, their factor lists concatenated."""
+    return StateVector(a.factor_dims + b.factor_dims, np.kron(a.amplitudes, b.amplitudes))
+
+
 def pauli_expectation_oracle(psi: StateVector, spin_factor: int) -> np.ndarray:
     dims = psi.factor_dims
     values = []
@@ -90,35 +93,30 @@ def pauli_expectation_oracle(psi: StateVector, spin_factor: int) -> np.ndarray:
 
 class TestTensorProduct:
     def test_basis_states(self):
-        result = tensor_product(UP, DOWN)
+        result = _kron(UP, DOWN)
         assert result.factor_dims == (2, 2)
         np.testing.assert_array_equal(result.amplitudes, [0, 1, 0, 0])
 
     def test_dimension_cap(self):
         big = random_state([2] * 10, 1)  # exactly at the cap
         with pytest.raises(DimensionError):
-            tensor_product(big, UP)
-
-    def test_mixed_operands_rejected(self):
-        for a, b in ((UP, np.eye(2)), (np.eye(2), np.eye(2))):
-            with pytest.raises(TypeError):
-                tensor_product(a, b)
+            _kron(big, UP)
 
 
 class TestReducedDensity:
     def test_product_state(self):
-        psi = tensor_product(UP, random_state((3,), 5))
+        psi = _kron(UP, random_state((3,), 5))
         np.testing.assert_allclose(
-            reduced_density(psi, 0), np.diag([1.0, 0.0]), atol=1e-12
+            partial_trace_oracle(psi, 0), np.diag([1.0, 0.0]), atol=1e-12
         )
 
     def test_maximally_entangled(self):
         np.testing.assert_allclose(
-            reduced_density(qcore.bell_state(), 0), np.eye(2) / 2, atol=1e-12
+            partial_trace_oracle(qcore.bell_state(), 0), np.eye(2) / 2, atol=1e-12
         )
 
     def test_correlated_pair(self):
-        rho = reduced_density(spin_pair_state(0.25), 0)
+        rho = partial_trace_oracle(spin_pair_state(0.25), 0)
         np.testing.assert_allclose(rho, np.diag([0.75, 0.25]), atol=1e-12)
 
     def test_matches_partial_trace_oracle(self):
@@ -127,7 +125,7 @@ class TestReducedDensity:
             spin = dims.index(2)
             psi = random_state(dims, rng)
             np.testing.assert_allclose(
-                reduced_density(psi, spin),
+                qcore.density_from_bloch(bloch_polarization(psi, spin)),
                 partial_trace_oracle(psi, spin),
                 atol=1e-12,
             )
@@ -135,14 +133,14 @@ class TestReducedDensity:
     def test_errors(self):
         psi = random_state((2, 3), 1)
         with pytest.raises(ValueError):
-            reduced_density(psi, 2)
+            bloch_polarization(psi, 2)
         with pytest.raises(ValueError):
-            reduced_density(psi, 1)  # dimension 3 is not a spin
+            bloch_polarization(psi, 1)  # dimension 3 is not a spin
 
 
 class TestBlochPolarization:
     def test_up_state(self):
-        psi = tensor_product(UP, random_state((4,), 3))
+        psi = _kron(UP, random_state((4,), 3))
         p = bloch_polarization(psi, 0)
         np.testing.assert_allclose(p.as_array(), [0, 0, 1], atol=1e-12)
 
@@ -173,7 +171,7 @@ class TestBlochPolarization:
             psi = random_state((2, 4), rng)
             p = bloch_polarization(psi, 0)
             np.testing.assert_allclose(
-                reduced_density(psi, 0), qcore.density_from_bloch(p), atol=1e-10
+                partial_trace_oracle(psi, 0), qcore.density_from_bloch(p), atol=1e-10
             )
 
 
@@ -238,18 +236,18 @@ class TestEnvarianceUnitary:
 class TestPurify:
     def test_pure_pole(self):
         psi = purify(BlochVector(0, 0, 1))
-        rho = reduced_density(psi, 0)
+        rho = partial_trace_oracle(psi, 0)
         np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_center_is_maximally_entangled(self):
         psi = purify(BlochVector(0, 0, 0))
         np.testing.assert_allclose(
-            reduced_density(psi, 0), np.eye(2) / 2, atol=1e-12
+            partial_trace_oracle(psi, 0), np.eye(2) / 2, atol=1e-12
         )
 
     def test_halfway_pole_weights(self):
         # Branch weights 0.75 and 0.25 on the up and down spin axes.
-        rho = reduced_density(purify(BlochVector(0, 0, 0.5)), 0)
+        rho = partial_trace_oracle(purify(BlochVector(0, 0, 0.5)), 0)
         np.testing.assert_allclose(rho, np.diag([0.75, 0.25]), atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -275,7 +273,7 @@ class TestPurify:
         rng = np.random.default_rng(20)
         points = np.array(
             [qcore.random_bloch(rng).as_array() for _ in range(50)]
-            + [qcore.random_bloch(rng, surface=True).as_array() for _ in range(50)]
+            + [v / np.linalg.norm(v) for v in rng.standard_normal((50, 3))]  # on the sphere
             + _EDGE_POINTS
         )
         for p, row in zip(points, qcore.purify_batch(points)):
@@ -393,28 +391,26 @@ class TestRandomAmplitudes:
 
 class TestRandomBlochPoints:
     @staticmethod
-    def scalar_draw(rng, surface):
+    def scalar_draw(rng):
         """The scalar draw the sampler replaced, written out: three normals
         divided by their norm, then scaled by the cube root of a uniform."""
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        r = 1.0 if surface else rng.uniform() ** (1.0 / 3.0)
-        return r * v
+        return rng.uniform() ** (1.0 / 3.0) * v
 
-    @pytest.mark.parametrize("surface, n", [(False, 20_000), (True, 10_000)])
-    def test_points_match_the_scalar_formula_bit_for_bit(self, surface, n):
+    def test_points_match_the_scalar_formula_bit_for_bit(self):
+        n = 20_000
         stacked_rng, scalar_rng = np.random.default_rng(61), np.random.default_rng(61)
-        points = qcore.random_bloch_points(stacked_rng, n, surface)
-        expected = np.array([self.scalar_draw(scalar_rng, surface) for _ in range(n)])
+        points = qcore.random_bloch_points(stacked_rng, n)
+        expected = np.array([self.scalar_draw(scalar_rng) for _ in range(n)])
         assert points.shape == (n, 3)
         np.testing.assert_array_equal(points, expected)
         assert stacked_rng.bit_generator.state == scalar_rng.bit_generator.state
 
-    @pytest.mark.parametrize("surface", [False, True])
-    def test_random_bloch_is_a_batch_of_one(self, surface):
+    def test_random_bloch_is_a_batch_of_one(self):
         lone_rng, stacked_rng = np.random.default_rng(62), np.random.default_rng(62)
-        lone = [qcore.random_bloch(lone_rng, surface).as_array() for _ in range(50)]
-        np.testing.assert_array_equal(lone, qcore.random_bloch_points(stacked_rng, 50, surface))
+        lone = [qcore.random_bloch(lone_rng).as_array() for _ in range(50)]
+        np.testing.assert_array_equal(lone, qcore.random_bloch_points(stacked_rng, 50))
         assert lone_rng.bit_generator.state == stacked_rng.bit_generator.state
         assert qcore.random_bloch_points(stacked_rng, 0).shape == (0, 3)
 
@@ -476,7 +472,8 @@ class TestStackedBuilds:
         amps = qcore.random_amplitudes((2, 2, 3), 50, np.random.default_rng(27))
         rows = qcore.bloch_polarizations(amps.reshape(50, 2, 6))
         for row, psi in zip(rows, (StateVector((2, 2, 3), a) for a in amps)):
-            rho = reduced_density(psi, 0)
+            flat = psi.amplitudes.reshape(2, -1)
+            rho = flat @ flat.conj().T
             expected = [2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
             assert row.tobytes() == np.array(expected).tobytes()
 
